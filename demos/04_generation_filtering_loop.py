@@ -60,8 +60,6 @@ def main():
     ports = mock_ports(verdicts=[False, True])
     gen = generate_valid_images(cls, GenerationBudget(10, 2), ports, refs, seed=0)
     for a in gen.attempts:
-        verdicts = ", ".join(p.verdict for v in gen.valid_images for p in v.pairs
-                             if v.image_ref == a.image_ref) or "rejected"
         marker = "VALID" if a.valid else "rejected -> paraphrase"
         print(f"  attempt {a.attempt}: generation {a.paraphrase_generation}, {marker}")
     print(f"  -> {len(gen.valid_images)} valid images in {len(gen.attempts)} attempts, "

@@ -163,20 +163,6 @@ class PromptRecord:
             raise DataError("paraphrase_generation must be >= 0")
 
 
-@dataclass
-class CandidatePair:
-    """One person-object box pair awaiting a verification verdict."""
-
-    human_box: BBox
-    object_box: BBox
-    verdict: str = "pending"
-
-    def resolve(self, accepted: bool) -> None:
-        if self.verdict != "pending":
-            raise DataError(f"pair verdict already resolved to {self.verdict!r}")
-        self.verdict = "accepted" if accepted else "rejected"
-
-
 @dataclass(frozen=True)
 class Detections:
     person_boxes: tuple[BBox, ...]
@@ -366,8 +352,9 @@ class HttpServicePorts:
         POST /verify_text   {"description", "class"}          -> {"accepted"}
         POST /paraphrase    {"prompt"}                        -> {"prompt"}
 
-    Any transport or HTTP error raises :class:`PortError`, which aborts one
-    attempt, not the run.
+    Any transport or HTTP error, and any response of the wrong shape (not a
+    JSON object, ``accepted`` not a JSON bool, box lists not arrays), raises
+    :class:`PortError`, which aborts one attempt, not the run.
     """
 
     def __init__(self, base_url: str, timeout: float = 60.0, session=None):
@@ -388,9 +375,19 @@ class HttpServicePorts:
         if resp.status_code != 200:
             raise PortError(f"{endpoint}: HTTP {resp.status_code}")
         try:
-            return resp.json()
+            out = resp.json()
         except ValueError as exc:
             raise PortError(f"{endpoint}: non-JSON response") from exc
+        if not isinstance(out, dict):
+            raise PortError(f"{endpoint}: response is not a JSON object")
+        return out
+
+    @staticmethod
+    def _field(endpoint: str, out: dict, key: str, kind: type):
+        value = out.get(key)
+        if not isinstance(value, kind):
+            raise PortError(f"{endpoint}: response field {key!r} must be a {kind.__name__}")
+        return value
 
     @staticmethod
     def _box(raw) -> BBox:
@@ -416,9 +413,11 @@ class HttpServicePorts:
 
     def detect(self, image_ref: str) -> Detections:
         out = self._post("detect", {"image_ref": image_ref})
+        person_boxes = self._field("detect", out, "person_boxes", list)
+        object_boxes = self._field("detect", out, "object_boxes", list)
         return Detections(
-            person_boxes=tuple(self._box(b) for b in out.get("person_boxes", [])),
-            object_boxes=tuple(self._box(b) for b in out.get("object_boxes", [])),
+            person_boxes=tuple(self._box(b) for b in person_boxes),
+            object_boxes=tuple(self._box(b) for b in object_boxes),
         )
 
     def verify_region(
@@ -435,7 +434,7 @@ class HttpServicePorts:
             },
         )
         return RegionVerdict(
-            accepted=bool(out.get("accepted", False)),
+            accepted=self._field("verify_region", out, "accepted", bool),
             description=str(out.get("description", "")),
         )
 
@@ -448,7 +447,7 @@ class HttpServicePorts:
                 "query": verification_query(cls),
             },
         )
-        return bool(out.get("accepted", False))
+        return self._field("verify_text", out, "accepted", bool)
 
     def paraphrase(self, prompt: str) -> str:
         out = self._post("paraphrase", {"prompt": prompt})
@@ -541,19 +540,23 @@ class AttemptRecord:
 
 
 @dataclass
-class ValidImage:
-    image_ref: str
-    pairs: list[CandidatePair]
-
-
-@dataclass
 class GenerationResult:
     hoi_class: HoiClass
-    valid_images: list[ValidImage]
     attempts: list[AttemptRecord]
     status: str  # "target_reached" | "budget_exhausted"
-    paraphrase_events: int
-    generator_calls: int
+
+    @property
+    def valid_images(self) -> list[tuple[str, list[PairVerdictRecord]]]:
+        """(image_ref, accepted pairs) of every valid attempt, in attempt order."""
+        return [(a.image_ref, [p for p in a.pairs if p.accepted]) for a in self.attempts if a.valid]
+
+    @property
+    def paraphrase_events(self) -> int:
+        return sum(a.paraphrased_after for a in self.attempts)
+
+    @property
+    def generator_calls(self) -> int:
+        return len(self.attempts)  # every attempt starts with one generate call
 
 
 def generate_valid_images(
@@ -566,9 +569,10 @@ def generate_valid_images(
     """Run the generate/verify/paraphrase loop for one class.
 
     Every verification verdict is logged per attempt.  A rejected image
-    paraphrases the active prompt before the next attempt; a port failure
-    aborts only that attempt and reuses the same prompt.  Stops as soon as
-    ``budget.target_valid`` images are valid or the attempt budget is spent.
+    paraphrases the active prompt before the next attempt; a port failure,
+    the paraphraser's included, aborts only that attempt and keeps the same
+    prompt.  Stops as soon as ``budget.target_valid`` images are valid or the
+    attempt budget is spent.
     """
     ports.require(
         "describer", "generator", "detector",
@@ -576,62 +580,42 @@ def generate_valid_images(
     )
     prompt = build_prompt(cls, reference_pool, ports, seed)
 
-    valid_images: list[ValidImage] = []
     attempts: list[AttemptRecord] = []
-    paraphrase_events = 0
-    generator_calls = 0
-
-    while len(valid_images) < budget.target_valid and len(attempts) < budget.max_attempts_per_class:
+    valid = 0
+    while valid < budget.target_valid and len(attempts) < budget.max_attempts_per_class:
         rec = AttemptRecord(
             attempt=len(attempts) + 1,
             prompt_text=prompt.text,
             paraphrase_generation=prompt.paraphrase_generation,
         )
-        rejected = False
+        attempts.append(rec)
         try:
-            generator_calls += 1
             image_ref = ports.generator.generate(prompt.text)
             rec.image_ref = image_ref
             dets = ports.detector.detect(image_ref)
-            accepted_pairs: list[CandidatePair] = []
             for hb in dets.person_boxes:
                 for ob in dets.object_boxes:
-                    pair = CandidatePair(hb, ob)
                     verdict = ports.region_verifier.verify_region(image_ref, hb, ob, cls)
                     text_ok: bool | None = None
                     if verdict.accepted:
                         text_ok = ports.text_verifier.verify_text(verdict.description, cls)
                     ok = verdict.accepted and bool(text_ok)
-                    pair.resolve(ok)
                     rec.pairs.append(PairVerdictRecord(hb, ob, verdict.accepted, text_ok, ok))
-                    if ok:
-                        accepted_pairs.append(pair)
-            if accepted_pairs:
-                rec.valid = True
-                valid_images.append(ValidImage(image_ref, accepted_pairs))
+            rec.valid = any(p.accepted for p in rec.pairs)
+            if rec.valid:
+                valid += 1
             else:
-                rejected = True
+                new_text = ports.paraphraser.paraphrase(prompt.text)
+                prompt = PromptRecord(
+                    cls, prompt.reference_image_id, new_text, prompt.paraphrase_generation + 1
+                )
+                rec.paraphrased_after = True
         except PortError as exc:
             rec.error = str(exc)
             logger.warning("attempt %d for class %d aborted: %s", rec.attempt, cls.class_id, exc)
-        attempts.append(rec)
-        if rejected:
-            new_text = ports.paraphraser.paraphrase(prompt.text)
-            paraphrase_events += 1
-            rec.paraphrased_after = True
-            prompt = PromptRecord(
-                cls, prompt.reference_image_id, new_text, prompt.paraphrase_generation + 1
-            )
 
-    status = "target_reached" if len(valid_images) >= budget.target_valid else "budget_exhausted"
-    return GenerationResult(
-        hoi_class=cls,
-        valid_images=valid_images,
-        attempts=attempts,
-        status=status,
-        paraphrase_events=paraphrase_events,
-        generator_calls=generator_calls,
-    )
+    status = "target_reached" if valid >= budget.target_valid else "budget_exhausted"
+    return GenerationResult(hoi_class=cls, attempts=attempts, status=status)
 
 
 def pseudo_label(

@@ -13,7 +13,8 @@
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 I/O error.  Errors are
 reported as one JSON object on stderr.  A JSON config file (``--config``) can
-pre-set any parameter; explicit flags win.  Every artifact embeds the toolkit
+pre-set any parameter; explicit flags win, and config values pass the same
+type and choice checks as flags.  Every artifact embeds the toolkit
 version, the seed, and a hash of the algorithmic parameters, and identical
 inputs plus identical seeds reproduce artifacts byte for byte.  The
 ``BRIGHT_KIT_LOG`` environment variable sets the log level.
@@ -29,6 +30,7 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .augment import GenerationBudget, generate_valid_images, http_ports, mock_ports
@@ -53,8 +55,6 @@ from .model import (
 from .stats import distribution, ratio_report, sort_classes, top_k
 from .zeroshot import ZeroShotPlan, build_zeroshot_split, enumerate_candidates
 
-logger = logging.getLogger("bright_kit")
-
 
 def _make_meta(seed: int, params: dict) -> dict:
     """Reproducibility stamp embedded in every artifact.
@@ -70,38 +70,60 @@ def _make_meta(seed: int, params: dict) -> dict:
     }
 
 
-class _Config:
-    """Layered parameter lookup: flag value, then config-file value, then default."""
-
-    def __init__(self, path: str | None, section: str):
-        self.values: dict = {}
-        if path:
-            raw = read_json(path)
-            if not isinstance(raw, dict):
-                raise DataError(f"{path}: config file must be a JSON object")
-            self.values = raw
-        self.section = section
-
-    def get(self, key: str, flag_value, default=None):
-        if flag_value is not None:
-            return flag_value
-        section = self.values.get(self.section, {})
-        if isinstance(section, dict) and key in section:
-            return section[key]
-        if key in self.values:
-            return self.values[key]
-        return default
-
-
 class _UsageError(Exception):
     """Missing or invalid command-line parameter; maps to exit code 2."""
 
 
-def _required(cfg: _Config, key: str, flag_value):
-    value = cfg.get(key, flag_value)
-    if value is None:
-        raise _UsageError(f"missing required parameter --{key.replace('_', '-')}")
-    return value
+_REQUIRED = object()  # default marker of a parameter without a default
+
+
+def _scalar(kind, *accepted):
+    """Coercion to ``kind`` from flag strings and the JSON types in ``accepted``."""
+
+    def coerce(value):
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
+        return kind(value)
+
+    return coerce
+
+
+_int = _scalar(int, int, str)
+_float = _scalar(float, int, float, str)
+_str = _scalar(str, str)
+_dir = _scalar(Path, str)
+
+
+def _target(value) -> str:
+    """'per-deficit' or an integer, kept as the string the config hash covers."""
+    if value != "per-deficit":
+        _int(value)
+    return str(value)
+
+
+class _Param(NamedTuple):
+    """One subcommand parameter.
+
+    ``hashed`` marks the algorithmic parameters that the artifacts' config hash
+    covers; paths, URLs and the seed (stamped on its own) stay out of it.
+    """
+
+    key: str
+    help: str
+    coerce: Callable = _str
+    default: object = _REQUIRED
+    choices: tuple = ()
+    hashed: bool = False
+
+
+_SEED = _Param("seed", "PRNG seed", _int, 0)
+_OUT_DIR = _Param("out_dir", "artifact directory", _dir)
+_VOCAB = _Param("vocab", "vocabulary file")
+_GT = _Param("gt", "ground-truth annotation file")
+_PREDS = _Param("preds", "JSON-lines prediction dump")
+_IOU = _Param("iou", "pair IoU threshold", _float, 0.5, hashed=True)
+_EPOCHS = _Param("epochs", "add/remove rounds", _int, 20, hashed=True)
+_COMMON = (_OUT_DIR, _SEED)  # taken by every subcommand, after its own parameters
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -128,21 +150,14 @@ def _resolve_vocab_path(pool_path, vocab_path):
     return candidate if candidate.exists() else Path(ref)
 
 
-def _cmd_stats(args) -> int:
-    cfg = _Config(args.config, "stats")
-    pool_path = _required(cfg, "pool", args.pool)
-    vocab_path = _resolve_vocab_path(pool_path, cfg.get("vocab", args.vocab))
-    test_path = cfg.get("test", args.test)
-    out_dir = Path(_required(cfg, "out_dir", args.out_dir))
-    seed = int(cfg.get("seed", args.seed, 0))
-
-    vocab = load_vocabulary(vocab_path)
-    pool = load_dataset(pool_path, vocab)
+def _cmd_stats(p) -> int:
+    vocab = load_vocabulary(_resolve_vocab_path(p.pool, p.vocab))
+    pool = load_dataset(p.pool, vocab)
     dist = distribution(pool)
     ordered = sort_classes(dist, vocab)
 
     report = {
-        "meta": _make_meta(seed, {"command": "stats"}),
+        "meta": p.meta,
         "images": len(pool),
         "instances": dist.total_instances,
         "max_count": dist.max_count,
@@ -158,8 +173,8 @@ def _cmd_stats(args) -> int:
         for c in vocab
     ]
 
-    if test_path:
-        test = load_dataset(test_path, vocab)
+    if p.test:
+        test = load_dataset(p.test, vocab)
         test_dist = distribution(test)
         ratios = ratio_report(pool, test)
         report["test"] = {
@@ -192,247 +207,178 @@ def _cmd_stats(args) -> int:
             for c in vocab
         ]
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "stats.json", report)
-    _write_csv(out_dir / "per_class.csv", header, rows)
-    print(f"stats: {len(pool)} images, {dist.total_instances} instances -> {out_dir}")
+    p.out_dir.mkdir(parents=True, exist_ok=True)
+    write_json(p.out_dir / "stats.json", report)
+    _write_csv(p.out_dir / "per_class.csv", header, rows)
+    print(f"stats: {len(pool)} images, {dist.total_instances} instances -> {p.out_dir}")
     return 0
 
 
-def _cmd_balance(args) -> int:
-    cfg = _Config(args.config, "balance")
-    pool_path = _required(cfg, "pool", args.pool)
-    vocab_path = _required(cfg, "vocab", args.vocab)
-    k = int(_required(cfg, "top_k", args.top_k))
-    l_test = int(_required(cfg, "l_test", args.l_test))
-    l_train = int(_required(cfg, "l_train", args.l_train))
-    epochs = int(cfg.get("epochs", args.epochs, 20))
-    seed = int(cfg.get("seed", args.seed, 0))
-    out_dir = Path(_required(cfg, "out_dir", args.out_dir))
-    augmented_path = cfg.get("augmented", args.augmented)
-
-    vocab = load_vocabulary(vocab_path)
-    pool = load_dataset(pool_path, vocab)
-    classes = top_k(sort_classes(distribution(pool), vocab), k)
+def _cmd_balance(p) -> int:
+    vocab = load_vocabulary(p.vocab)
+    pool = load_dataset(p.pool, vocab)
+    classes = top_k(sort_classes(distribution(pool), vocab), p.top_k)
 
     # Test pass consumes the base seed; the train pass uses seed + 1.
-    test_cfg = BalanceConfig(l_test, epochs=epochs, seed=seed, top_k=k)
-    train_cfg = BalanceConfig(l_train, epochs=epochs, seed=seed + 1, top_k=k)
+    test_cfg = BalanceConfig(p.l_test, epochs=p.epochs, seed=p.seed, top_k=p.top_k)
+    train_cfg = BalanceConfig(p.l_train, epochs=p.epochs, seed=p.seed + 1, top_k=p.top_k)
     result = build_splits(pool, classes, test_cfg, train_cfg)
 
     train = result.train
-    if augmented_path and result.train_deficits:
-        augmented = load_dataset(augmented_path, vocab)
+    if p.augmented and result.train_deficits:
+        augmented = load_dataset(p.augmented, vocab)
         train = fill_deficits(train, result.train_deficits, augmented)
         result.audit.filled_from_augmented = dict(result.train_deficits)
         result.audit.train_images = len(train)
         result.audit.train_instances = train.total_instances
 
-    params = {
-        "command": "balance",
-        "top_k": k,
-        "l_test": l_test,
-        "l_train": l_train,
-        "epochs": epochs,
-    }
-    meta = _make_meta(seed, params)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_split(result.test, out_dir / "test.json", meta=meta)
-    save_split(train, out_dir / "train.json", meta=meta)
+    p.out_dir.mkdir(parents=True, exist_ok=True)
+    save_split(result.test, p.out_dir / "test.json", meta=p.meta)
+    save_split(train, p.out_dir / "train.json", meta=p.meta)
     write_json(
-        out_dir / "deficits.json",
+        p.out_dir / "deficits.json",
         {str(c): n for c, n in sorted(result.train_deficits.items())},
     )
-    write_json(out_dir / "audit.json", {"meta": meta, **result.audit.to_dict()})
+    write_json(p.out_dir / "audit.json", {"meta": p.meta, **result.audit.to_dict()})
     print(
         f"balance: test {len(result.test)} images / {result.test.total_instances} "
         f"instances, train {len(train)} images / {train.total_instances} instances, "
-        f"{len(result.train_deficits)} deficit classes -> {out_dir}"
+        f"{len(result.train_deficits)} deficit classes -> {p.out_dir}"
     )
     return 0
 
 
-def _cmd_zeroshot(args) -> int:
-    cfg = _Config(args.config, "zeroshot")
-    seen_path = _required(cfg, "seen", args.seen)
-    universe_path = _required(cfg, "universe", args.universe)
-    pool_path = _required(cfg, "pool", args.pool)
-    per_class = int(cfg.get("per_class", args.per_class, 10))
-    budget = int(cfg.get("classes", args.classes, 107))
-    epochs = int(cfg.get("epochs", args.epochs, 20))
-    seed = int(cfg.get("seed", args.seed, 0))
-    out_dir = Path(_required(cfg, "out_dir", args.out_dir))
-
-    seen = load_vocabulary(seen_path)
-    universe = load_vocabulary(universe_path)
-    pool = load_dataset(pool_path, universe)
+def _cmd_zeroshot(p) -> int:
+    seen = load_vocabulary(p.seen)
+    universe = load_vocabulary(p.universe)
+    pool = load_dataset(p.pool, universe)
     candidates = enumerate_candidates(seen, universe)
     plan = ZeroShotPlan(
         candidate_classes=tuple(candidates),
         source_pool=pool,
-        instances_per_class=per_class,
-        class_budget=budget,
+        instances_per_class=p.per_class,
+        class_budget=p.classes,
     )
     result = build_zeroshot_split(
-        plan, BalanceConfig(per_class, epochs=epochs, seed=seed)
+        plan, BalanceConfig(p.per_class, epochs=p.epochs, seed=p.seed)
     )
 
-    meta = _make_meta(
-        seed,
-        {"command": "zeroshot", "per_class": per_class, "classes": budget, "epochs": epochs},
-    )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_split(result.dataset, out_dir / "zeroshot.json", meta=meta)
-    write_json(out_dir / "zeroshot_report.json", {"meta": meta, **result.to_report_dict()})
+    p.out_dir.mkdir(parents=True, exist_ok=True)
+    save_split(result.dataset, p.out_dir / "zeroshot.json", meta=p.meta)
+    write_json(p.out_dir / "zeroshot_report.json", {"meta": p.meta, **result.to_report_dict()})
     print(
-        f"zeroshot: {len(result.selected_class_ids)} classes x {per_class} = "
-        f"{result.dataset.total_instances} instances -> {out_dir}"
+        f"zeroshot: {len(result.selected_class_ids)} classes x {p.per_class} = "
+        f"{result.dataset.total_instances} instances -> {p.out_dir}"
     )
     return 0
 
 
-def _cmd_augment(args) -> int:
-    cfg = _Config(args.config, "augment")
-    deficits_path = _required(cfg, "deficits", args.deficits)
-    refs_path = _required(cfg, "refs", args.refs)
-    vocab_path = _required(cfg, "vocab", args.vocab)
-    budget = int(cfg.get("budget", args.budget, 50))
-    target_raw = cfg.get("target", args.target, "per-deficit")
-    ports_kind = cfg.get("ports", args.ports, "mock")
-    http_base = cfg.get("http_base", args.http_base)
-    seed = int(cfg.get("seed", args.seed, 0))
-    out_dir = Path(_required(cfg, "out_dir", args.out_dir))
-
-    vocab = load_vocabulary(vocab_path)
-    refs = load_dataset(refs_path, vocab)
-    raw_deficits = read_json(deficits_path)
+def _cmd_augment(p) -> int:
+    vocab = load_vocabulary(p.vocab)
+    refs = load_dataset(p.refs, vocab)
+    raw_deficits = read_json(p.deficits)
     if not isinstance(raw_deficits, dict):
-        raise DataError(f"{deficits_path}: deficits file must be a JSON object")
-    deficits = {int(c): int(n) for c, n in raw_deficits.items()}
+        raise DataError(f"{p.deficits}: deficits file must be a JSON object")
+    try:
+        deficits = {_int(c): _int(n) for c, n in raw_deficits.items()}
+    except (TypeError, ValueError):
+        raise DataError(f"{p.deficits}: deficit class ids and counts must be integers") from None
+    # Resolve every class before the first port call.
+    classes = [vocab.get(class_id) for class_id in sorted(deficits)]
 
-    if ports_kind == "mock":
+    if p.ports == "mock":
         ports = mock_ports()
-    elif ports_kind == "http":
-        if not http_base:
-            raise DataError("--http-base is required with --ports http")
-        ports = http_ports(http_base)
+    elif not p.http_base:
+        raise DataError("--http-base is required with --ports http")
     else:
-        raise DataError(f"--ports must be 'mock' or 'http', got {ports_kind!r}")
+        ports = http_ports(p.http_base)
 
     records: list[ImageRecord] = []
     attempt_rows: list[dict] = []
     summary: dict[str, dict] = {}
-    for class_id in sorted(deficits):
-        cls = vocab.get(class_id)
-        target = deficits[class_id] if target_raw == "per-deficit" else int(target_raw)
+    for cls in classes:
+        class_id = cls.class_id
+        target = deficits[class_id] if p.target == "per-deficit" else int(p.target)
         if target <= 0:
             continue
         gen = generate_valid_images(
             cls,
-            GenerationBudget(max_attempts_per_class=budget, target_valid=target),
+            GenerationBudget(max_attempts_per_class=p.budget, target_valid=target),
             ports,
             refs,
-            seed=seed + class_id,  # documented per-class stream derivation
+            seed=p.seed + class_id,  # documented per-class stream derivation
         )
         for rec in gen.attempts:
             attempt_rows.append({"class_id": class_id, **rec.to_dict()})
+        valid_images = gen.valid_images
         summary[str(class_id)] = {
             "status": gen.status,
-            "valid_images": len(gen.valid_images),
+            "valid_images": len(valid_images),
             "attempts": len(gen.attempts),
             "paraphrase_events": gen.paraphrase_events,
             "generator_calls": gen.generator_calls,
         }
-        for i, valid in enumerate(gen.valid_images):
-            boxes = [b for p in valid.pairs for b in (p.human_box, p.object_box)]
+        for i, (image_ref, pairs) in enumerate(valid_images):
+            boxes = [b for pair in pairs for b in (pair.human_box, pair.object_box)]
             width = max(1, int(max(b.x2 for b in boxes)) + 1)
             height = max(1, int(max(b.y2 for b in boxes)) + 1)
             instances = tuple(
-                HoiInstance(p.human_box, p.object_box, class_id, "generated")
-                for p in valid.pairs
+                HoiInstance(pair.human_box, pair.object_box, class_id, "generated")
+                for pair in pairs
             )
             records.append(
                 ImageRecord(
                     image_id=f"aug_{class_id}_{i:04d}",
-                    file_name=valid.image_ref,
+                    file_name=image_ref,
                     width=width,
                     height=height,
                     instances=instances,
                 )
             )
 
-    augmented = Dataset(records, vocab, vocabulary_ref=str(vocab_path))
-    meta = _make_meta(
-        seed,
-        {"command": "augment", "budget": budget, "target": str(target_raw), "ports": ports_kind},
-    )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_split(augmented, out_dir / "augmented.json", meta=meta)
-    write_json_lines(out_dir / "attempts.jsonl", attempt_rows)
-    write_json(out_dir / "augment_report.json", {"meta": meta, "classes": summary})
+    augmented = Dataset(records, vocab, vocabulary_ref=str(p.vocab))
+    p.out_dir.mkdir(parents=True, exist_ok=True)
+    save_split(augmented, p.out_dir / "augmented.json", meta=p.meta)
+    write_json_lines(p.out_dir / "attempts.jsonl", attempt_rows)
+    write_json(p.out_dir / "augment_report.json", {"meta": p.meta, "classes": summary})
     print(
         f"augment: {len(records)} generated images for {len(deficits)} deficit "
-        f"classes -> {out_dir}"
+        f"classes -> {p.out_dir}"
     )
     return 0
 
 
-def _cmd_evaluate(args) -> int:
-    cfg = _Config(args.config, "evaluate")
-    gt_path = _required(cfg, "gt", args.gt)
-    preds_path = _required(cfg, "preds", args.preds)
-    vocab_path = _required(cfg, "vocab", args.vocab)
-    iou = float(cfg.get("iou", args.iou, 0.5))
-    ap_method = cfg.get("ap_method", args.ap_method, "all_point")
-    seed = int(cfg.get("seed", args.seed, 0))
-    out_dir = Path(_required(cfg, "out_dir", args.out_dir))
+def _cmd_evaluate(p) -> int:
+    vocab = load_vocabulary(p.vocab)
+    gt = load_dataset(p.gt, vocab)
+    preds = load_predictions(p.preds, vocab)
+    report = evaluate(preds, gt, vocab, MatchConfig(iou_threshold=p.iou, ap_method=p.ap_method))
 
-    vocab = load_vocabulary(vocab_path)
-    gt = load_dataset(gt_path, vocab)
-    preds = load_predictions(preds_path, vocab)
-    report = evaluate(preds, gt, vocab, MatchConfig(iou_threshold=iou, ap_method=ap_method))
-
-    meta = _make_meta(
-        seed, {"command": "evaluate", "iou": iou, "ap_method": ap_method}
-    )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "report.json", {"meta": meta, **report.to_dict()})
+    p.out_dir.mkdir(parents=True, exist_ok=True)
+    write_json(p.out_dir / "report.json", {"meta": p.meta, **report.to_dict()})
     _write_csv(
-        out_dir / "per_class_ap.csv",
+        p.out_dir / "per_class_ap.csv",
         ["class_id", "verb", "object", "ap"],
         [
             [c, vocab.get(c).verb_name, vocab.get(c).object_name, ap]
             for c, ap in sorted(report.per_class_ap.items())
         ],
     )
-    print(f"evaluate: mAP {report.mean_ap:.4f} over {report.num_evaluated} classes -> {out_dir}")
+    print(f"evaluate: mAP {report.mean_ap:.4f} over {report.num_evaluated} classes -> {p.out_dir}")
     return 0
 
 
-def _cmd_perturb(args) -> int:
-    cfg = _Config(args.config, "perturb")
-    gt_path = _required(cfg, "gt", args.gt)
-    preds_path = _required(cfg, "preds", args.preds)
-    vocab_path = _required(cfg, "vocab", args.vocab)
-    class_id = int(_required(cfg, "class_id", args.class_id))
-    iou = float(cfg.get("iou", args.iou, 0.5))
-    flip = cfg.get("flip", args.flip, "top")
-    seed = int(cfg.get("seed", args.seed, 0))
-    out_dir = Path(_required(cfg, "out_dir", args.out_dir))
+def _cmd_perturb(p) -> int:
+    vocab = load_vocabulary(p.vocab)
+    gt = load_dataset(p.gt, vocab)
+    preds = load_predictions(p.preds, vocab)
+    result = perturb_tp_flip(preds, gt, p.class_id, MatchConfig(iou_threshold=p.iou), flip=p.flip)
 
-    vocab = load_vocabulary(vocab_path)
-    gt = load_dataset(gt_path, vocab)
-    preds = load_predictions(preds_path, vocab)
-    result = perturb_tp_flip(preds, gt, class_id, MatchConfig(iou_threshold=iou), flip=flip)
-
-    meta = _make_meta(
-        seed, {"command": "perturb", "class_id": class_id, "iou": iou, "flip": flip}
-    )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "perturb.json", {"meta": meta, **result.to_dict()})
+    p.out_dir.mkdir(parents=True, exist_ok=True)
+    write_json(p.out_dir / "perturb.json", {"meta": p.meta, **result.to_dict()})
     print(
-        f"perturb: class {class_id} AP {result.original_ap:.4f} -> "
-        f"{result.perturbed_ap:.4f} ({result.relative_drop:.1%} drop) -> {out_dir}"
+        f"perturb: class {p.class_id} AP {result.original_ap:.4f} -> "
+        f"{result.perturbed_ap:.4f} ({result.relative_drop:.1%} drop) -> {p.out_dir}"
     )
     return 0
 
@@ -441,27 +387,21 @@ def _load_report_dir(path: str) -> dict[str, float]:
     reports = {}
     for f in sorted(Path(path).glob("*.json")):
         raw = read_json(f)
-        if not isinstance(raw, dict) or "mean_ap" not in raw:
-            raise DataError(f"{f}: report file must contain a 'mean_ap' field")
-        reports[f.stem] = float(raw["mean_ap"])
+        try:
+            reports[f.stem] = float(raw["mean_ap"])
+        except (KeyError, TypeError, ValueError):
+            raise DataError(f"{f}: report file must contain a numeric 'mean_ap' field") from None
     if not reports:
         raise DataError(f"{path}: no report JSON files found")
     return reports
 
 
-def _cmd_compare(args) -> int:
-    cfg = _Config(args.config, "compare")
-    a_dir = _required(cfg, "a", args.a)
-    b_dir = _required(cfg, "b", args.b)
-    seed = int(cfg.get("seed", args.seed, 0))
-    out_dir = Path(_required(cfg, "out_dir", args.out_dir))
-
-    rows = ranking_shift(_load_report_dir(a_dir), _load_report_dir(b_dir))
-    meta = _make_meta(seed, {"command": "compare"})
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "ranking.json", {"meta": meta, "rows": [r.to_dict() for r in rows]})
+def _cmd_compare(p) -> int:
+    rows = ranking_shift(_load_report_dir(p.a), _load_report_dir(p.b))
+    p.out_dir.mkdir(parents=True, exist_ok=True)
+    write_json(p.out_dir / "ranking.json", {"meta": p.meta, "rows": [r.to_dict() for r in rows]})
     _write_csv(
-        out_dir / "ranking.csv",
+        p.out_dir / "ranking.csv",
         ["model", "map_a", "rank_a", "map_b", "rank_b", "delta"],
         [[r.model, r.map_a, r.rank_a, r.map_b, r.rank_b, r.delta] for r in rows],
     )
@@ -479,93 +419,120 @@ def _cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=None, help="PRNG seed (default 0)")
-    sub.add_argument("--config", default=None, help="JSON config file; flags override it")
+# name -> (handler, help, parameters); each parameter's flag is ``--`` plus its
+# key with dashes, except ``--class`` for ``class_id``.
+_COMMANDS = {
+    "stats": (_cmd_stats, "distribution diagnostics for a dataset", (
+        _Param("pool", "annotation file to analyze"),
+        _VOCAB._replace(help="vocabulary file (default: the pool's vocabulary_ref)",
+                        default=None),
+        _Param("test", "optional test split for ratio report", default=None),
+    )),
+    "balance": (_cmd_balance, "build balanced test and train splits", (
+        _Param("pool", "unified annotation file (real images only)"),
+        _VOCAB,
+        _Param("top_k", "number of classes to balance", _int, hashed=True),
+        _Param("l_test", "test instances per class", _int, hashed=True),
+        _Param("l_train", "train instances per class", _int, hashed=True),
+        _EPOCHS,
+        _Param("augmented", "fill train deficits from this file", default=None),
+    )),
+    "zeroshot": (_cmd_zeroshot, "build the balanced zero-shot test split", (
+        _Param("seen", "seen (training) vocabulary file"),
+        _Param("universe", "full vocabulary file"),
+        _Param("pool", "real images unused by train/test"),
+        _Param("per_class", "instances per selected class", _int, 10, hashed=True),
+        _Param("classes", "class budget", _int, 107, hashed=True),
+        _EPOCHS,
+    )),
+    "augment": (_cmd_augment, "generate and filter images for deficit classes", (
+        _Param("deficits", "deficits JSON from the balance step"),
+        _Param("refs", "reference annotation file for prompt retrieval"),
+        _VOCAB,
+        _Param("budget", "max attempts per class", _int, 50, hashed=True),
+        _Param("target", "valid images per class, or 'per-deficit'", _target, "per-deficit",
+               hashed=True),
+        _Param("ports", "service port backend", _str, "mock", ("mock", "http"), hashed=True),
+        _Param("http_base", "base URL for http ports", default=None),
+    )),
+    "evaluate": (_cmd_evaluate, "score a prediction dump against a split", (
+        _GT,
+        _PREDS,
+        _VOCAB,
+        _IOU,
+        _Param("ap_method", "AP interpolation", _str, "all_point", ("all_point", "eleven_point"),
+               hashed=True),
+    )),
+    "perturb": (_cmd_perturb, "TP-flip sensitivity probe for one class", (
+        _Param("class_id", "class id to probe", _int, hashed=True),
+        _GT,
+        _PREDS,
+        _VOCAB,
+        _IOU,
+        _Param("flip", "which true positive to flip", _str, "top", ("top", "lowest"), hashed=True),
+    )),
+    "compare": (_cmd_compare, "ranking shifts between two report directories", (
+        _Param("a", "directory of report JSONs (benchmark A)"),
+        _Param("b", "directory of report JSONs (benchmark B)"),
+    )),
+}
+
+
+def _flag(param: _Param) -> str:
+    return "--class" if param.key == "class_id" else "--" + param.key.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Flags only; values stay strings until :func:`_resolve` checks them."""
     parser = argparse.ArgumentParser(
         prog="bright-kit",
         description="Balanced benchmark construction and re-evaluation toolkit",
     )
     parser.add_argument("--version", action="version", version=f"bright-kit {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("stats", help="distribution diagnostics for a dataset")
-    p.add_argument("--pool", help="annotation file to analyze")
-    p.add_argument("--vocab", help="vocabulary file")
-    p.add_argument("--test", default=None, help="optional test split for ratio report")
-    p.add_argument("--out-dir", dest="out_dir", help="artifact directory")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_stats)
-
-    p = subs.add_parser("balance", help="build balanced test and train splits")
-    p.add_argument("--pool", help="unified annotation file (real images only)")
-    p.add_argument("--vocab", help="vocabulary file")
-    p.add_argument("--top-k", dest="top_k", type=int, help="number of classes to balance")
-    p.add_argument("--l-test", dest="l_test", type=int, help="test instances per class")
-    p.add_argument("--l-train", dest="l_train", type=int, help="train instances per class")
-    p.add_argument("--epochs", type=int, default=None, help="add/remove rounds (default 20)")
-    p.add_argument("--augmented", default=None, help="fill train deficits from this file")
-    p.add_argument("--out-dir", dest="out_dir", help="artifact directory")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_balance)
-
-    p = subs.add_parser("zeroshot", help="build the balanced zero-shot test split")
-    p.add_argument("--seen", help="seen (training) vocabulary file")
-    p.add_argument("--universe", help="full vocabulary file")
-    p.add_argument("--pool", help="real images unused by train/test")
-    p.add_argument("--per-class", dest="per_class", type=int, default=None)
-    p.add_argument("--classes", type=int, default=None, help="class budget (default 107)")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--out-dir", dest="out_dir", help="artifact directory")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_zeroshot)
-
-    p = subs.add_parser("augment", help="generate and filter images for deficit classes")
-    p.add_argument("--deficits", help="deficits JSON from the balance step")
-    p.add_argument("--refs", help="reference annotation file for prompt retrieval")
-    p.add_argument("--vocab", help="vocabulary file")
-    p.add_argument("--budget", type=int, default=None, help="max attempts per class")
-    p.add_argument("--target", default=None, help="valid images per class, or 'per-deficit'")
-    p.add_argument("--ports", choices=["mock", "http"], default=None)
-    p.add_argument("--http-base", dest="http_base", default=None, help="base URL for http ports")
-    p.add_argument("--out-dir", dest="out_dir", help="artifact directory")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_augment)
-
-    p = subs.add_parser("evaluate", help="score a prediction dump against a split")
-    p.add_argument("--gt", help="ground-truth annotation file")
-    p.add_argument("--preds", help="JSON-lines prediction dump")
-    p.add_argument("--vocab", help="vocabulary file")
-    p.add_argument("--iou", type=float, default=None, help="pair IoU threshold (default 0.5)")
-    p.add_argument(
-        "--ap-method", dest="ap_method", choices=["all_point", "eleven_point"], default=None
-    )
-    p.add_argument("--out-dir", dest="out_dir", help="artifact directory")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_evaluate)
-
-    p = subs.add_parser("perturb", help="TP-flip sensitivity probe for one class")
-    p.add_argument("--class", dest="class_id", type=int, help="class id to probe")
-    p.add_argument("--gt", help="ground-truth annotation file")
-    p.add_argument("--preds", help="JSON-lines prediction dump")
-    p.add_argument("--vocab", help="vocabulary file")
-    p.add_argument("--iou", type=float, default=None)
-    p.add_argument("--flip", choices=["top", "lowest"], default=None)
-    p.add_argument("--out-dir", dest="out_dir", help="artifact directory")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_perturb)
-
-    p = subs.add_parser("compare", help="ranking shifts between two report directories")
-    p.add_argument("--a", help="directory of report JSONs (benchmark A)")
-    p.add_argument("--b", help="directory of report JSONs (benchmark B)")
-    p.add_argument("--out-dir", dest="out_dir", help="artifact directory")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_compare)
-
+    for name, (_, help_text, params) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        for param in params + _COMMON:
+            text = param.help
+            if param.default not in (_REQUIRED, None):
+                text += f" (default {param.default})"
+            metavar = "{" + ",".join(param.choices) + "}" if param.choices else None
+            sub.add_argument(_flag(param), dest=param.key, metavar=metavar, help=text)
+        sub.add_argument("--config", help="JSON config file; flags override it")
     return parser
+
+
+def _resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """Each parameter from its flag, the config file's command section, the
+    config file's top level or its default, in that order, then coerced and
+    checked the same way whichever source it came from; plus the ``meta``
+    stamp of the run."""
+    config: dict = {}
+    if args.config is not None:
+        config = read_json(args.config)
+        if not isinstance(config, dict):
+            raise DataError(f"{args.config}: config file must be a JSON object")
+    section = config.get(args.command)
+    if not isinstance(section, dict):
+        section = {}
+    resolved = argparse.Namespace()
+    params = _COMMANDS[args.command][2] + _COMMON
+    for param in params:
+        sources = (getattr(args, param.key), section.get(param.key), config.get(param.key))
+        value = next((v for v in sources if v is not None), param.default)
+        if value is _REQUIRED:
+            raise _UsageError(f"missing required parameter {_flag(param)}")
+        if value is not None:
+            try:
+                value = param.coerce(value)
+            except (TypeError, ValueError) as exc:
+                raise _UsageError(f"invalid value {value!r} for {_flag(param)}: {exc}") from None
+            if param.choices and value not in param.choices:
+                raise _UsageError(f"{_flag(param)} must be one of {', '.join(param.choices)}")
+        setattr(resolved, param.key, value)
+    hashed = {param.key: getattr(resolved, param.key) for param in params if param.hashed}
+    resolved.meta = _make_meta(resolved.seed, {"command": args.command, **hashed})
+    return resolved
 
 
 def _emit_error(kind: str, exc: Exception) -> None:
@@ -579,10 +546,9 @@ def _emit_error(kind: str, exc: Exception) -> None:
 def main(argv=None) -> int:
     level = os.environ.get("BRIGHT_KIT_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return _COMMANDS[args.command][0](_resolve(args))
     except _UsageError as exc:
         _emit_error("UsageError", exc)
         return 2

@@ -25,7 +25,7 @@ def read_json(path: str | Path):
     try:
         with open(path, "r", encoding="utf-8") as f:
             return json.load(f)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise AnnotationFormatError(f"{path}: malformed JSON ({exc})") from exc
 
 
@@ -39,14 +39,17 @@ def write_json_lines(path: str | Path, rows) -> None:
 def read_json_lines(path: str | Path):
     rows = []
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise AnnotationFormatError(
-                    f"{path}:{lineno}: malformed JSON line ({exc})"
-                ) from exc
+        try:
+            for lineno, line in enumerate(f, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    rows.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise AnnotationFormatError(
+                        f"{path}:{lineno}: malformed JSON line ({exc})"
+                    ) from exc
+        except UnicodeDecodeError as exc:
+            raise AnnotationFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     return rows

@@ -110,7 +110,6 @@ class Vocabulary:
                 )
             pairs.add(key)
             self._by_id[cls.class_id] = cls
-        self._by_pair = {(c.verb_id, c.object_id): c for c in self.classes}
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -126,22 +125,11 @@ class Vocabulary:
             return NotImplemented
         return self.triplet_map() == other.triplet_map()
 
-    def __hash__(self):
-        return hash(tuple(sorted(self.triplet_map().items())))
-
     def get(self, class_id: int) -> HoiClass:
         try:
             return self._by_id[class_id]
         except KeyError:
             raise UnknownClassError(f"unknown class_id {class_id}") from None
-
-    def class_for_pair(self, verb_id: int, object_id: int) -> HoiClass:
-        try:
-            return self._by_pair[(verb_id, object_id)]
-        except KeyError:
-            raise UnknownClassError(
-                f"no class with verb_id={verb_id}, object_id={object_id}"
-            ) from None
 
     def class_ids(self) -> tuple[int, ...]:
         return tuple(c.class_id for c in self.classes)
@@ -253,9 +241,6 @@ class Dataset:
         if not isinstance(other, Dataset):
             return NotImplemented
         return self.images == other.images and self.vocabulary == other.vocabulary
-
-    def __hash__(self):
-        return hash(self.images)
 
     @property
     def total_instances(self) -> int:

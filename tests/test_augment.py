@@ -9,7 +9,6 @@ from bright_kit import (
     TemplateViolationError,
 )
 from bright_kit.augment import (
-    CandidatePair,
     Detections,
     GenerationBudget,
     MockDescriber,
@@ -106,7 +105,7 @@ def test_gerund_rule_table(verb, expected):
 
 
 # ---------------------------------------------------------------------------
-# PromptRecord / CandidatePair invariants
+# PromptRecord invariants
 # ---------------------------------------------------------------------------
 
 
@@ -115,15 +114,6 @@ def test_prompt_record_enforces_template():
         PromptRecord(RIDE_HORSE, "r1", "a horse being ridden", 0)
     ok = PromptRecord(RIDE_HORSE, "r1", prompt_prefix(RIDE_HORSE) + " at dawn.", 0)
     assert ok.paraphrase_generation == 0
-
-
-def test_candidate_pair_resolves_once():
-    pair = CandidatePair(BBox(0, 0, 5, 5), BBox(1, 1, 6, 6))
-    assert pair.verdict == "pending"
-    pair.resolve(True)
-    assert pair.verdict == "accepted"
-    with pytest.raises(DataError):
-        pair.resolve(False)
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +251,9 @@ def test_every_valid_image_has_accepted_pair():
         vocab.get(1), GenerationBudget(10, 4), mock_ports(verdicts=[False, True, True]),
         _ref_pool(vocab), seed=0,
     )
-    for valid in gen.valid_images:
-        assert valid.pairs
-        assert all(p.verdict == "accepted" for p in valid.pairs)
+    for _, pairs in gen.valid_images:
+        assert pairs
+        assert all(p.accepted for p in pairs)
 
 
 def test_attempt_log_is_deterministic():
@@ -303,6 +293,26 @@ def test_port_failure_aborts_attempt_not_run():
     assert not gen.attempts[0].paraphrased_after  # failures reuse the same prompt
     assert len(gen.valid_images) == 2
     assert len(gen.attempts) == 3
+
+
+def test_paraphraser_failure_aborts_attempt_not_run():
+    vocab = make_vocab(1)
+
+    class FailingParaphraser:
+        def paraphrase(self, prompt):
+            raise PortError("paraphraser down")
+
+    ports = mock_ports(verdicts=[False, True])
+    ports.paraphraser = FailingParaphraser()
+    gen = generate_valid_images(
+        vocab.get(1), GenerationBudget(5, 2), ports, _ref_pool(vocab), seed=0
+    )
+    assert gen.status == "target_reached"
+    assert [a.error for a in gen.attempts] == ["paraphraser down", None, "paraphraser down", None]
+    assert [a.valid for a in gen.attempts] == [False, True, False, True]
+    assert len({a.prompt_text for a in gen.attempts}) == 1  # the prompt is kept
+    assert not any(a.paraphrased_after for a in gen.attempts)
+    assert gen.paraphrase_events == 0
 
 
 def test_unconfigured_ports_rejected():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from bright_kit import Dataset, load_dataset, load_vocabulary, save_split, save_vocabulary
+from bright_kit.augment import mock_ports
 from bright_kit.cli import main
 
 from helpers import make_dataset, make_vocab
@@ -301,3 +302,178 @@ def test_seed_changes_artifacts_and_identical_seed_reproduces(workspace):
         outs.append((out / "test.json").read_bytes() + (out / "train.json").read_bytes())
     assert outs[0] == outs[1]
     assert outs[0] != outs[2]
+
+
+def test_config_layers_are_coerced_like_flags(workspace):
+    tmp, _ = workspace
+    config = {"seed": 3, "stats": {"pool": str(tmp / "pool.json"),
+                                   "vocab": str(tmp / "vocab.json"), "seed": "7"}}
+    (tmp / "config.json").write_text(json.dumps(config))
+    assert _run("stats", "--config", tmp / "config.json", "--out-dir", tmp / "a") == 0
+    assert json.loads((tmp / "a" / "stats.json").read_text())["meta"]["seed"] == 7
+    assert _run("stats", "--config", tmp / "config.json", "--seed", 9,
+                "--out-dir", tmp / "b") == 0
+    assert json.loads((tmp / "b" / "stats.json").read_text())["meta"]["seed"] == 9
+
+
+# Required parameters of each subcommand, as flag values; none of these files
+# is read, because parameter checks run before any input is opened.
+_REQUIRED_ARGS = {
+    "stats": {"pool": "p.json"},
+    "balance": {"pool": "p.json", "vocab": "v.json", "top_k": "4", "l_test": "1",
+                "l_train": "2"},
+    "zeroshot": {"seen": "s.json", "universe": "u.json", "pool": "p.json"},
+    "augment": {"deficits": "d.json", "refs": "r.json", "vocab": "v.json"},
+    "evaluate": {"gt": "g.json", "preds": "p.jsonl", "vocab": "v.json"},
+    "perturb": {"class_id": "1", "gt": "g.json", "preds": "p.jsonl", "vocab": "v.json"},
+    "compare": {"a": "ra", "b": "rb"},
+}
+
+_BAD_VALUES = [
+    *[(command, "seed", "abc") for command in _REQUIRED_ARGS],
+    ("balance", "top_k", "many"),
+    ("balance", "l_test", "1.5"),
+    ("balance", "l_train", "two"),
+    ("balance", "epochs", "x"),
+    ("zeroshot", "per_class", "ten"),
+    ("zeroshot", "classes", "1e2"),
+    ("zeroshot", "epochs", ""),
+    ("augment", "budget", "lots"),
+    ("augment", "target", "all"),
+    ("augment", "ports", "grpc"),
+    ("evaluate", "iou", "high"),
+    ("evaluate", "ap_method", "median"),
+    ("perturb", "class_id", "ride-horse"),
+    ("perturb", "iou", "0,5"),
+    ("perturb", "flip", "middle"),
+]
+
+# JSON values no flag can carry, read from the config file's top level.
+_BAD_CONFIG_VALUES = [
+    ("stats", "pool", 5),
+    ("compare", "out_dir", 5),
+    ("stats", "seed", True),
+    ("balance", "top_k", 4.5),
+    ("evaluate", "iou", [0.5]),
+    ("augment", "ports", 1),
+    ("augment", "target", {"n": 1}),
+]
+
+
+def _flag(key):
+    return "--class" if key == "class_id" else "--" + key.replace("_", "-")
+
+
+def _assert_usage_error(code, capsys, key):
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["type"] == "UsageError"
+    assert _flag(key) in err["message"]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command,key,bad", _BAD_VALUES)
+def test_bad_parameter_value_exits_2(tmp_path, capsys, command, key, bad, source):
+    params = {**_REQUIRED_ARGS[command], "out_dir": str(tmp_path / "out")}
+    argv = [command]
+    if source == "flag":
+        params[key] = bad
+    else:
+        params.pop(key, None)
+        (tmp_path / "config.json").write_text(json.dumps({command: {key: bad}}))
+        argv += ["--config", str(tmp_path / "config.json")]
+    argv += [arg for k, v in params.items() for arg in (_flag(k), v)]
+    _assert_usage_error(main(argv), capsys, key)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,key,bad", _BAD_CONFIG_VALUES)
+def test_bad_config_value_type_exits_2(tmp_path, capsys, command, key, bad):
+    params = {**_REQUIRED_ARGS[command], "out_dir": str(tmp_path / "out")}
+    params.pop(key, None)
+    (tmp_path / "config.json").write_text(json.dumps({key: bad}))
+    argv = [command, "--config", str(tmp_path / "config.json")]
+    argv += [arg for k, v in params.items() for arg in (_flag(k), v)]
+    _assert_usage_error(main(argv), capsys, key)
+    assert not (tmp_path / "out").exists()
+
+
+def _assert_data_error(code, capsys, kind="DataError"):
+    assert code == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == kind
+
+
+def test_non_utf8_json_exits_3(workspace, capsys):
+    tmp, _ = workspace
+    (tmp / "bad.json").write_bytes(b"\xff\xfe{}")
+    code = _run("stats", "--pool", tmp / "bad.json", "--vocab", tmp / "vocab.json",
+                "--out-dir", tmp / "out")
+    _assert_data_error(code, capsys, "AnnotationFormatError")
+    assert not (tmp / "out").exists()
+
+
+def test_non_utf8_prediction_dump_exits_3(workspace, capsys):
+    tmp, vocab = workspace
+    save_split(make_dataset([[1]], vocab, prefix="gt"), tmp / "gt.json")
+    (tmp / "preds.jsonl").write_bytes(b'{"image_id": "gt0000"}\n\xff\n')
+    code = _run("evaluate", "--gt", tmp / "gt.json", "--preds", tmp / "preds.jsonl",
+                "--vocab", tmp / "vocab.json", "--out-dir", tmp / "out")
+    _assert_data_error(code, capsys, "AnnotationFormatError")
+    assert not (tmp / "out").exists()
+
+
+@pytest.mark.parametrize("report", [{"mean_ap": "x"}, {"mean_ap": None}, [30.0]])
+def test_compare_rejects_non_numeric_mean_ap(workspace, capsys, report):
+    tmp, _ = workspace
+    a_dir, b_dir = tmp / "ra", tmp / "rb"
+    a_dir.mkdir(), b_dir.mkdir()
+    (a_dir / "m1.json").write_text(json.dumps(report))
+    (b_dir / "m1.json").write_text(json.dumps({"mean_ap": 10.0}))
+    code = _run("compare", "--a", a_dir, "--b", b_dir, "--out-dir", tmp / "cmp")
+    _assert_data_error(code, capsys)
+    assert not (tmp / "cmp").exists()
+
+
+def test_augment_checks_deficits_before_any_port_call(workspace, capsys, monkeypatch):
+    tmp, vocab = workspace
+    save_split(make_dataset([[c] for c in vocab.class_ids()], vocab, prefix="ref"),
+               tmp / "refs.json")
+    calls = []
+
+    class Counting:
+        def __init__(self, port):
+            self.port = port
+
+        def __getattr__(self, name):
+            method = getattr(self.port, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return method(*args, **kwargs)
+
+            return call
+
+    def counting_ports():
+        ports = mock_ports()
+        for name, port in vars(ports).items():
+            setattr(ports, name, Counting(port))
+        return ports
+
+    monkeypatch.setattr("bright_kit.cli.mock_ports", counting_ports)
+
+    def augment(deficits, out):
+        (tmp / "deficits.json").write_text(json.dumps(deficits))
+        return _run("augment", "--deficits", tmp / "deficits.json", "--refs", tmp / "refs.json",
+                    "--vocab", tmp / "vocab.json", "--out-dir", out)
+
+    _assert_data_error(augment({"x": 1}, tmp / "bad_key"), capsys)
+    _assert_data_error(augment({"1": 1, "99": 1}, tmp / "unknown"), capsys, "UnknownClassError")
+    assert calls == []
+    assert not (tmp / "bad_key").exists() and not (tmp / "unknown").exists()
+
+    assert augment({"1": 1}, tmp / "ok") == 0
+    assert calls  # the counting ports are the ones the command uses

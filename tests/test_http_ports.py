@@ -22,6 +22,7 @@ CLS = HoiClass(1, 1, 1, "verb1", "object1")
 
 class _Handler(BaseHTTPRequestHandler):
     fail_endpoints: set = set()
+    bad_bodies: dict = {}  # endpoint -> canned 200 body of the wrong shape
     requests_seen: list = []
 
     def do_POST(self):
@@ -33,7 +34,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_response(500)
             self.end_headers()
             return
-        out = self._respond(endpoint, payload)
+        out = self.bad_bodies.get(endpoint) or self._respond(endpoint, payload)
         body = json.dumps(out).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -68,6 +69,7 @@ class _Handler(BaseHTTPRequestHandler):
 @pytest.fixture
 def server():
     _Handler.fail_endpoints = set()
+    _Handler.bad_bodies = {}
     _Handler.requests_seen = []
     httpd = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
@@ -142,3 +144,31 @@ def test_pipeline_survives_failing_detect(server):
     )
     assert gen.status == "budget_exhausted"
     assert all(a.error for a in gen.attempts)
+
+
+@pytest.mark.parametrize(
+    "endpoint,body",
+    [
+        ("detect", [[10, 10, 60, 120]]),  # not a JSON object
+        ("detect", {"person_boxes": "none", "object_boxes": []}),
+        ("detect", {"person_boxes": [[10, 10, 60, 120]]}),  # object_boxes missing
+        ("verify_region", {"accepted": "no", "description": "a person"}),
+        ("verify_region", {"description": "a person"}),  # accepted missing
+        ("verify_text", {"accepted": "no"}),
+        ("verify_text", {"accepted": 1}),
+    ],
+)
+def test_pipeline_survives_badly_typed_response(server, endpoint, body):
+    _Handler.bad_bodies = {endpoint: body}
+    vocab = make_vocab(1)
+    gen = generate_valid_images(
+        vocab.get(1),
+        GenerationBudget(max_attempts_per_class=2, target_valid=1),
+        http_ports(server),
+        make_dataset([[1]], vocab),
+        seed=0,
+    )
+    assert gen.status == "budget_exhausted"
+    assert len(gen.attempts) == 2
+    assert all(a.error and endpoint in a.error for a in gen.attempts)
+    assert not gen.valid_images
