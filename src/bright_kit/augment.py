@@ -28,7 +28,7 @@ from .errors import (
     PortError,
     TemplateViolationError,
 )
-from .model import BBox, Dataset, HoiClass, HoiInstance
+from .model import BBox, Dataset, HoiClass, HoiInstance, parse_box
 
 logger = logging.getLogger("bright_kit")
 
@@ -354,7 +354,9 @@ class HttpServicePorts:
 
     Any transport or HTTP error, and any response of the wrong shape (not a
     JSON object, ``accepted`` not a JSON bool, box lists not arrays), raises
-    :class:`PortError`, which aborts one attempt, not the run.
+    :class:`PortError`, which aborts one attempt, not the run.  Detected
+    boxes go through :func:`~bright_kit.model.parse_box` without an image
+    size; a box it rejects is a ``PortError`` of the ``detect`` endpoint.
     """
 
     def __init__(self, base_url: str, timeout: float = 60.0, session=None):
@@ -389,14 +391,6 @@ class HttpServicePorts:
             raise PortError(f"{endpoint}: response field {key!r} must be a {kind.__name__}")
         return value
 
-    @staticmethod
-    def _box(raw) -> BBox:
-        try:
-            x1, y1, x2, y2 = (float(v) for v in raw)
-            return BBox(x1, y1, x2, y2)
-        except (TypeError, ValueError, DataError) as exc:
-            raise PortError(f"bad box in response: {raw!r}") from exc
-
     def describe(self, image_ref: str, cls: HoiClass) -> str:
         out = self._post(
             "describe",
@@ -415,10 +409,13 @@ class HttpServicePorts:
         out = self._post("detect", {"image_ref": image_ref})
         person_boxes = self._field("detect", out, "person_boxes", list)
         object_boxes = self._field("detect", out, "object_boxes", list)
-        return Detections(
-            person_boxes=tuple(self._box(b) for b in person_boxes),
-            object_boxes=tuple(self._box(b) for b in object_boxes),
-        )
+        try:
+            return Detections(
+                person_boxes=tuple(parse_box(b, "detect: person box") for b in person_boxes),
+                object_boxes=tuple(parse_box(b, "detect: object box") for b in object_boxes),
+            )
+        except DataError as exc:
+            raise PortError(str(exc)) from exc
 
     def verify_region(
         self, image_ref: str, human_box: BBox, object_box: BBox, cls: HoiClass

@@ -24,9 +24,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, DegenerateBoxError, UnknownClassError
+from .errors import DataError, UnknownClassError
 from .jsonio import read_json_lines
-from .model import BBox, Dataset, HoiInstance, Vocabulary
+from .model import BBox, Dataset, HoiInstance, Vocabulary, parse_box
 
 logger = logging.getLogger("bright_kit")
 
@@ -383,20 +383,11 @@ def perturb_tp_flip(
 # ---------------------------------------------------------------------------
 
 
-def _prediction_box(raw, where: str) -> BBox:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 4:
-        raise DataError(f"{where}: box must be [x1, y1, x2, y2]")
-    x1, y1, x2, y2 = (float(v) for v in raw)
-    if min(x1, y1, x2, y2) < 0:
-        logger.warning("%s: negative box coordinates clamped to 0", where)
-        x1, y1, x2, y2 = (max(v, 0.0) for v in (x1, y1, x2, y2))
-    if x2 <= x1 or y2 <= y1:
-        raise DegenerateBoxError(f"{where}: degenerate box {raw!r}")
-    return BBox(x1, y1, x2, y2)
-
-
 def load_predictions(path: str | Path, vocab: Vocabulary | None = None) -> list[Prediction]:
-    """Read a JSON-lines prediction dump, validating scores and class ids."""
+    """Read a JSON-lines prediction dump, validating boxes, scores and class ids.
+
+    Boxes go through :func:`~bright_kit.model.parse_box` without an image size.
+    """
     preds = []
     for i, row in enumerate(read_json_lines(path)):
         where = f"{path}:{i + 1}"
@@ -405,8 +396,8 @@ def load_predictions(path: str | Path, vocab: Vocabulary | None = None) -> list[
             score = float(row["score"])
             pred = Prediction(
                 image_id=str(row["image_id"]),
-                human_box=_prediction_box(row["human_box"], where),
-                object_box=_prediction_box(row["object_box"], where),
+                human_box=parse_box(row["human_box"], where),
+                object_box=parse_box(row["object_box"], where),
                 class_id=class_id,
                 score=score,
             )

@@ -18,6 +18,7 @@ name.  Verb tokens keep their underscores (``sit_on``).
 
 from __future__ import annotations
 
+import functools
 import math
 from pathlib import Path
 
@@ -30,6 +31,8 @@ from .model import (
     HoiInstance,
     ImageRecord,
     Vocabulary,
+    box_coords,
+    parse_box,
 )
 
 
@@ -60,12 +63,17 @@ def vocabulary_from_hico_list(path: str | Path) -> Vocabulary:
     )
 
 
-def _canvas_size(entry: dict, boxes: list[list[float]]) -> tuple[int, int]:
+def _canvas_size(entry: dict, boxes: list[tuple[float, ...]], where: str) -> tuple[int, int]:
     width = entry.get("width")
     height = entry.get("height")
     if width and height:
-        return int(width), int(height)
+        try:
+            return int(width), int(height)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise AnnotationFormatError(f"{where}: bad image size ({exc})") from exc
     # Size absent from the dump: use the tightest canvas covering all boxes.
+    if not all(math.isfinite(v) for b in boxes for v in b):
+        raise AnnotationFormatError(f"{where}: no image size and a non-finite box")
     max_x = max((b[2] for b in boxes), default=1.0)
     max_y = max((b[3] for b in boxes), default=1.0)
     return max(1, math.ceil(max_x)), max(1, math.ceil(max_y))
@@ -79,7 +87,9 @@ def convert_hicodet_json(
     ``on_unknown`` decides what happens to interactions whose
     ``hoi_category_id`` is outside ``vocab``: ``"error"`` rejects the file,
     ``"skip"`` drops them (useful when importing directly against a class
-    subset).  All imported instances carry ``real`` provenance.
+    subset).  All imported instances carry ``real`` provenance.  Every box an
+    interaction references goes through :func:`~bright_kit.model.parse_box`
+    with the image size; boxes no interaction uses are only shape-checked.
     """
     if on_unknown not in ("error", "skip"):
         raise AnnotationFormatError(f"on_unknown must be 'error' or 'skip', got {on_unknown!r}")
@@ -96,13 +106,18 @@ def convert_hicodet_json(
             hois = entry.get("hoi_annotation", [])
         except (KeyError, TypeError) as exc:
             raise AnnotationFormatError(f"{where}: missing field ({exc})") from exc
+        if not isinstance(annotations, list) or not isinstance(hois, list):
+            raise AnnotationFormatError(f"{where}: annotation lists must be arrays")
         boxes = []
-        for ann in annotations:
-            box = ann.get("bbox")
-            if not isinstance(box, (list, tuple)) or len(box) != 4:
-                raise AnnotationFormatError(f"{where}: bad bbox {box!r}")
-            boxes.append([float(v) for v in box])
-        width, height = _canvas_size(entry, boxes)
+        for k, ann in enumerate(annotations):
+            if not isinstance(ann, dict):
+                raise AnnotationFormatError(f"{where}.annotations[{k}]: not an object")
+            boxes.append(box_coords(ann.get("bbox"), f"{where}.annotations[{k}]"))
+        width, height = _canvas_size(entry, boxes, where)
+
+        @functools.cache  # a box several interactions share is read (and warned about) once
+        def box(k: int) -> BBox:
+            return parse_box(annotations[k]["bbox"], f"{where}.annotations[{k}]", width, height)
 
         instances = []
         for j, hoi in enumerate(hois):
@@ -121,18 +136,10 @@ def convert_hicodet_json(
                 if on_unknown == "skip":
                     continue
                 raise UnknownClassError(f"{hwhere}: unknown hoi_category_id {class_id}")
-
-            def clamp(b: list[float]) -> BBox:
-                x1 = min(max(b[0], 0.0), float(width))
-                y1 = min(max(b[1], 0.0), float(height))
-                x2 = min(max(b[2], 0.0), float(width))
-                y2 = min(max(b[3], 0.0), float(height))
-                return BBox(x1, y1, x2, y2)
-
             instances.append(
                 HoiInstance(
-                    human_box=clamp(boxes[subject_id]),
-                    object_box=clamp(boxes[object_id]),
+                    human_box=box(subject_id),
+                    object_box=box(object_id),
                     class_id=class_id,
                     provenance="real",
                 )

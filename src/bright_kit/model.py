@@ -44,13 +44,10 @@ class BBox:
     y2: float
 
     def __post_init__(self):
-        coords = (self.x1, self.y1, self.x2, self.y2)
-        if not all(math.isfinite(c) for c in coords):
-            raise DegenerateBoxError(f"non-finite box coordinates {coords}")
-        if min(coords) < 0:
-            raise DegenerateBoxError(f"negative box coordinates {coords}")
-        if self.x2 <= self.x1 or self.y2 <= self.y1:
-            raise DegenerateBoxError(f"degenerate box {coords}")
+        # Finite, non-negative and non-degenerate; NaN fails every comparison.
+        if not (0 <= self.x1 < self.x2 < math.inf and 0 <= self.y1 < self.y2 < math.inf):
+            coords = (self.x1, self.y1, self.x2, self.y2)
+            raise DegenerateBoxError(f"negative, non-finite or degenerate box {coords}")
 
     @property
     def area(self) -> float:
@@ -69,6 +66,39 @@ class BBox:
 
     def as_list(self) -> list[float]:
         return [self.x1, self.y1, self.x2, self.y2]
+
+
+def box_coords(raw, where: str) -> tuple[float, float, float, float]:
+    """The shape check of :func:`parse_box`: an array of 4 values ``float()`` accepts."""
+    if not isinstance(raw, (list, tuple)) or len(raw) != 4:
+        raise AnnotationFormatError(f"{where}: box must be [x1, y1, x2, y2], got {raw!r}")
+    try:
+        x1, y1, x2, y2 = map(float, raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise AnnotationFormatError(f"{where}: non-numeric box {raw!r}") from exc
+    return x1, y1, x2, y2
+
+
+def parse_box(raw, where: str, width: float = math.inf, height: float = math.inf) -> BBox:
+    """Read one ``[x1, y1, x2, y2]`` box from outside data; the toolkit's only box rule.
+
+    ``raw`` must be an array of 4 numbers (else :class:`AnnotationFormatError`)
+    that are finite and span a positive width and height (else
+    :class:`DegenerateBoxError`).  It is then clamped into
+    ``[0, width] x [0, height]``, with one warning if that moves it; an unknown
+    image size leaves only the lower bound 0.  A box left empty by the clamp
+    lies outside the image and is rejected.  ``where`` prefixes every message.
+    """
+    x1, y1, x2, y2 = box_coords(raw, where)
+    if not (-math.inf < x1 < x2 < math.inf and -math.inf < y1 < y2 < math.inf):
+        raise DegenerateBoxError(f"{where}: non-finite or degenerate box {raw!r}")
+    if x1 < 0 or y1 < 0 or x2 > width or y2 > height:
+        logger.warning("%s: box %s clamped to image bounds", where, raw)
+        x1, y1 = max(x1, 0.0), max(y1, 0.0)
+        x2, y2 = min(x2, float(width)), min(y2, float(height))
+        if x2 <= x1 or y2 <= y1:
+            raise DegenerateBoxError(f"{where}: box {raw!r} lies outside the image")
+    return BBox(x1, y1, x2, y2)
 
 
 @dataclass(frozen=True)
@@ -256,9 +286,6 @@ class Dataset:
     def image_ids(self) -> tuple[str, ...]:
         return tuple(r.image_id for r in self.images)
 
-    def has_image(self, image_id: str) -> bool:
-        return image_id in self._by_id
-
     def get_image(self, image_id: str) -> ImageRecord:
         return self._by_id[image_id]
 
@@ -315,39 +342,12 @@ def bundled_vocabulary() -> Vocabulary:
         return load_vocabulary(path)
 
 
-def _parse_box(raw, where: str) -> tuple[float, float, float, float]:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 4:
-        raise AnnotationFormatError(f"{where}: box must be [x1, y1, x2, y2], got {raw!r}")
-    try:
-        return tuple(float(v) for v in raw)  # type: ignore[return-value]
-    except (TypeError, ValueError) as exc:
-        raise AnnotationFormatError(f"{where}: non-numeric box {raw!r}") from exc
-
-
-def _clamped_bbox(
-    raw, width: int, height: int, where: str
-) -> BBox:
-    x1, y1, x2, y2 = _parse_box(raw, where)
-    if not all(math.isfinite(v) for v in (x1, y1, x2, y2)):
-        raise DegenerateBoxError(f"{where}: non-finite box {raw!r}")
-    if x2 <= x1 or y2 <= y1:
-        raise DegenerateBoxError(f"{where}: degenerate box {raw!r}")
-    cx1 = min(max(x1, 0.0), float(width))
-    cy1 = min(max(y1, 0.0), float(height))
-    cx2 = min(max(x2, 0.0), float(width))
-    cy2 = min(max(y2, 0.0), float(height))
-    if (cx1, cy1, cx2, cy2) != (x1, y1, x2, y2):
-        logger.warning("%s: box %s clamped to image bounds", where, raw)
-    if cx2 <= cx1 or cy2 <= cy1:
-        raise DegenerateBoxError(f"{where}: box {raw!r} lies outside the image")
-    return BBox(cx1, cy1, cx2, cy2)
-
-
 def load_dataset(path: str | Path, vocab: Vocabulary) -> Dataset:
     """Read an annotation file into a Dataset, validating against ``vocab``.
 
-    Boxes are clamped to image bounds with a warning; unknown class ids and
-    degenerate boxes are rejected.  Unknown top-level keys (e.g. the ``meta``
+    Boxes go through :func:`parse_box` with the image size, so they are
+    clamped to image bounds with a warning; unknown class ids and degenerate
+    boxes are rejected.  Unknown top-level keys (e.g. the ``meta``
     block the CLI adds) are ignored.
     """
     raw = read_json(path)
@@ -383,8 +383,8 @@ def load_dataset(path: str | Path, vocab: Vocabulary) -> Dataset:
                 raise UnknownClassError(f"{iwhere}: unknown class_id {class_id}")
             instances.append(
                 HoiInstance(
-                    human_box=_clamped_bbox(human_raw, width, height, iwhere),
-                    object_box=_clamped_bbox(object_raw, width, height, iwhere),
+                    human_box=parse_box(human_raw, iwhere, width, height),
+                    object_box=parse_box(object_raw, iwhere, width, height),
                     class_id=class_id,
                     provenance=provenance,
                 )

@@ -426,6 +426,25 @@ def test_non_utf8_prediction_dump_exits_3(workspace, capsys):
     assert not (tmp / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "box,kind",  # box is the raw JSON text of human_box
+    [('"1234"', "AnnotationFormatError"), ('[0, 0, "x", 5]', "AnnotationFormatError"),
+     ("[-1e999, 0, 5, 5]", "DegenerateBoxError")],
+    ids=["string", "non_numeric", "neg_inf"],
+)
+def test_bad_prediction_box_exits_3(workspace, capsys, box, kind):
+    tmp, vocab = workspace
+    save_split(make_dataset([[1]], vocab, prefix="gt"), tmp / "gt.json")
+    (tmp / "preds.jsonl").write_text(
+        f'{{"image_id": "gt0000", "human_box": {box}, "object_box": [0, 0, 5, 5], '
+        f'"class_id": 1, "score": 0.5}}\n'
+    )
+    code = _run("evaluate", "--gt", tmp / "gt.json", "--preds", tmp / "preds.jsonl",
+                "--vocab", tmp / "vocab.json", "--out-dir", tmp / "out")
+    _assert_data_error(code, capsys, kind)
+    assert not (tmp / "out").exists()
+
+
 @pytest.mark.parametrize("report", [{"mean_ap": "x"}, {"mean_ap": None}, [30.0]])
 def test_compare_rejects_non_numeric_mean_ap(workspace, capsys, report):
     tmp, _ = workspace

@@ -8,6 +8,7 @@ from bright_kit import (
     BBox,
     DataError,
     Dataset,
+    DegenerateBoxError,
     HoiInstance,
     ImageRecord,
     MatchConfig,
@@ -452,4 +453,11 @@ def test_prediction_load_validates(tmp_path, vocab5):
         "class_id": 77, "score": 0.5,
     }) + "\n")
     with pytest.raises(UnknownClassError):
+        load_predictions(path, vocab5)
+    # -1e999 decodes to -inf: rejected like an annotation box, not clamped to 0
+    path.write_text(
+        '{"image_id": "a", "human_box": [-1e999, 0, 10, 10], '
+        '"object_box": [0, 0, 5, 5], "class_id": 1, "score": 0.5}\n'
+    )
+    with pytest.raises(DegenerateBoxError):
         load_predictions(path, vocab5)

@@ -81,7 +81,7 @@ def test_convert_infers_canvas_when_size_missing(tmp_path):
     assert rec.width >= 300 and rec.height >= 250
 
 
-def test_convert_clamps_boxes(tmp_path):
+def test_convert_clamps_boxes(tmp_path, caplog):
     vocab_path = tmp_path / "list.txt"
     vocab_path.write_text(HOI_LIST)
     vocab = vocabulary_from_hico_list(vocab_path)
@@ -89,14 +89,20 @@ def test_convert_clamps_boxes(tmp_path):
         annotations=[
             {"bbox": [-5, 10, 100, 500], "category_id": 1},
             {"bbox": [80, 50, 700, 250], "category_id": 5},
+            {"bbox": [50, 50, 50, 50], "category_id": 5},  # degenerate, but no interaction uses it
         ]
     )
     dump = tmp_path / "trainval.json"
     dump.write_text(json.dumps([entry]))
-    rec = convert_hicodet_json(dump, vocab).images[0]
+    with caplog.at_level("WARNING", logger="bright_kit"):
+        rec = convert_hicodet_json(dump, vocab).images[0]
     inst = rec.instances[0]
     assert inst.human_box.as_list() == [0, 10, 100, 480]
     assert inst.object_box.as_list() == [80, 50, 640, 250]
+    assert [r.message for r in caplog.records] == [
+        f"{dump}: record 0.annotations[{k}]: box {box} clamped to image bounds"
+        for k, box in ((0, [-5, 10, 100, 500]), (1, [80, 50, 700, 250]))
+    ]
 
 
 def test_convert_unknown_class_error_or_skip(tmp_path):
@@ -125,4 +131,29 @@ def test_convert_rejects_bad_indices(tmp_path):
     dump = tmp_path / "trainval.json"
     dump.write_text(json.dumps([entry]))
     with pytest.raises(AnnotationFormatError):
+        convert_hicodet_json(dump, vocab)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        _dump_entry(annotations=[{"bbox": [10, 10, "x", 200]}, {"bbox": [80, 50, 300, 250]}]),
+        _dump_entry(annotations=[[10, 10, 100, 200], {"bbox": [80, 50, 300, 250]}]),
+        _dump_entry(annotations={"bbox": [10, 10, 100, 200]}),
+        _dump_entry(hoi_annotation=5),
+        _dump_entry(width="wide"),
+        _dump_entry(width=None, height=None,
+                    annotations=[{"bbox": [10, 10, float("inf"), 200]},
+                                 {"bbox": [80, 50, 300, 250]}]),
+    ],
+    ids=["non_numeric_bbox", "annotation_not_object", "annotations_not_array",
+         "hoi_annotation_not_array", "non_numeric_width", "infinite_box_size_absent"],
+)
+def test_convert_malformed_record_is_a_format_error(tmp_path, entry):
+    vocab_path = tmp_path / "list.txt"
+    vocab_path.write_text(HOI_LIST)
+    vocab = vocabulary_from_hico_list(vocab_path)
+    dump = tmp_path / "trainval.json"
+    dump.write_text(json.dumps([_dump_entry(), entry]))
+    with pytest.raises(AnnotationFormatError, match=r"record 1\b"):
         convert_hicodet_json(dump, vocab)

@@ -156,6 +156,9 @@ def test_pipeline_survives_failing_detect(server):
         ("verify_region", {"description": "a person"}),  # accepted missing
         ("verify_text", {"accepted": "no"}),
         ("verify_text", {"accepted": 1}),
+        ("detect", {"person_boxes": ["1234"], "object_boxes": [[50, 40, 140, 130]]}),
+        ("detect", {"person_boxes": [[10, 10, 60]], "object_boxes": [[50, 40, 140, 130]]}),
+        ("detect", {"person_boxes": [[10, 10, "x", 120]], "object_boxes": [[50, 40, 140, 130]]}),
     ],
 )
 def test_pipeline_survives_badly_typed_response(server, endpoint, body):
@@ -172,3 +175,17 @@ def test_pipeline_survives_badly_typed_response(server, endpoint, body):
     assert len(gen.attempts) == 2
     assert all(a.error and endpoint in a.error for a in gen.attempts)
     assert not gen.valid_images
+
+
+def test_detect_clamps_negative_coordinates(server, caplog):
+    # Like a prediction box: no image size is known, so only the lower bound applies.
+    _Handler.bad_bodies = {
+        "detect": {"person_boxes": [[-5, 10, 60, 120]], "object_boxes": [[50, 40, 900, 130]]}
+    }
+    with caplog.at_level("WARNING", logger="bright_kit"):
+        dets = HttpServicePorts(server).detect("ref")
+    assert dets.person_boxes == (BBox(0, 10, 60, 120),)
+    assert dets.object_boxes == (BBox(50, 40, 900, 130),)
+    assert [r.message for r in caplog.records if "clamped" in r.message] == [
+        "detect: person box: box [-5, 10, 60, 120] clamped to image bounds"
+    ]
