@@ -8,6 +8,8 @@ with the same seed and shows the artifacts come out byte-identical.
 
 Usage:
     python3 demos/06_full_pipeline_cli.py [workdir]
+
+Without a work directory the demo runs in a temporary one and removes it.
 """
 
 import hashlib
@@ -137,7 +139,14 @@ def digest(run_dir: Path) -> str:
 
 
 def main():
-    base = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(tempfile.mkdtemp(prefix="bright_kit_"))
+    if len(sys.argv) > 1:
+        run_twice(Path(sys.argv[1]))
+    else:
+        with tempfile.TemporaryDirectory(prefix="bright_kit_") as tmp:
+            run_twice(Path(tmp))
+
+
+def run_twice(base: Path):
     base.mkdir(parents=True, exist_ok=True)
     shared = base / "inputs"
     shared.mkdir(exist_ok=True)

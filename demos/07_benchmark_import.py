@@ -2,9 +2,10 @@
 """Importing a public benchmark distribution into the canonical schema.
 
 Writes a miniature copy of the two official input shapes (the interaction
-list text file and the community JSON dump), converts them, and shows the
-normalization steps: underscore-to-space object names, box clamping, canvas
-inference, and the unknown-class policy.
+list text file and the community JSON dump) into a temporary directory,
+converts them, and shows the normalization steps: underscore-to-space object
+names, box clamping, canvas inference, and the unknown-class policy.  The
+directory is removed when the demo ends.
 
 Usage:
     python3 demos/07_benchmark_import.py
@@ -72,7 +73,11 @@ TEST_DUMP = [
 
 
 def main():
-    root = Path(tempfile.mkdtemp(prefix="benchmark_import_"))
+    with tempfile.TemporaryDirectory(prefix="benchmark_import_") as tmp:
+        run(Path(tmp))
+
+
+def run(root: Path):
     (root / "hico_list_hoi.txt").write_text(HOI_LIST)
     (root / "trainval.json").write_text(json.dumps(TRAIN_DUMP))
     (root / "test.json").write_text(json.dumps(TEST_DUMP))
@@ -109,7 +114,8 @@ def main():
     out = root / "total.json"
     save_split(total, out)
     print(f"  wrote {out} ({len(total)} images, {total.total_instances} instances)")
-    print("  this file is what `bright-kit balance --pool ...` consumes")
+    print("  a file like this is what `bright-kit balance --pool ...` consumes;")
+    print("  the demo's temporary directory is removed when it ends")
 
 
 if __name__ == "__main__":

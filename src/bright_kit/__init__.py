@@ -36,6 +36,7 @@ from .evaluator import (
     MatchConfig,
     PerturbResult,
     Prediction,
+    PredictionTable,
     RankingRow,
     class_ap,
     evaluate,

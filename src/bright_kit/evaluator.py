@@ -10,27 +10,36 @@ precision-recall curve under its monotone envelope; an 11-point variant is
 available through :class:`MatchConfig` for cross-checking against older
 evaluators.
 
-The PR/AP arithmetic is deliberately plain Python so results are exactly
-reproducible and directly comparable against a brute-force oracle.
+Predictions are scored as numpy columns (:class:`PredictionTable`).  Pair IoU
+is computed elementwise in float64 with the operations of
+:meth:`~bright_kit.model.BBox.iou` in the same order, and the AP sums run
+sequentially in Python, so every result is bit-identical to scoring one
+:class:`Prediction` object at a time and compares exactly against a
+brute-force oracle.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from .errors import DataError, UnknownClassError
 from .jsonio import read_json_lines
-from .model import BBox, Dataset, HoiInstance, Vocabulary, parse_box
+from .model import BBox, Dataset, Vocabulary, parse_box
 
 logger = logging.getLogger("bright_kit")
 
 AP_METHODS = ("all_point", "eleven_point")
+_PAIR_CHUNK = 1 << 16  # prediction/ground-truth pairs whose IoU is computed at once
 
 
 @dataclass(frozen=True)
@@ -48,6 +57,68 @@ class Prediction:
             raise DataError(f"non-finite prediction score {self.score!r}")
 
 
+def _column(values, dtype) -> np.ndarray:
+    col = np.asarray(values, dtype=dtype)
+    col.flags.writeable = False
+    return col
+
+
+class PredictionTable(Sequence):
+    """Read-only predictions as numpy columns; indexing builds a :class:`Prediction`.
+
+    Row ``i`` is image ``image_ids[image[i]]``, class ``class_id[i]``, score
+    ``score[i]`` and boxes ``boxes[i] = [human_box, object_box]``, each
+    ``[x1, y1, x2, y2]``.  It compares equal to any sequence holding equal
+    predictions in the same order.
+    """
+
+    def __init__(self, image_ids: Sequence[str], image, class_id, score, boxes):
+        self.image_ids = tuple(image_ids)
+        self.image = _column(image, np.int64)
+        self.class_id = _column(class_id, np.int64)
+        self.score = _column(score, np.float64)
+        self.boxes = _column(boxes, np.float64).reshape(-1, 2, 4)
+
+    @classmethod
+    def of(cls, preds: Sequence[Prediction]) -> "PredictionTable":
+        """``preds`` as a table; a table is returned as it is."""
+        if isinstance(preds, PredictionTable):
+            return preds
+        ids: dict[str, int] = {}
+        image = [ids.setdefault(p.image_id, len(ids)) for p in preds]
+        return cls(
+            ids,
+            image,
+            [p.class_id for p in preds],
+            [p.score for p in preds],
+            [p.human_box.as_list() + p.object_box.as_list() for p in preds],
+        )
+
+    def select(self, rows) -> "PredictionTable":
+        """The rows a boolean mask or an index array picks, in that order."""
+        return PredictionTable(
+            self.image_ids, self.image[rows], self.class_id[rows], self.score[rows],
+            self.boxes[rows],
+        )
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.select(i)
+        human, obj = self.boxes[i].tolist()
+        return Prediction(
+            self.image_ids[self.image[i]], BBox(*human), BBox(*obj),
+            int(self.class_id[i]), float(self.score[i]),
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 @dataclass(frozen=True)
 class MatchConfig:
     """Matching rule: min(IoU_human, IoU_object) >= iou_threshold."""
@@ -62,42 +133,32 @@ class MatchConfig:
             raise DataError(f"ap_method must be one of {AP_METHODS}, got {self.ap_method!r}")
 
 
-def pair_min_iou(pred: Prediction, inst: HoiInstance) -> float:
-    return min(pred.human_box.iou(inst.human_box), pred.object_box.iou(inst.object_box))
-
-
 def _ap_from_labels(labels: Sequence[bool], npos: int, method: str) -> float:
-    """AP from rank-ordered TP flags against ``npos`` ground-truth instances."""
+    """AP from rank-ordered TP flags against ``npos`` ground-truth instances.
+
+    Recall, precision and the envelope are exact elementwise array operations;
+    the sums run in Python, term by term in rank order, as the reference
+    definition does.
+    """
     if npos <= 0:
         raise DataError("AP is undefined without ground-truth instances")
-    tp = 0
-    recalls: list[float] = []
-    precisions: list[float] = []
-    for i, flag in enumerate(labels):
-        if flag:
-            tp += 1
-        recalls.append(tp / npos)
-        precisions.append(tp / (i + 1))
+    tp = np.cumsum(np.asarray(labels, dtype=bool))
+    # int / int rounds once, like Python's true division of the exact counts
+    recalls = tp / npos
+    precisions = tp / np.arange(1, len(tp) + 1)
 
     if method == "eleven_point":
         ap = 0.0
         for t in (i / 10.0 for i in range(11)):
-            best = 0.0
-            for p, r in zip(precisions, recalls):
-                if r >= t and p > best:
-                    best = p
-            ap += best / 11.0
+            ap += float(np.max(precisions, where=recalls >= t, initial=0.0)) / 11.0
         return ap
 
-    mrec = [0.0] + recalls
-    mpre = [0.0] + precisions
-    for i in range(len(mpre) - 2, -1, -1):
-        if mpre[i + 1] > mpre[i]:
-            mpre[i] = mpre[i + 1]
+    mrec = np.concatenate(([0.0], recalls))
+    mpre = np.maximum.accumulate(np.concatenate(([0.0], precisions))[::-1])[::-1]
+    steps = np.flatnonzero(mrec[1:] != mrec[:-1]) + 1
     ap = 0.0
-    for i in range(1, len(mrec)):
-        if mrec[i] != mrec[i - 1]:
-            ap += (mrec[i] - mrec[i - 1]) * mpre[i]
+    for term in ((mrec[steps] - mrec[steps - 1]) * mpre[steps]).tolist():
+        ap += term
     return ap
 
 
@@ -120,46 +181,137 @@ class ClassApResult:
     matched: list[MatchedTP]
 
 
-def _grouped_class_ap(
-    class_id: int,
-    cls_preds: list[Prediction],
-    gt_by_image: dict[str, list[HoiInstance]],
-    cfg: MatchConfig,
-) -> ClassApResult:
-    npos = sum(len(v) for v in gt_by_image.values())
-    order = sorted(range(len(cls_preds)), key=lambda k: (-cls_preds[k].score, k))
+def _pair_min_iou(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """min(IoU_human, IoU_object) of each pair ``pred[..., i]``, ``truth[..., i]``.
 
-    taken: dict[str, set[int]] = {}
-    labels: list[bool] = []
-    matched: list[MatchedTP] = []
-    for rank, k in enumerate(order):
-        p = cls_preds[k]
-        best_iou = 0.0
-        best_gi = -1
-        for gi, inst in enumerate(gt_by_image.get(p.image_id, [])):
-            if gi in taken.get(p.image_id, set()):
-                continue
-            miou = pair_min_iou(p, inst)
-            if miou >= cfg.iou_threshold and miou > best_iou:
-                best_iou, best_gi = miou, gi
-        if best_gi >= 0:
-            taken.setdefault(p.image_id, set()).add(best_gi)
-            labels.append(True)
-            matched.append(MatchedTP(rank, p.score, p.image_id, best_gi))
-        else:
-            labels.append(False)
-
-    if npos == 0:
-        return ClassApResult(class_id, None, 0, labels, matched)
-    return ClassApResult(class_id, _ap_from_labels(labels, npos, cfg.ap_method), npos, labels, matched)
+    Both are ``(2, 4, n)``: (human, object) box, coordinate, pair.  Elementwise
+    float64 in :meth:`BBox.iou`'s order of operations with the prediction as
+    ``self``, so every value equals the scalar computation.
+    """
+    px1, py1, px2, py2 = pred.swapaxes(0, 1)
+    tx1, ty1, tx2, ty2 = truth.swapaxes(0, 1)
+    iw = np.minimum(px2, tx2) - np.maximum(px1, tx1)
+    ih = np.minimum(py2, ty2) - np.maximum(py1, ty1)
+    # Disjoint boxes get 0 / union = 0.0, BBox.iou's early return.
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
+    human, obj = inter / ((px2 - px1) * (py2 - py1) + (tx2 - tx1) * (ty2 - ty1) - inter)
+    return np.minimum(human, obj)
 
 
-def _gt_by_class_and_image(gt: Dataset) -> dict[int, dict[str, list[HoiInstance]]]:
-    grouped: dict[int, dict[str, list[HoiInstance]]] = {}
+def _truth_columns(gt: Dataset, preds: PredictionTable, codes: np.ndarray):
+    """Group key and boxes of each ground truth in an image and a class that
+    some prediction has, sorted by key and in dataset order within a key.
+
+    The key of (class ``codes[c]``, image ``preds.image_ids[k]``) is
+    ``c * len(preds.image_ids) + k``.
+    """
+    image_of = {image_id: k for k, image_id in enumerate(preds.image_ids)}
+    code_of = {class_id: c for c, class_id in enumerate(codes.tolist())}
+    keys, boxes = [], []
     for rec in gt.images:
+        k = image_of.get(rec.image_id)
+        if k is None:
+            continue
         for inst in rec.instances:
-            grouped.setdefault(inst.class_id, {}).setdefault(rec.image_id, []).append(inst)
-    return grouped
+            c = code_of.get(inst.class_id)
+            if c is not None:
+                keys.append(c * len(image_of) + k)
+                boxes.append(inst.human_box.as_list() + inst.object_box.as_list())
+    keys = np.array(keys, dtype=np.int64)
+    by_key = np.argsort(keys, kind="stable")
+    return keys[by_key], _by_pair(np.array(boxes, dtype=np.float64).reshape(-1, 2, 4)[by_key])
+
+
+def _by_pair(boxes: np.ndarray) -> np.ndarray:
+    """``(n, 2, 4)`` boxes laid out as ``(2, 4, n)``, the layout :func:`_pair_min_iou` reads."""
+    return np.ascontiguousarray(np.moveaxis(boxes, 0, -1))
+
+
+def _qualifying_pairs(pred, truth, first, size, threshold) -> Iterator[tuple]:
+    """``(i, t, iou)`` for each pair of prediction ``i`` and one of its
+    ``size[i]`` candidate ground truths ``t`` from ``first[i]`` on whose pair
+    IoU reaches ``threshold``, by ``i`` and then ``t``.  Boxes are laid out as
+    :func:`_by_pair` makes them; IoU is computed for about
+    :data:`_PAIR_CHUNK` pairs at a time.
+    """
+    end = np.cumsum(size)
+    lo = 0
+    while lo < len(size):
+        done = end[lo] - size[lo]
+        hi = max(lo + 1, int(np.searchsorted(end, done + _PAIR_CHUNK, side="right")))
+        n = size[lo:hi]
+        i = np.repeat(np.arange(lo, hi), n)
+        t = np.repeat(first[lo:hi] - (end[lo:hi] - n), n) + np.arange(done, end[hi - 1])
+        iou = _pair_min_iou(pred[..., i], truth[..., t])
+        ok = iou >= threshold
+        yield from zip(i[ok].tolist(), t[ok].tolist(), iou[ok].tolist())
+        lo = hi
+
+
+def _match(preds: PredictionTable, gt: Dataset, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rank every prediction and match it greedily against ``gt``.
+
+    Returns the rank order (class ascending, then score descending, then
+    input index) and, aligned with it, the index of the ground truth each
+    prediction claims among its image's instances of its class, or -1.
+    """
+    # lexsort is stable, so equal scores keep input order
+    order = np.lexsort((-preds.score, preds.class_id))
+    claimed = np.full(len(preds), -1, dtype=np.int64)
+    codes, code = np.unique(preds.class_id, return_inverse=True)
+    key = code * len(preds.image_ids) + preds.image
+    truth_key, truth = _truth_columns(gt, preds, codes)
+    if len(truth_key):
+        groups, group_first, group_size = np.unique(
+            truth_key, return_index=True, return_counts=True
+        )
+        # Each (class, image) group's predictions in rank order; those of a
+        # group without ground truth stay false positives.
+        by_group = order[np.argsort(key[order], kind="stable")]
+        group_key = key[by_group]
+        g = np.minimum(np.searchsorted(groups, group_key), len(groups) - 1)
+        has_truth = groups[g] == group_key
+        rows, g = by_group[has_truth], g[has_truth]
+        first = group_first[g]
+        taken: set[int] = set()
+        pairs = _qualifying_pairs(
+            _by_pair(preds.boxes[rows]), truth, first, group_size[g], threshold
+        )
+        for i, candidates in groupby(pairs, key=itemgetter(0)):
+            best_t, best_iou = -1, 0.0
+            for _, t, iou in candidates:
+                if iou > best_iou and t not in taken:
+                    best_t, best_iou = t, iou
+            if best_t >= 0:
+                taken.add(best_t)
+                claimed[rows[i]] = best_t - first[i]
+    return order, claimed[order]
+
+
+def _class_results(
+    preds: PredictionTable, gt: Dataset, cfg: MatchConfig, class_ids
+) -> Iterator[ClassApResult]:
+    """One :class:`ClassApResult` per class of ``class_ids``, in that order."""
+    order, claimed = _match(preds, gt, cfg.iou_threshold)
+    ranked = preds.class_id[order]
+    present, start, count = np.unique(ranked, return_index=True, return_counts=True)
+    span = {c: (s, s + k) for c, s, k in zip(present.tolist(), start.tolist(), count.tolist())}
+    for class_id in class_ids:
+        lo, hi = span.get(class_id, (0, 0))
+        rows, cols = order[lo:hi], claimed[lo:hi]
+        hits = cols >= 0
+        rank = np.flatnonzero(hits)
+        hit = rows[rank]
+        matched = [
+            MatchedTP(r, s, preds.image_ids[k], g)
+            for r, s, k, g in zip(
+                rank.tolist(), preds.score[hit].tolist(), preds.image[hit].tolist(),
+                cols[rank].tolist(),
+            )
+        ]
+        npos = gt.count(class_id)
+        ap = _ap_from_labels(hits, npos, cfg.ap_method) if npos else None
+        yield ClassApResult(class_id, ap, npos, hits.tolist(), matched)
 
 
 def class_ap(
@@ -169,12 +321,16 @@ def class_ap(
 
     Predictions are ranked by descending score, ties kept in input order.
     Each prediction greedily claims the unmatched qualifying ground truth
-    with the highest pair IoU; one ground truth matches at most one
-    prediction.
+    with the highest pair IoU (the first such in dataset order on a tie);
+    one ground truth matches at most one prediction.
     """
-    gt_by_image = _gt_by_class_and_image(gt).get(class_id, {})
-    cls_preds = [p for p in preds if p.class_id == class_id]
-    return _grouped_class_ap(class_id, cls_preds, gt_by_image, cfg)
+    table = PredictionTable.of(preds)
+    return next(_class_results(table.select(table.class_id == class_id), gt, cfg, [class_id]))
+
+
+def _vocab_ids(vocab: Vocabulary) -> np.ndarray:
+    """The vocabulary's class ids that a prediction column can hold."""
+    return np.array([c for c in vocab.class_ids() if -(2**63) <= c < 2**63], dtype=np.int64)
 
 
 @dataclass
@@ -249,25 +405,19 @@ def evaluate(
     """
     if gt.total_instances == 0:
         raise DataError("ground-truth dataset has no instances")
-    preds_by_class: dict[int, list[Prediction]] = {}
-    for p in preds:
-        if p.class_id not in vocab:
-            raise UnknownClassError(f"prediction has unknown class_id {p.class_id}")
-        preds_by_class.setdefault(p.class_id, []).append(p)
-    gt_grouped = _gt_by_class_and_image(gt)
+    table = PredictionTable.of(preds)
+    unknown = ~np.isin(table.class_id, _vocab_ids(vocab))
+    if unknown.any():
+        raise UnknownClassError(
+            f"prediction has unknown class_id {table.class_id[unknown.argmax()]}"
+        )
     per_class: dict[int, float] = {}
     undefined: list[int] = []
-    for cls in vocab:
-        res = _grouped_class_ap(
-            cls.class_id,
-            preds_by_class.get(cls.class_id, []),
-            gt_grouped.get(cls.class_id, {}),
-            cfg,
-        )
+    for res in _class_results(table, gt, cfg, vocab.class_ids()):
         if res.ap is None:
-            undefined.append(cls.class_id)
+            undefined.append(res.class_id)
         else:
-            per_class[cls.class_id] = res.ap
+            per_class[res.class_id] = res.ap
     if undefined:
         logger.warning("%d classes have no ground truth; AP undefined", len(undefined))
     return summarize_class_aps(per_class, undefined)
@@ -383,32 +533,86 @@ def perturb_tp_flip(
 # ---------------------------------------------------------------------------
 
 
-def load_predictions(path: str | Path, vocab: Vocabulary | None = None) -> list[Prediction]:
+def _read_row(row, where: str, vocab: Vocabulary | None) -> Prediction:
+    """The scalar rule for one prediction row; :func:`load_predictions` applies
+    it as array operations and re-runs it on rows those flag."""
+    try:
+        class_id = int(row["class_id"])
+        score = float(row["score"])
+        pred = Prediction(
+            image_id=str(row["image_id"]),
+            human_box=parse_box(row["human_box"], where),
+            object_box=parse_box(row["object_box"], where),
+            class_id=class_id,
+            score=score,
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{where}: bad prediction row ({exc})") from exc
+    if not 0.0 <= score <= 1.0:
+        raise DataError(f"{where}: score {score} outside [0, 1]")
+    if vocab is not None and class_id not in vocab:
+        raise UnknownClassError(f"{where}: unknown class_id {class_id}")
+    if not -(2**63) <= class_id < 2**63:
+        raise DataError(f"{where}: class_id {class_id} out of range")
+    return pred
+
+
+def load_predictions(path: str | Path, vocab: Vocabulary | None = None) -> PredictionTable:
     """Read a JSON-lines prediction dump, validating boxes, scores and class ids.
 
-    Boxes go through :func:`~bright_kit.model.parse_box` without an image size.
+    Rows stream into numpy columns.  Boxes follow
+    :func:`~bright_kit.model.parse_box` without an image size, scores must lie
+    in [0, 1] and class ids in ``vocab``; these checks run as array
+    operations.  A row the columns cannot take as it is (a box to clamp, a
+    missing key, a value of an unexpected type) and the first row the checks
+    reject go through the scalar rule again, in file order, so warnings and
+    the first error (its type, message and line number) are those of a
+    row-by-row read.
     """
-    preds = []
-    for i, row in enumerate(read_json_lines(path)):
-        where = f"{path}:{i + 1}"
+    image_ids: dict[str, int] = {}
+    image, class_id, lineno = array("q"), array("q"), array("q")
+    score, coords = array("d"), array("d")
+    recheck: dict[int, object] = {}  # row number -> raw row
+    for line, row in read_json_lines(path):
+        n = len(lineno)
+        lineno.append(line)
         try:
-            class_id = int(row["class_id"])
-            score = float(row["score"])
-            pred = Prediction(
-                image_id=str(row["image_id"]),
-                human_box=parse_box(row["human_box"], where),
-                object_box=parse_box(row["object_box"], where),
-                class_id=class_id,
-                score=score,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{where}: bad prediction row ({exc})") from exc
-        if not 0.0 <= score <= 1.0:
-            raise DataError(f"{where}: score {score} outside [0, 1]")
-        if vocab is not None and class_id not in vocab:
-            raise UnknownClassError(f"{where}: unknown class_id {class_id}")
-        preds.append(pred)
-    return preds
+            hx1, hy1, hx2, hy2 = row["human_box"]
+            ox1, oy1, ox2, oy2 = row["object_box"]
+            # array("d") and array("q") take exactly the JSON values (numbers
+            # and booleans) that float() and int() read to the same number
+            coords.extend((hx1, hy1, hx2, hy2, ox1, oy1, ox2, oy2))
+            score.append(row["score"])
+            class_id.append(row["class_id"])
+            image.append(image_ids.setdefault(str(row["image_id"]), len(image_ids)))
+            if hx1 < 0 or hy1 < 0 or ox1 < 0 or oy1 < 0:
+                recheck[n] = row
+        except (KeyError, TypeError, ValueError, OverflowError):
+            recheck[n] = row
+            for col, width in ((coords, 8), (score, 1), (class_id, 1), (image, 1)):
+                del col[n * width:]
+                col.extend([0] * width)
+
+    boxes = np.frombuffer(coords, dtype=np.float64).reshape(-1, 2, 4)
+    scores = np.frombuffer(score, dtype=np.float64)
+    classes = np.frombuffer(class_id, dtype=np.int64)
+    images = np.frombuffer(image, dtype=np.int64)
+    x1, y1, x2, y2 = np.moveaxis(boxes, -1, 0)
+    ok = ((-np.inf < x1) & (x1 < x2) & (x2 < np.inf)
+          & (-np.inf < y1) & (y1 < y2) & (y2 < np.inf)).all(axis=1)
+    ok &= (0.0 <= scores) & (scores <= 1.0)
+    if vocab is not None:
+        ok &= np.isin(classes, _vocab_ids(vocab))
+    for n in sorted(recheck.keys() | set(np.flatnonzero(~ok).tolist())):
+        where = f"{path}:{lineno[n]}"
+        row = recheck[n] if n in recheck else next(
+            r for line, r in read_json_lines(path) if line == lineno[n]
+        )
+        pred = _read_row(row, where, vocab)
+        boxes[n] = (pred.human_box.as_list(), pred.object_box.as_list())
+        scores[n], classes[n] = pred.score, pred.class_id
+        images[n] = image_ids.setdefault(pred.image_id, len(image_ids))
+    return PredictionTable(image_ids, images, classes, scores, boxes)
 
 
 def save_predictions(preds: Sequence[Prediction], path: str | Path) -> None:

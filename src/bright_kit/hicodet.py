@@ -126,7 +126,7 @@ def convert_hicodet_json(
                 subject_id = int(hoi["subject_id"])
                 object_id = int(hoi["object_id"])
                 class_id = int(hoi["hoi_category_id"])
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise AnnotationFormatError(
                     f"{hwhere}: need subject_id, object_id, hoi_category_id ({exc})"
                 ) from exc

@@ -37,7 +37,10 @@ def write_json_lines(path: str | Path, rows) -> None:
 
 
 def read_json_lines(path: str | Path):
-    rows = []
+    """Yield ``(line number, decoded row)`` for each non-blank line of a JSON-lines file.
+
+    Line numbers count every line, blank ones included, from 1.
+    """
     with open(path, "r", encoding="utf-8") as f:
         try:
             for lineno, line in enumerate(f, start=1):
@@ -45,11 +48,11 @@ def read_json_lines(path: str | Path):
                 if not line:
                     continue
                 try:
-                    rows.append(json.loads(line))
+                    row = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise AnnotationFormatError(
                         f"{path}:{lineno}: malformed JSON line ({exc})"
                     ) from exc
+                yield lineno, row
         except UnicodeDecodeError as exc:
             raise AnnotationFormatError(f"{path}: not UTF-8 text ({exc})") from exc
-    return rows

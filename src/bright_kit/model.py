@@ -316,7 +316,7 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
                     object_name=str(row["object"]),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise AnnotationFormatError(f"{path}: bad vocabulary row {i} ({exc})") from exc
     return Vocabulary(classes)
 
@@ -365,7 +365,7 @@ def load_dataset(path: str | Path, vocab: Vocabulary) -> Dataset:
             width = int(img["width"])
             height = int(img["height"])
             raw_instances = img.get("instances", [])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise AnnotationFormatError(f"{where}: missing or bad field ({exc})") from exc
         if not isinstance(raw_instances, list):
             raise AnnotationFormatError(f"{where}: 'instances' must be an array")
@@ -377,7 +377,7 @@ def load_dataset(path: str | Path, vocab: Vocabulary) -> Dataset:
                 human_raw = inst["human_box"]
                 object_raw = inst["object_box"]
                 provenance = str(inst.get("provenance", "real"))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise AnnotationFormatError(f"{iwhere}: missing or bad field ({exc})") from exc
             if class_id not in vocab:
                 raise UnknownClassError(f"{iwhere}: unknown class_id {class_id}")

@@ -445,6 +445,37 @@ def test_bad_prediction_box_exits_3(workspace, capsys, box, kind):
     assert not (tmp / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "field,kind",
+    [("image_width", "AnnotationFormatError"), ("prediction_class_id", "DataError"),
+     ("vocabulary_class_id", "AnnotationFormatError")],
+)
+def test_infinite_integer_field_exits_3(workspace, capsys, field, kind):
+    # 1e999 decodes to float('inf'), which int() rejects with OverflowError
+    tmp, vocab = workspace
+    save_split(make_dataset([[1]], vocab, prefix="gt"), tmp / "gt.json")
+    gt_text = (tmp / "gt.json").read_text()
+    vocab_text = (tmp / "vocab.json").read_text()
+    class_id = "1"
+    if field == "image_width":
+        gt_text = gt_text.replace('"width": 100', '"width": 1e999')
+    elif field == "prediction_class_id":
+        class_id = "1e999"
+    else:
+        vocab_text = vocab_text.replace('"class_id": 1,', '"class_id": 1e999,')
+    assert "1e999" in gt_text + vocab_text + class_id
+    (tmp / "gt.json").write_text(gt_text)
+    (tmp / "vocab.json").write_text(vocab_text)
+    (tmp / "preds.jsonl").write_text(
+        '{"image_id": "gt0000", "human_box": [0, 0, 5, 5], "object_box": [0, 0, 5, 5], '
+        f'"class_id": {class_id}, "score": 0.5}}\n'
+    )
+    code = _run("evaluate", "--gt", tmp / "gt.json", "--preds", tmp / "preds.jsonl",
+                "--vocab", tmp / "vocab.json", "--out-dir", tmp / "out")
+    _assert_data_error(code, capsys, kind)
+    assert not (tmp / "out").exists()
+
+
 @pytest.mark.parametrize("report", [{"mean_ap": "x"}, {"mean_ap": None}, [30.0]])
 def test_compare_rejects_non_numeric_mean_ap(workspace, capsys, report):
     tmp, _ = workspace

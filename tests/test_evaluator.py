@@ -1,19 +1,24 @@
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
 
 from bright_kit import (
+    AnnotationFormatError,
     BBox,
     DataError,
     Dataset,
     DegenerateBoxError,
+    HoiClass,
     HoiInstance,
     ImageRecord,
     MatchConfig,
     Prediction,
+    PredictionTable,
     UnknownClassError,
+    Vocabulary,
     class_ap,
     evaluate,
     load_predictions,
@@ -22,6 +27,10 @@ from bright_kit import (
     save_predictions,
     summarize_class_aps,
 )
+
+from bright_kit import evaluator
+from bright_kit.evaluator import _read_row
+from bright_kit.jsonio import read_json_lines
 
 from helpers import pred
 from oracles import oracle_ap_from_flags, oracle_class_ap
@@ -178,6 +187,16 @@ def test_class_ap_equals_brute_force_oracle_randomized(vocab5):
             CFG.iou_threshold,
         )
         assert got == want  # exact float equality, not approximate
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+def test_pair_chunking_does_not_change_matches(vocab5, monkeypatch, chunk):
+    rng = random.Random(4321)
+    cases = [_random_scenario(rng, n_preds_max=30, n_gt_max=12) for _ in range(40)]
+    want = [class_ap(p, _scenario_to_dataset(g, vocab5), 1, CFG) for p, g in cases]
+    monkeypatch.setattr(evaluator, "_PAIR_CHUNK", chunk)
+    got = [class_ap(p, _scenario_to_dataset(g, vocab5), 1, CFG) for p, g in cases]
+    assert got == want
 
 
 def test_ap_is_rank_only(vocab5):
@@ -461,3 +480,136 @@ def test_prediction_load_validates(tmp_path, vocab5):
     )
     with pytest.raises(DegenerateBoxError):
         load_predictions(path, vocab5)
+
+
+# ---------------------------------------------------------------------------
+# Columnar loading: the same rows, warnings and first error as the scalar rule
+# ---------------------------------------------------------------------------
+
+
+def _row(**fields) -> str:
+    """One prediction line; a field given as None is left out."""
+    row = {"image_id": "a", "human_box": [0, 0, 5, 5], "object_box": [0, 0, 5, 5],
+           "class_id": 1, "score": 0.5}
+    row.update(fields)
+    return json.dumps({k: v for k, v in row.items() if v is not None})
+
+
+GOOD = _row()
+REJECTIONS = {
+    "missing_key": (_row(class_id=None), DataError),
+    "non_object_row": ("[1, 2, 3]", DataError),
+    "non_numeric_class_id": (_row(class_id="x"), DataError),
+    "infinite_class_id": (_row(class_id=float("inf")), DataError),
+    "nan_score": (_row(score=float("nan")), DataError),
+    "score_above_one": (_row(score=1.5), DataError),
+    "unknown_class": (_row(class_id=77), UnknownClassError),
+    "degenerate_box": (_row(human_box=[5, 0, 5, 5]), DegenerateBoxError),
+    "box_outside_image": (_row(object_box=[-30, -30, -20, -20]), DegenerateBoxError),
+}
+
+
+def _row_by_row(path, vocab):
+    """The reference: the scalar rule applied to every row in file order."""
+    return [_read_row(row, f"{path}:{line}", vocab) for line, row in read_json_lines(path)]
+
+
+@pytest.mark.parametrize("kind", list(REJECTIONS))
+def test_loader_rejects_like_the_scalar_rule(tmp_path, vocab5, kind):
+    text, exc_type = REJECTIONS[kind]
+    second = REJECTIONS["degenerate_box" if kind == "unknown_class" else "unknown_class"][0]
+    path = tmp_path / "preds.jsonl"
+    path.write_text("\n".join([GOOD, "", text, GOOD, second]) + "\n")
+    with pytest.raises(DataError) as got:
+        load_predictions(path, vocab5)
+    with pytest.raises(DataError) as want:
+        _row_by_row(path, vocab5)
+    assert type(got.value) is type(want.value) is exc_type
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("first,second,exc_type,message", [
+    (_row(score=1.5), _row(class_id=77), DataError, "score 1.5 outside [0, 1]"),
+    (_row(class_id=77), _row(score=1.5), UnknownClassError, "unknown class_id 77"),
+])
+def test_loader_reports_the_first_bad_row_by_file_line(
+    tmp_path, vocab5, first, second, exc_type, message
+):
+    path = tmp_path / "preds.jsonl"
+    # blank lines count: the first bad row is on line 4
+    path.write_text("\n".join([GOOD, "", "  ", first, second]) + "\n")
+    with pytest.raises(exc_type, match=f"^{re.escape(f'{path}:4: {message}')}$"):
+        load_predictions(path, vocab5)
+
+
+def test_malformed_json_line_is_reported_before_any_bad_row(tmp_path, vocab5):
+    path = tmp_path / "preds.jsonl"
+    path.write_text("\n".join([_row(score=1.5), GOOD, "{not json"]) + "\n")
+    with pytest.raises(AnnotationFormatError, match=f"^{re.escape(str(path))}:3: malformed"):
+        load_predictions(path, vocab5)
+
+
+def test_loader_logs_clamp_warnings_in_row_order_up_to_the_error(tmp_path, vocab5, caplog):
+    path = tmp_path / "preds.jsonl"
+    path.write_text("\n".join([
+        _row(human_box=[-1, 0, 5, 5]),
+        GOOD,
+        _row(object_box=[0, -2.5, 5, 5]),
+        _row(human_box=[-3, 0, 5, 5], class_id=77),  # warns, then fails its class check
+        _row(human_box=[-4, 0, 5, 5]),  # after the error: never read
+    ]) + "\n")
+
+    def clamp_messages(load):
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="bright_kit"), pytest.raises(UnknownClassError):
+            load(path, vocab5)
+        return [r.getMessage() for r in caplog.records if "clamped" in r.getMessage()]
+
+    got = clamp_messages(load_predictions)
+    assert got == clamp_messages(_row_by_row)
+    assert [m.split(": box")[0] for m in got] == [f"{path}:1", f"{path}:3", f"{path}:4"]
+
+
+def test_loader_takes_what_the_scalar_rule_takes(tmp_path, vocab5):
+    # values the columns cannot take as they are go through the scalar rule
+    path = tmp_path / "preds.jsonl"
+    path.write_text("\n".join([
+        GOOD,
+        _row(class_id="2", score="0.25"),
+        _row(class_id=3.0, image_id=7),
+        _row(human_box=[True, 0, "5", 5]),
+        _row(human_box=[-1, -1, 5, 5], object_box=[-0.0, 0, 5, 5]),
+        _row(score=1, class_id=True),
+    ]) + "\n")
+    got = load_predictions(path, vocab5)
+    assert got == _row_by_row(path, vocab5)
+    assert [p.image_id for p in got] == ["a", "a", "7", "a", "a", "a"]
+
+
+def test_class_id_beyond_64_bits_is_a_data_error(tmp_path):
+    # a vocabulary may hold any integer id; the class column holds 64 bits
+    big = 2**64
+    vocab = Vocabulary([HoiClass(big, 1, 1, "verb", "object")])
+    path = tmp_path / "preds.jsonl"
+    path.write_text(_row(class_id=big) + "\n")
+    with pytest.raises(DataError, match=f"^{re.escape(f'{path}:1: class_id {big} out of range')}$"):
+        load_predictions(path, vocab)
+
+
+def test_prediction_table_is_a_read_only_sequence(tmp_path, vocab5):
+    preds = [_hit("a", 1, 0, 0.9), _miss("b", 2, 1, 0.25), _hit("a", 3, 2, 0.5)]
+    path = tmp_path / "preds.jsonl"
+    save_predictions(preds, path)
+    table = load_predictions(path, vocab5)
+    assert isinstance(table, PredictionTable)
+    assert len(table) == 3
+    assert table[1] == preds[1] and table[-1] == preds[-1]
+    assert list(table) == preds
+    assert table == preds and preds == table
+    assert table[1:] == preds[1:]
+    assert table != preds[:2]
+    assert PredictionTable.of(preds) == table
+    with pytest.raises(IndexError):
+        table[3]
+    with pytest.raises(ValueError):
+        table.score[0] = 1.0

@@ -145,9 +145,12 @@ def test_convert_rejects_bad_indices(tmp_path):
         _dump_entry(width=None, height=None,
                     annotations=[{"bbox": [10, 10, float("inf"), 200]},
                                  {"bbox": [80, 50, 300, 250]}]),
+        _dump_entry(hoi_annotation=[{"subject_id": 0, "object_id": 1,
+                                     "hoi_category_id": float("inf")}]),
     ],
     ids=["non_numeric_bbox", "annotation_not_object", "annotations_not_array",
-         "hoi_annotation_not_array", "non_numeric_width", "infinite_box_size_absent"],
+         "hoi_annotation_not_array", "non_numeric_width", "infinite_box_size_absent",
+         "infinite_hoi_category_id"],
 )
 def test_convert_malformed_record_is_a_format_error(tmp_path, entry):
     vocab_path = tmp_path / "list.txt"
