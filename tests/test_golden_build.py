@@ -1,0 +1,51 @@
+"""The construction CLI reproduces committed artifacts byte for byte.
+
+``tests/fixtures/golden_build/`` holds a small seeded pool, its vocabulary and
+a seen vocabulary (see ``make_inputs.py`` there) and, under ``expected/``,
+the artifacts that ``stats``, ``balance``, ``augment --ports mock``,
+``balance --augmented`` and ``zeroshot`` wrote for them before the balancer
+and the split writer were rewritten for speed.  Any change to these bytes is
+a change to the toolkit's results and must be stated, not regenerated away.
+
+The commands run from inside the fixture directory with relative input
+paths, because ``augment`` stamps its ``--vocab`` argument into
+``augmented.json`` as the ``vocabulary_ref``.
+"""
+
+from pathlib import Path
+
+from bright_kit.cli import main
+
+GOLDEN = Path(__file__).parent / "fixtures" / "golden_build"
+
+BALANCE = ["balance", "--pool", "pool.json", "--vocab", "universe.json", "--top-k", "10",
+           "--l-test", "4", "--l-train", "8", "--epochs", "5", "--seed", "11"]
+
+# (step, argv given the output root); each step writes into <root>/<step>.
+STEPS = [
+    ("stats", lambda root: ["stats", "--pool", "pool.json", "--vocab", "universe.json"]),
+    ("balance", lambda root: BALANCE),
+    ("augment", lambda root: [
+        "augment", "--deficits", str(root / "balance" / "deficits.json"), "--refs", "pool.json",
+        "--vocab", "universe.json", "--ports", "mock", "--budget", "6", "--seed", "11"]),
+    ("balance_fill", lambda root: BALANCE + [
+        "--augmented", str(root / "augment" / "augmented.json")]),
+    ("zeroshot", lambda root: [
+        "zeroshot", "--seen", "seen.json", "--universe", "universe.json", "--pool", "pool.json",
+        "--per-class", "3", "--classes", "3", "--epochs", "2", "--seed", "11"]),
+]
+
+
+def run_steps(root: Path) -> None:
+    for step, argv in STEPS:
+        assert main(argv(root) + ["--out-dir", str(root / step)]) == 0, step
+
+
+def test_cli_reproduces_golden_construction_artifacts(tmp_path, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    run_steps(tmp_path)
+    expected = GOLDEN / "expected"
+    produced = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
+    assert produced == sorted(p.relative_to(expected) for p in expected.rglob("*") if p.is_file())
+    for rel in produced:
+        assert (tmp_path / rel).read_bytes() == (expected / rel).read_bytes(), rel
