@@ -7,6 +7,10 @@ orchestrates a generation-and-filtering pipeline for topping up deficient
 classes through pluggable service ports (augment), and re-evaluates detector
 prediction dumps with per-class AP, spread, ranking-shift, and TP-flip
 sensitivity analyses (evaluator).
+
+The evaluator's names are re-exported lazily: ``bright_kit.evaluator`` imports
+numpy, which the construction commands never need, so it loads on the first
+access to one of them.
 """
 
 from .balancer import (
@@ -30,21 +34,6 @@ from .errors import (
     TemplateViolationError,
     UnknownClassError,
     VocabularyMismatchError,
-)
-from .evaluator import (
-    EvalReport,
-    MatchConfig,
-    PerturbResult,
-    Prediction,
-    PredictionTable,
-    RankingRow,
-    class_ap,
-    evaluate,
-    load_predictions,
-    perturb_tp_flip,
-    ranking_shift,
-    save_predictions,
-    summarize_class_aps,
 )
 from .model import (
     BBox,
@@ -79,3 +68,27 @@ from .zeroshot import (
 )
 
 __version__ = "0.1.0"
+
+_EVALUATOR_NAMES = frozenset({
+    "EvalReport",
+    "MatchConfig",
+    "PerturbResult",
+    "Prediction",
+    "PredictionTable",
+    "RankingRow",
+    "class_ap",
+    "evaluate",
+    "load_predictions",
+    "perturb_tp_flip",
+    "ranking_shift",
+    "save_predictions",
+    "summarize_class_aps",
+})
+
+
+def __getattr__(name):
+    if name in _EVALUATOR_NAMES:
+        from . import evaluator
+
+        return getattr(evaluator, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -106,31 +106,38 @@ def balance(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) -> BalanceRe
     head_to_tail = _class_order(pool, classes)
     rng = random.Random(cfg.seed)
 
-    pool_index = {rec.image_id: i for i, rec in enumerate(pool.images)}
-    selected: set[str] = set()
-    counts: dict[int, int] = {c: 0 for c in target_ids}
-
-    def image_counts(image_id: str) -> dict[int, int]:
+    # Images are handled by position in ``pool.images``.  Shuffles and samples
+    # draw from the PRNG by list length only, so lists of positions reproduce
+    # the stream of the same lists of image ids.
+    images = pool.images
+    position = {rec.image_id: i for i, rec in enumerate(images)}
+    with_class = {
+        c: [position[iid] for iid in pool.images_with_class(c)] for c in target_ids
+    }
+    # Per image, its (class, instance count) pairs over the balanced classes.
+    image_counts: list[tuple[tuple[int, int], ...]] = []
+    for rec in images:
         per: dict[int, int] = {}
-        for inst in pool.get_image(image_id).instances:
+        for inst in rec.instances:
             if inst.class_id in target_ids:
                 per[inst.class_id] = per.get(inst.class_id, 0) + 1
-        return per
+        image_counts.append(tuple(per.items()))
+
+    selected = [False] * len(images)
+    counts: dict[int, int] = {c: 0 for c in target_ids}
 
     for epoch in range(1, cfg.epochs + 1):
         # ADD stage, tail to head.
         for cls_id in reversed(head_to_tail):
             if counts[cls_id] >= target:
                 continue
-            candidates = [
-                iid for iid in pool.images_with_class(cls_id) if iid not in selected
-            ]
+            candidates = [i for i in with_class[cls_id] if not selected[i]]
             rng.shuffle(candidates)
-            for iid in candidates:
+            for i in candidates:
                 if counts[cls_id] >= target:
                     break
-                selected.add(iid)
-                for c, n in image_counts(iid).items():
+                selected[i] = True
+                for c, n in image_counts[i]:
                     counts[c] += n
             # Supply exhausted below target: leave the class short for now.
 
@@ -139,49 +146,48 @@ def balance(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) -> BalanceRe
             for cls_id in head_to_tail:
                 if counts[cls_id] <= target:
                     continue
-                candidates = list(pool.images_with_class(cls_id))
+                candidates = with_class[cls_id].copy()
                 rng.shuffle(candidates)
-                for iid in candidates:
+                for i in candidates:
                     if counts[cls_id] <= target:
                         break
-                    if iid not in selected:
+                    if not selected[i]:
                         continue
-                    selected.remove(iid)
-                    for c, n in image_counts(iid).items():
+                    selected[i] = False
+                    for c, n in image_counts[i]:
                         counts[c] -= n
 
     # Per-instance trim: classes still above target lose random annotations.
-    selected_order = sorted(selected, key=pool_index.__getitem__)
-    drop: dict[str, set[int]] = {}
+    # One pass over the selection collects every over-target class's
+    # (image, instance) positions in selection order.
+    selected_order = [i for i, chosen in enumerate(selected) if chosen]
+    positions: dict[int, list[tuple[int, int]]] = {
+        c: [] for c in head_to_tail if counts[c] > target
+    }
+    for i in selected_order:
+        for k, inst in enumerate(images[i].instances):
+            if inst.class_id in positions:
+                positions[inst.class_id].append((i, k))
+    drop: dict[int, set[int]] = {}
     removed_annotations = 0
-    for cls_id in head_to_tail:
+    for cls_id, cls_positions in positions.items():
         excess = counts[cls_id] - target
-        if excess <= 0:
-            continue
-        positions = [
-            (iid, k)
-            for iid in selected_order
-            for k, inst in enumerate(pool.get_image(iid).instances)
-            if inst.class_id == cls_id
-        ]
-        for iid, k in rng.sample(positions, excess):
-            drop.setdefault(iid, set()).add(k)
+        for i, k in rng.sample(cls_positions, excess):
+            drop.setdefault(i, set()).add(k)
         counts[cls_id] = target
         removed_annotations += excess
 
     balanced_records: list[ImageRecord] = []
-    for iid in selected_order:
-        rec = pool.get_image(iid)
-        if iid in drop:
-            kept = tuple(
-                inst for k, inst in enumerate(rec.instances) if k not in drop[iid]
-            )
+    for i in selected_order:
+        rec = images[i]
+        if i in drop:
+            kept = tuple(inst for k, inst in enumerate(rec.instances) if k not in drop[i])
             rec = rec.with_instances(kept)
         balanced_records.append(rec)
 
     balanced = Dataset(balanced_records, pool.vocabulary, pool.vocabulary_ref)
     remainder = Dataset(
-        (rec for rec in pool.images if rec.image_id not in selected),
+        (rec for rec, chosen in zip(images, selected) if not chosen),
         pool.vocabulary,
         pool.vocabulary_ref,
     )

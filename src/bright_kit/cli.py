@@ -36,13 +36,6 @@ from . import __version__
 from .augment import GenerationBudget, generate_valid_images, http_ports, mock_ports
 from .balancer import BalanceConfig, build_splits, fill_deficits
 from .errors import DataError
-from .evaluator import (
-    MatchConfig,
-    evaluate,
-    load_predictions,
-    perturb_tp_flip,
-    ranking_shift,
-)
 from .jsonio import read_json, write_json, write_json_lines
 from .model import (
     Dataset,
@@ -54,6 +47,27 @@ from .model import (
 )
 from .stats import distribution, ratio_report, sort_classes, top_k
 from .zeroshot import ZeroShotPlan, build_zeroshot_split, enumerate_candidates
+
+
+# The scoring commands' names come from bright_kit.evaluator, which imports
+# numpy.  They are bound into this module on first use, so the construction
+# commands start without numpy while the handlers still look them up here.
+_SCORING_NAMES = ("MatchConfig", "evaluate", "load_predictions", "perturb_tp_flip",
+                  "ranking_shift")
+
+
+def _bind_scoring() -> None:
+    from . import evaluator
+
+    for name in _SCORING_NAMES:
+        globals().setdefault(name, getattr(evaluator, name))
+
+
+def __getattr__(name):
+    if name in _SCORING_NAMES:
+        _bind_scoring()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _make_meta(seed: int, params: dict) -> dict:
@@ -138,12 +152,9 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_vocab_path(pool_path, vocab_path):
-    """Fall back to the pool file's vocabulary_ref when --vocab is omitted."""
-    if vocab_path is not None:
-        return vocab_path
-    raw = read_json(pool_path)
-    ref = raw.get("vocabulary_ref") if isinstance(raw, dict) else None
+def _vocab_ref_path(pool_path, raw_pool) -> Path:
+    """The vocabulary file a decoded pool names in its vocabulary_ref."""
+    ref = raw_pool.get("vocabulary_ref") if isinstance(raw_pool, dict) else None
     if not ref:
         raise _UsageError("missing required parameter --vocab")
     candidate = Path(pool_path).parent / ref
@@ -151,8 +162,13 @@ def _resolve_vocab_path(pool_path, vocab_path):
 
 
 def _cmd_stats(p) -> int:
-    vocab = load_vocabulary(_resolve_vocab_path(p.pool, p.vocab))
-    pool = load_dataset(p.pool, vocab)
+    if p.vocab is not None:
+        vocab = load_vocabulary(p.vocab)
+        pool = load_dataset(p.pool, vocab)
+    else:  # the pool names its vocabulary; decode it once for both
+        raw_pool = read_json(p.pool)
+        vocab = load_vocabulary(_vocab_ref_path(p.pool, raw_pool))
+        pool = load_dataset(p.pool, vocab, raw=raw_pool)
     dist = distribution(pool)
     ordered = sort_classes(dist, vocab)
 
@@ -349,6 +365,7 @@ def _cmd_augment(p) -> int:
 
 
 def _cmd_evaluate(p) -> int:
+    _bind_scoring()
     vocab = load_vocabulary(p.vocab)
     gt = load_dataset(p.gt, vocab)
     preds = load_predictions(p.preds, vocab)
@@ -369,6 +386,7 @@ def _cmd_evaluate(p) -> int:
 
 
 def _cmd_perturb(p) -> int:
+    _bind_scoring()
     vocab = load_vocabulary(p.vocab)
     gt = load_dataset(p.gt, vocab)
     preds = load_predictions(p.preds, vocab)
@@ -397,6 +415,7 @@ def _load_report_dir(path: str) -> dict[str, float]:
 
 
 def _cmd_compare(p) -> int:
+    _bind_scoring()
     rows = ranking_shift(_load_report_dir(p.a), _load_report_dir(p.b))
     p.out_dir.mkdir(parents=True, exist_ok=True)
     write_json(p.out_dir / "ranking.json", {"meta": p.meta, "rows": [r.to_dict() for r in rows]})

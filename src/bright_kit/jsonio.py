@@ -17,8 +17,9 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
-def write_json(path: str | Path, obj) -> None:
-    Path(path).write_text(canonical_dumps(obj), encoding="utf-8")
+def write_json(path: str | Path, obj, encoded: bool = False) -> None:
+    """Write ``canonical_dumps(obj)``, or ``obj`` itself when it is that text already."""
+    Path(path).write_text(obj if encoded else canonical_dumps(obj), encoding="utf-8")
 
 
 def read_json(path: str | Path):

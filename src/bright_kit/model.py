@@ -12,11 +12,13 @@ from multiple threads.
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -27,7 +29,7 @@ from .errors import (
     UnknownClassError,
     VocabularyMismatchError,
 )
-from .jsonio import read_json, write_json
+from .jsonio import canonical_dumps, read_json, write_json
 
 logger = logging.getLogger("bright_kit")
 
@@ -342,15 +344,17 @@ def bundled_vocabulary() -> Vocabulary:
         return load_vocabulary(path)
 
 
-def load_dataset(path: str | Path, vocab: Vocabulary) -> Dataset:
+def load_dataset(path: str | Path, vocab: Vocabulary, raw=None) -> Dataset:
     """Read an annotation file into a Dataset, validating against ``vocab``.
 
     Boxes go through :func:`parse_box` with the image size, so they are
     clamped to image bounds with a warning; unknown class ids and degenerate
     boxes are rejected.  Unknown top-level keys (e.g. the ``meta``
-    block the CLI adds) are ignored.
+    block the CLI adds) are ignored.  A caller that has already decoded the
+    file passes its JSON as ``raw``; ``path`` then only names it in messages.
     """
-    raw = read_json(path)
+    if raw is None:
+        raw = read_json(path)
     if not isinstance(raw, dict) or "images" not in raw:
         raise AnnotationFormatError(f"{path}: expected an object with an 'images' array")
     if not isinstance(raw["images"], list):
@@ -394,40 +398,86 @@ def load_dataset(path: str | Path, vocab: Vocabulary) -> Dataset:
     return Dataset(records, vocab, vocabulary_ref=str(raw.get("vocabulary_ref", "")))
 
 
-def dataset_to_dict(d: Dataset) -> dict:
-    return {
-        "vocabulary_ref": d.vocabulary_ref,
-        "images": [
-            {
-                "image_id": rec.image_id,
-                "file_name": rec.file_name,
-                "width": rec.width,
-                "height": rec.height,
-                "instances": [
-                    {
-                        "human_box": inst.human_box.as_list(),
-                        "object_box": inst.object_box.as_list(),
-                        "class_id": inst.class_id,
-                        "provenance": inst.provenance,
-                    }
-                    for inst in rec.instances
-                ],
-            }
-            for rec in d.images
-        ],
-    }
+def _json_scalar(value) -> str:
+    """``value`` exactly as ``json.dumps`` writes it, plain str, int and finite
+    float spelled out the way its encoder does."""
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    if type(value) is str:
+        return encode_basestring(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value, ensure_ascii=False)  # subclasses, bool, None, NaN, ±inf
+
+
+# One instance and one image of a split file, at their indentation depth.
+_INSTANCE = """\
+        {{
+          "class_id": {},
+          "human_box": [
+            {},
+            {},
+            {},
+            {}
+          ],
+          "object_box": [
+            {},
+            {},
+            {},
+            {}
+          ],
+          "provenance": {}
+        }}"""
+_IMAGE = """\
+    {{
+      "file_name": {},
+      "height": {},
+      "image_id": {},
+      "instances": {},
+      "width": {}
+    }}"""
+
+
+def _split_document(d: Dataset, meta) -> str:
+    """The text ``canonical_dumps`` gives for the split's JSON object, from a
+    fixed template: keys sorted, two-space indent, trailing newline."""
+    enc = _json_scalar
+    images = []
+    for rec in d.images:
+        instances = []
+        for inst in rec.instances:
+            h, o = inst.human_box, inst.object_box
+            instances.append(_INSTANCE.format(
+                enc(inst.class_id),
+                enc(h.x1), enc(h.y1), enc(h.x2), enc(h.y2),
+                enc(o.x1), enc(o.y1), enc(o.x2), enc(o.y2),
+                enc(inst.provenance),
+            ))
+        images.append(_IMAGE.format(
+            enc(rec.file_name),
+            enc(rec.height),
+            enc(rec.image_id),
+            "[\n" + ",\n".join(instances) + "\n      ]" if instances else "[]",
+            enc(rec.width),
+        ))
+    parts = ['{\n  "images": ', "[\n" + ",\n".join(images) + "\n  ]" if images else "[]"]
+    if meta is not None:
+        # canonical_dumps writes "\n" only between tokens, so indenting every
+        # line of it nests it one level deeper.
+        parts += [',\n  "meta": ', canonical_dumps(meta)[:-1].replace("\n", "\n  ")]
+    parts += [',\n  "vocabulary_ref": ', enc(d.vocabulary_ref), "\n}\n"]
+    return "".join(parts)
 
 
 def save_split(d: Dataset, path: str | Path, meta: dict | None = None) -> None:
     """Write a Dataset to the canonical annotation schema.
 
     ``load_dataset(save_split(d))`` is structurally equal to ``d``.  ``meta``
-    (toolkit version, seed, config hash) is embedded verbatim when given.
+    (toolkit version, seed, config hash) is embedded verbatim when given.  The
+    file holds the bytes :func:`~bright_kit.jsonio.write_json` would give the
+    schema's JSON object, encoded straight from the records.
     """
-    payload = dataset_to_dict(d)
-    if meta is not None:
-        payload["meta"] = meta
-    write_json(path, payload)
+    write_json(path, _split_document(d, meta), encoded=True)
 
 
 # ---------------------------------------------------------------------------

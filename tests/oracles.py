@@ -1,11 +1,21 @@
-"""Independent brute-force oracles the implementation is checked against.
+"""Independent oracles the implementation is checked against.
 
-Everything here is written from scratch on purpose: its own IoU arithmetic,
-its own greedy matcher, and a point-by-point precision-recall enumeration
-that never shares code with the evaluator under test.
+The scoring oracles are written from scratch on purpose: their own IoU
+arithmetic, their own greedy matcher, and a point-by-point precision-recall
+enumeration that never shares code with the evaluator under test.
+
+The construction references are the straightforward first versions of code
+that was later rewritten for speed: :func:`reference_balance` (the balancer)
+and :func:`dataset_to_dict` (the split file's JSON object, which
+``save_split`` now encodes from a template).  The rewrites must agree with
+them exactly.
 """
 
 from __future__ import annotations
+
+import random
+
+from bright_kit import BalanceConfig, BalanceResult, Dataset, ImageRecord, Vocabulary
 
 
 def oracle_iou(a: tuple[float, float, float, float], b: tuple[float, float, float, float]) -> float:
@@ -73,3 +83,127 @@ def oracle_class_ap(preds, gts, iou_threshold: float = 0.5) -> float:
     if npos == 0:
         raise ValueError("AP undefined without ground truth")
     return oracle_ap_from_flags(flags, npos)
+
+
+def reference_balance(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) -> BalanceResult:
+    """The balancer as first written: image ids in sets, ``image_counts``
+    re-walking an image's instances on every ADD and REMOVE, and the trim
+    rescanning the whole selection once per over-target class.  Argument
+    checks are left to the implementation under test."""
+    target = cfg.target_per_class
+    target_ids = set(classes.class_ids())
+    head_to_tail = sorted(classes.class_ids(), key=lambda c: (-pool.count(c), c))
+    rng = random.Random(cfg.seed)
+
+    pool_index = {rec.image_id: i for i, rec in enumerate(pool.images)}
+    selected: set[str] = set()
+    counts: dict[int, int] = {c: 0 for c in target_ids}
+
+    def image_counts(image_id: str) -> dict[int, int]:
+        per: dict[int, int] = {}
+        for inst in pool.get_image(image_id).instances:
+            if inst.class_id in target_ids:
+                per[inst.class_id] = per.get(inst.class_id, 0) + 1
+        return per
+
+    for epoch in range(1, cfg.epochs + 1):
+        # ADD stage, tail to head.
+        for cls_id in reversed(head_to_tail):
+            if counts[cls_id] >= target:
+                continue
+            candidates = [
+                iid for iid in pool.images_with_class(cls_id) if iid not in selected
+            ]
+            rng.shuffle(candidates)
+            for iid in candidates:
+                if counts[cls_id] >= target:
+                    break
+                selected.add(iid)
+                for c, n in image_counts(iid).items():
+                    counts[c] += n
+            # Supply exhausted below target: leave the class short for now.
+
+        # REMOVE stage, head to tail; the final epoch keeps its additions.
+        if epoch < cfg.epochs:
+            for cls_id in head_to_tail:
+                if counts[cls_id] <= target:
+                    continue
+                candidates = list(pool.images_with_class(cls_id))
+                rng.shuffle(candidates)
+                for iid in candidates:
+                    if counts[cls_id] <= target:
+                        break
+                    if iid not in selected:
+                        continue
+                    selected.remove(iid)
+                    for c, n in image_counts(iid).items():
+                        counts[c] -= n
+
+    # Per-instance trim: classes still above target lose random annotations.
+    selected_order = sorted(selected, key=pool_index.__getitem__)
+    drop: dict[str, set[int]] = {}
+    removed_annotations = 0
+    for cls_id in head_to_tail:
+        excess = counts[cls_id] - target
+        if excess <= 0:
+            continue
+        positions = [
+            (iid, k)
+            for iid in selected_order
+            for k, inst in enumerate(pool.get_image(iid).instances)
+            if inst.class_id == cls_id
+        ]
+        for iid, k in rng.sample(positions, excess):
+            drop.setdefault(iid, set()).add(k)
+        counts[cls_id] = target
+        removed_annotations += excess
+
+    balanced_records: list[ImageRecord] = []
+    for iid in selected_order:
+        rec = pool.get_image(iid)
+        if iid in drop:
+            kept = tuple(
+                inst for k, inst in enumerate(rec.instances) if k not in drop[iid]
+            )
+            rec = rec.with_instances(kept)
+        balanced_records.append(rec)
+
+    balanced = Dataset(balanced_records, pool.vocabulary, pool.vocabulary_ref)
+    remainder = Dataset(
+        (rec for rec in pool.images if rec.image_id not in selected),
+        pool.vocabulary,
+        pool.vocabulary_ref,
+    )
+    deficits = {c: target - n for c, n in counts.items() if n < target}
+    return BalanceResult(
+        balanced=balanced,
+        deficits=deficits,
+        removed_annotations=removed_annotations,
+        remainder=remainder,
+        trimmed_images=len(drop),
+    )
+
+
+def dataset_to_dict(d: Dataset) -> dict:
+    """The split file's JSON object, as ``save_split`` first built it for ``json.dumps``."""
+    return {
+        "vocabulary_ref": d.vocabulary_ref,
+        "images": [
+            {
+                "image_id": rec.image_id,
+                "file_name": rec.file_name,
+                "width": rec.width,
+                "height": rec.height,
+                "instances": [
+                    {
+                        "human_box": inst.human_box.as_list(),
+                        "object_box": inst.object_box.as_list(),
+                        "class_id": inst.class_id,
+                        "provenance": inst.provenance,
+                    }
+                    for inst in rec.instances
+                ],
+            }
+            for rec in d.images
+        ],
+    }

@@ -13,9 +13,8 @@ from bright_kit import (
     build_splits,
     fill_deficits,
 )
-from bright_kit.model import dataset_to_dict
-
 from helpers import fixed_box, make_dataset, make_image, make_vocab, random_pool, recount
+from oracles import dataset_to_dict, reference_balance
 
 
 def _cfg(target, seed=0, epochs=20):
@@ -119,6 +118,43 @@ def test_trimming_touches_only_overfull_classes():
     # trimming only ever removes from classes that exceeded the target, so
     # class 3 (scarce, deficit 3) keeps everything it had
     assert counts.get(3, 0) + res.deficits.get(3, 0) == L
+
+
+def _skewed_pool(rng: random.Random):
+    """A pool with Zipf-like class supply, several classes per image and
+    repeated instances of one class in an image, balanced over a random
+    subset of its classes."""
+    vocab = make_vocab(rng.randint(2, 8))
+    ids = list(vocab.class_ids())
+    weights = [1.0 / (rank + 1) for rank in range(len(ids))]
+    lists = []
+    for _ in range(rng.randint(1, 60)):
+        classes = rng.choices(ids, weights, k=rng.randint(1, 4))
+        lists.append([c for c in classes for _ in range(rng.choice((1, 1, 1, 2, 3)))])
+    pool = make_dataset(lists, vocab, seed=rng.randint(0, 10**6))
+    classes = vocab.subset(rng.sample(ids, rng.randint(1, len(ids))))
+    return pool, classes
+
+
+def test_balance_matches_reference_on_random_pools():
+    # The indexed balancer reproduces the first implementation, PRNG stream
+    # included, on every field of the result.
+    rng = random.Random(2024)
+    trims = deficits = 0
+    for _ in range(250):
+        pool, classes = _skewed_pool(rng)
+        cfg = _cfg(rng.randint(1, 8), seed=rng.randint(0, 10**6), epochs=rng.randint(1, 5))
+        got, want = balance(pool, classes, cfg), reference_balance(pool, classes, cfg)
+        assert got.balanced == want.balanced
+        assert got.balanced.vocabulary_ref == want.balanced.vocabulary_ref
+        assert got.remainder == want.remainder
+        assert got.deficits == want.deficits
+        assert got.removed_annotations == want.removed_annotations
+        assert got.trimmed_images == want.trimmed_images
+        trims += want.removed_annotations > 0
+        deficits += bool(want.deficits)
+    # the pools exercise both the trim and short supply, many times over
+    assert trims >= 100 and deficits >= 25
 
 
 def test_balance_requires_subset_vocab():

@@ -47,6 +47,29 @@ def test_stats_resolves_vocab_from_ref(workspace, vocab5):
     assert report["instances"] == 1
 
 
+def test_stats_without_vocab_decodes_pool_once(workspace, monkeypatch):
+    # The pool is read for its vocabulary_ref and for its images in one decode.
+    from bright_kit import cli, jsonio, model
+
+    tmp, vocab = workspace
+    save_split(Dataset(make_dataset([[1], [2]], vocab).images, vocab, vocabulary_ref="vocab.json"),
+               tmp / "ref_pool.json")
+    reads = []
+
+    def counting_read_json(path):
+        reads.append(str(path))
+        return jsonio.read_json(path)
+
+    monkeypatch.setattr(cli, "read_json", counting_read_json)
+    monkeypatch.setattr(model, "read_json", counting_read_json)
+    code = _run("stats", "--pool", tmp / "ref_pool.json", "--out-dir", tmp / "out_ref")
+    assert code == 0
+    assert reads.count(str(tmp / "ref_pool.json")) == 1
+    assert reads.count(str(tmp / "vocab.json")) == 1
+    report = json.loads((tmp / "out_ref" / "stats.json").read_text())
+    assert report["instances"] == 2
+
+
 def test_stats_with_test_split_emits_ratios(workspace):
     tmp, vocab = workspace
     test = make_dataset([[1]], vocab, prefix="te")

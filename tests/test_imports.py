@@ -1,0 +1,49 @@
+"""The construction commands never import numpy; only scoring loads the evaluator."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import bright_kit
+
+GOLDEN = Path(__file__).parent / "fixtures" / "golden_build"
+
+SCRIPT = """
+import sys
+import bright_kit
+import bright_kit.cli
+assert "numpy" not in sys.modules, "import"
+out = sys.argv[1]
+common = ["--pool", "pool.json", "--vocab", "universe.json"]
+assert bright_kit.cli.main(["stats", *common, "--out-dir", out + "/stats"]) == 0
+assert bright_kit.cli.main(["balance", *common, "--top-k", "10", "--l-test", "4",
+                            "--l-train", "8", "--epochs", "5", "--out-dir", out + "/balance"]) == 0
+assert "numpy" not in sys.modules, "stats/balance"
+assert "bright_kit.evaluator" not in sys.modules
+from bright_kit import MatchConfig, PredictionTable, evaluate
+assert evaluate is sys.modules["bright_kit.evaluator"].evaluate
+assert "numpy" in sys.modules
+print("ok")
+"""
+
+
+def test_construction_commands_do_not_import_numpy(tmp_path):
+    src = str(Path(bright_kit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], cwd=GOLDEN, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "ok"
+
+
+def test_unknown_attribute_still_raises():
+    import bright_kit.cli
+
+    for module in (bright_kit, bright_kit.cli):
+        try:
+            module.no_such_name
+        except AttributeError:
+            continue
+        raise AssertionError(f"{module.__name__}.no_such_name resolved")
