@@ -57,7 +57,7 @@ def main():
     print("=" * 64)
     dist = distribution(train)
     ordered = sort_classes(dist, vocab)
-    for cid in ordered.class_ids:
+    for cid in ordered:
         bar = "#" * (dist.count(cid) // 8)
         print(f"  class {cid:>3}  {dist.count(cid):>5}  {bar}")
     print(f"\n  total {dist.total_instances}, max {dist.max_count}, "
@@ -78,7 +78,7 @@ def main():
     print("Top-k selection keeps the classes that can actually be balanced")
     print("=" * 64)
     for k in (4, 8):
-        kept = top_k(ordered, k)
+        kept = top_k(vocab, ordered, k)
         print(f"  k={k}: {sorted(kept.class_ids())}")
 
 

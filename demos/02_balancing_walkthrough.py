@@ -91,10 +91,11 @@ def main():
         BalanceConfig(target_per_class=2, epochs=20, seed=21),
         BalanceConfig(target_per_class=5, epochs=20, seed=22),
     )
-    show_counts("test:", split.test.class_counts(), 2)
-    show_counts("train:", split.train.class_counts(), 5)
-    print(f"  train deficits to fill by augmentation: {split.train_deficits or 'none'}")
-    shared = set(split.test.image_ids()) & set(split.train.image_ids())
+    test, train = split.test.balanced, split.train.balanced
+    show_counts("test:", test.class_counts(), 2)
+    show_counts("train:", train.class_counts(), 5)
+    print(f"  train deficits to fill by augmentation: {split.train.deficits or 'none'}")
+    shared = set(test.image_ids()) & set(train.image_ids())
     print(f"  test/train image-disjoint: {not shared}")
 
 

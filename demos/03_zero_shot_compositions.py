@@ -69,7 +69,6 @@ def main():
     plan = ZeroShotPlan(
         candidate_classes=tuple(candidates),
         source_pool=pool,
-        instances_per_class=4,
         class_budget=107,
     )
     result = build_zeroshot_split(plan, BalanceConfig(4, epochs=10, seed=9))

@@ -16,7 +16,6 @@ access to one of them.
 from .balancer import (
     BalanceConfig,
     BalanceResult,
-    SplitAudit,
     SplitResult,
     balance,
     build_splits,
@@ -54,7 +53,6 @@ from .model import (
 from .stats import (
     ClassDistribution,
     RatioRow,
-    SortedClassList,
     distribution,
     ratio_report,
     sort_classes,

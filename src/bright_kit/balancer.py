@@ -31,7 +31,7 @@ config) inputs therefore reproduce identical results bit for bit.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DataError, ResidualDeficitError, UnknownClassError
 from .model import Dataset, ImageRecord, Vocabulary, merge, restrict
@@ -44,23 +44,19 @@ class BalanceConfig:
     """Knobs for one balancing pass.
 
     ``target_per_class`` is the exact instance count every class should end
-    with; ``top_k`` is the class-budget used by the split builder when it
-    selects which classes to balance (optional here, validated against the
-    class subset when given); ``epochs`` is the number of add/remove rounds.
+    with; ``epochs`` is the number of add/remove rounds; ``seed`` seeds the
+    pass's PRNG.  Which classes are balanced is the caller's choice.
     """
 
     target_per_class: int
     epochs: int = DEFAULT_EPOCHS
     seed: int = 0
-    top_k: int | None = None
 
     def __post_init__(self):
         if self.target_per_class < 1:
             raise DataError(f"target_per_class must be >= 1, got {self.target_per_class}")
         if self.epochs < 1:
             raise DataError(f"epochs must be >= 1, got {self.epochs}")
-        if self.top_k is not None and self.top_k < 1:
-            raise DataError(f"top_k must be >= 1, got {self.top_k}")
 
 
 @dataclass
@@ -96,10 +92,6 @@ def balance(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) -> BalanceRe
     """
     if not classes.is_subset_of(pool.vocabulary):
         raise UnknownClassError("balancing classes are not a subset of the pool vocabulary")
-    if cfg.top_k is not None and cfg.top_k != len(classes):
-        raise DataError(
-            f"config top_k={cfg.top_k} does not match the {len(classes)} selected classes"
-        )
 
     target = cfg.target_per_class
     target_ids = set(classes.class_ids())
@@ -201,52 +193,47 @@ def balance(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) -> BalanceRe
     )
 
 
-@dataclass
-class SplitAudit:
-    """Bookkeeping for one test-first split construction."""
-
-    test_removed_annotations: int
-    train_removed_annotations: int
-    test_trimmed_images: int
-    train_trimmed_images: int
-    test_deficits: dict[int, int]
-    train_deficits: dict[int, int]
-    out_of_scope_annotations: int
-    test_images: int
-    train_images: int
-    test_instances: int
-    train_instances: int
-    filled_from_augmented: dict[int, int] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "test": {
-                "images": self.test_images,
-                "instances": self.test_instances,
-                "removed_annotations": self.test_removed_annotations,
-                "trimmed_images": self.test_trimmed_images,
-                "deficits": {str(k): v for k, v in sorted(self.test_deficits.items())},
-            },
-            "train": {
-                "images": self.train_images,
-                "instances": self.train_instances,
-                "removed_annotations": self.train_removed_annotations,
-                "trimmed_images": self.train_trimmed_images,
-                "deficits": {str(k): v for k, v in sorted(self.train_deficits.items())},
-                "filled_from_augmented": {
-                    str(k): v for k, v in sorted(self.filled_from_augmented.items())
-                },
-            },
-            "out_of_scope_annotations": self.out_of_scope_annotations,
-        }
+def _by_key(counts: dict[int, int]) -> dict[str, int]:
+    return {str(k): v for k, v in sorted(counts.items())}
 
 
 @dataclass
 class SplitResult:
-    test: Dataset
-    train: Dataset
-    train_deficits: dict[int, int]
-    audit: SplitAudit
+    """Outcome of one test-first split construction.
+
+    ``test`` is the balancing pass over the pool restricted to the selected
+    classes and ``train`` the pass over its remainder;
+    ``out_of_scope_annotations`` counts the pool annotations of the other
+    classes, dropped before either pass.
+    """
+
+    test: BalanceResult
+    train: BalanceResult
+    out_of_scope_annotations: int
+
+    def audit(self, train: Dataset | None = None, filled: dict[int, int] | None = None) -> dict:
+        """The body of ``audit.json``.
+
+        ``train`` is the train split as written, when :func:`fill_deficits`
+        topped it up, and ``filled`` the per-class instance counts taken from
+        augmented data; the deficits stay those of the balancing pass.
+        """
+        train = self.train.balanced if train is None else train
+
+        def side(result: BalanceResult, split: Dataset) -> dict:
+            return {
+                "images": len(split),
+                "instances": split.total_instances,
+                "removed_annotations": result.removed_annotations,
+                "trimmed_images": result.trimmed_images,
+                "deficits": _by_key(result.deficits),
+            }
+
+        return {
+            "test": side(self.test, self.test.balanced),
+            "train": {**side(self.train, train), "filled_from_augmented": _by_key(filled or {})},
+            "out_of_scope_annotations": self.out_of_scope_annotations,
+        }
 
 
 def build_splits(
@@ -261,7 +248,7 @@ def build_splits(
     built purely from real images, then balances a train set from what is
     left.  The pool is restricted to the selected classes up front so split
     instance totals come out exact; annotations dropped by that restriction
-    are tallied in the audit, separately from balancing removals.
+    are counted apart from balancing removals.
     """
     for rec in total.images:
         for inst in rec.instances:
@@ -272,29 +259,11 @@ def build_splits(
                 )
 
     scoped = restrict(total, classes.class_ids(), drop_empty_images=True)
-    out_of_scope = total.total_instances - scoped.total_instances
-
     test_result = balance(scoped, classes, test_cfg)
-    train_result = balance(test_result.remainder, classes, train_cfg)
-
-    audit = SplitAudit(
-        test_removed_annotations=test_result.removed_annotations,
-        train_removed_annotations=train_result.removed_annotations,
-        test_trimmed_images=test_result.trimmed_images,
-        train_trimmed_images=train_result.trimmed_images,
-        test_deficits=test_result.deficits,
-        train_deficits=train_result.deficits,
-        out_of_scope_annotations=out_of_scope,
-        test_images=len(test_result.balanced),
-        train_images=len(train_result.balanced),
-        test_instances=test_result.balanced.total_instances,
-        train_instances=train_result.balanced.total_instances,
-    )
     return SplitResult(
-        test=test_result.balanced,
-        train=train_result.balanced,
-        train_deficits=train_result.deficits,
-        audit=audit,
+        test=test_result,
+        train=balance(test_result.remainder, classes, train_cfg),
+        out_of_scope_annotations=total.total_instances - scoped.total_instances,
     )
 
 

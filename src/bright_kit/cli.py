@@ -27,15 +27,17 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__
 from .augment import GenerationBudget, generate_valid_images, http_ports, mock_ports
 from .balancer import BalanceConfig, build_splits, fill_deficits
-from .errors import DataError
+from .errors import AnnotationFormatError, DataError
 from .jsonio import read_json, write_json, write_json_lines
 from .model import (
     Dataset,
@@ -45,7 +47,7 @@ from .model import (
     load_vocabulary,
     save_split,
 )
-from .stats import distribution, ratio_report, sort_classes, top_k
+from .stats import ClassDistribution, distribution, ratio_report, sort_classes, top_k
 from .zeroshot import ZeroShotPlan, build_zeroshot_split, enumerate_candidates
 
 
@@ -155,10 +157,18 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 def _vocab_ref_path(pool_path, raw_pool) -> Path:
     """The vocabulary file a decoded pool names in its vocabulary_ref."""
     ref = raw_pool.get("vocabulary_ref") if isinstance(raw_pool, dict) else None
+    if ref is not None and not isinstance(ref, str):
+        raise AnnotationFormatError(f"{pool_path}: vocabulary_ref must be a string")
     if not ref:
         raise _UsageError("missing required parameter --vocab")
     candidate = Path(pool_path).parent / ref
     return candidate if candidate.exists() else Path(ref)
+
+
+def _summary(d: Dataset, dist: ClassDistribution) -> dict:
+    """Size and count extremes of one dataset, as ``stats.json`` reports them."""
+    return {"images": len(d), "instances": dist.total_instances, "max_count": dist.max_count,
+            "min_count": dist.min_count, "median_count": dist.median_count}
 
 
 def _cmd_stats(p) -> int:
@@ -174,14 +184,10 @@ def _cmd_stats(p) -> int:
 
     report = {
         "meta": p.meta,
-        "images": len(pool),
-        "instances": dist.total_instances,
-        "max_count": dist.max_count,
-        "min_count": dist.min_count,
-        "median_count": dist.median_count,
+        **_summary(pool, dist),
         "median_count_including_zero": distribution(pool, include_zero=True).median_count,
         "classes": len(vocab),
-        "sorted_class_ids": list(ordered.class_ids),
+        "sorted_class_ids": list(ordered),
     }
     header = ["class_id", "verb", "object", "count"]
     rows = [
@@ -191,36 +197,14 @@ def _cmd_stats(p) -> int:
 
     if p.test:
         test = load_dataset(p.test, vocab)
-        test_dist = distribution(test)
-        ratios = ratio_report(pool, test)
-        report["test"] = {
-            "images": len(test),
-            "instances": test_dist.total_instances,
-            "max_count": test_dist.max_count,
-            "min_count": test_dist.min_count,
-            "median_count": test_dist.median_count,
-        }
-        report["ratios"] = [
-            {
-                "class_id": r.class_id,
-                "train_count": r.train_count,
-                "test_count": r.test_count,
-                "ratio": r.ratio,
-            }
-            for r in ratios
-        ]
+        ratios = ratio_report(pool, test)  # one row per class, in vocabulary order
+        report["test"] = _summary(test, distribution(test))
+        report["ratios"] = [asdict(r) for r in ratios]
         header = ["class_id", "verb", "object", "train_count", "test_count", "ratio"]
-        by_id = {r.class_id: r for r in ratios}
         rows = [
-            [
-                c.class_id,
-                c.verb_name,
-                c.object_name,
-                by_id[c.class_id].train_count,
-                by_id[c.class_id].test_count,
-                "undefined" if by_id[c.class_id].ratio is None else by_id[c.class_id].ratio,
-            ]
-            for c in vocab
+            [c.class_id, c.verb_name, c.object_name, r.train_count, r.test_count,
+             "undefined" if r.ratio is None else r.ratio]
+            for c, r in zip(vocab, ratios)
         ]
 
     p.out_dir.mkdir(parents=True, exist_ok=True)
@@ -233,33 +217,29 @@ def _cmd_stats(p) -> int:
 def _cmd_balance(p) -> int:
     vocab = load_vocabulary(p.vocab)
     pool = load_dataset(p.pool, vocab)
-    classes = top_k(sort_classes(distribution(pool), vocab), p.top_k)
+    classes = top_k(vocab, sort_classes(distribution(pool), vocab), p.top_k)
 
     # Test pass consumes the base seed; the train pass uses seed + 1.
-    test_cfg = BalanceConfig(p.l_test, epochs=p.epochs, seed=p.seed, top_k=p.top_k)
-    train_cfg = BalanceConfig(p.l_train, epochs=p.epochs, seed=p.seed + 1, top_k=p.top_k)
+    test_cfg = BalanceConfig(p.l_test, epochs=p.epochs, seed=p.seed)
+    train_cfg = BalanceConfig(p.l_train, epochs=p.epochs, seed=p.seed + 1)
     result = build_splits(pool, classes, test_cfg, train_cfg)
 
-    train = result.train
-    if p.augmented and result.train_deficits:
+    test, train, deficits = result.test.balanced, result.train.balanced, result.train.deficits
+    filled: dict[int, int] = {}
+    if p.augmented and deficits:
         augmented = load_dataset(p.augmented, vocab)
-        train = fill_deficits(train, result.train_deficits, augmented)
-        result.audit.filled_from_augmented = dict(result.train_deficits)
-        result.audit.train_images = len(train)
-        result.audit.train_instances = train.total_instances
+        train = fill_deficits(train, deficits, augmented)
+        filled = deficits
 
     p.out_dir.mkdir(parents=True, exist_ok=True)
-    save_split(result.test, p.out_dir / "test.json", meta=p.meta)
+    save_split(test, p.out_dir / "test.json", meta=p.meta)
     save_split(train, p.out_dir / "train.json", meta=p.meta)
-    write_json(
-        p.out_dir / "deficits.json",
-        {str(c): n for c, n in sorted(result.train_deficits.items())},
-    )
-    write_json(p.out_dir / "audit.json", {"meta": p.meta, **result.audit.to_dict()})
+    write_json(p.out_dir / "deficits.json", {str(c): n for c, n in sorted(deficits.items())})
+    write_json(p.out_dir / "audit.json", {"meta": p.meta, **result.audit(train, filled)})
     print(
-        f"balance: test {len(result.test)} images / {result.test.total_instances} "
+        f"balance: test {len(test)} images / {test.total_instances} "
         f"instances, train {len(train)} images / {train.total_instances} instances, "
-        f"{len(result.train_deficits)} deficit classes -> {p.out_dir}"
+        f"{len(deficits)} deficit classes -> {p.out_dir}"
     )
     return 0
 
@@ -270,10 +250,7 @@ def _cmd_zeroshot(p) -> int:
     pool = load_dataset(p.pool, universe)
     candidates = enumerate_candidates(seen, universe)
     plan = ZeroShotPlan(
-        candidate_classes=tuple(candidates),
-        source_pool=pool,
-        instances_per_class=p.per_class,
-        class_budget=p.classes,
+        candidate_classes=tuple(candidates), source_pool=pool, class_budget=p.classes
     )
     result = build_zeroshot_split(
         plan, BalanceConfig(p.per_class, epochs=p.epochs, seed=p.seed)
@@ -405,10 +382,14 @@ def _load_report_dir(path: str) -> dict[str, float]:
     reports = {}
     for f in sorted(Path(path).glob("*.json")):
         raw = read_json(f)
-        try:
-            reports[f.stem] = float(raw["mean_ap"])
-        except (KeyError, TypeError, ValueError):
-            raise DataError(f"{f}: report file must contain a numeric 'mean_ap' field") from None
+        value = raw.get("mean_ap") if isinstance(raw, dict) else None
+        try:  # a finite JSON number; bools, strings and NaN/Infinity are not
+            valid = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):
+            valid = False
+        if not valid:
+            raise DataError(f"{f}: report file must contain a finite numeric 'mean_ap' field")
+        reports[f.stem] = float(value)
     if not reports:
         raise DataError(f"{path}: no report JSON files found")
     return reports

@@ -498,7 +498,10 @@ def merge(a: Dataset, b: Dataset) -> Dataset:
 
 
 def restrict(d: Dataset, class_ids: Iterable[int], drop_empty_images: bool = True) -> Dataset:
-    """Keep only instances of ``class_ids``; optionally drop images left empty."""
+    """Keep only instances of ``class_ids``; optionally drop images left empty.
+
+    A record that loses no instance is kept as it is, not rebuilt.
+    """
     wanted = set(class_ids)
     unknown = wanted - set(d.vocabulary.class_ids())
     if unknown:
@@ -507,7 +510,7 @@ def restrict(d: Dataset, class_ids: Iterable[int], drop_empty_images: bool = Tru
     for rec in d.images:
         kept = tuple(i for i in rec.instances if i.class_id in wanted)
         if kept or not drop_empty_images:
-            records.append(rec.with_instances(kept))
+            records.append(rec if len(kept) == len(rec.instances) else rec.with_instances(kept))
     return Dataset(records, d.vocabulary, vocabulary_ref=d.vocabulary_ref)
 
 

@@ -8,7 +8,7 @@ train:test ratio varies across classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import DataError, VocabularyMismatchError
 from .model import Dataset, Vocabulary
@@ -29,7 +29,6 @@ class ClassDistribution:
     max_count: int
     min_count: int
     median_count: float
-    include_zero: bool = False
 
     def count(self, class_id: int) -> int:
         return self.counts.get(class_id, 0)
@@ -57,40 +56,24 @@ def distribution(d: Dataset, include_zero: bool = False) -> ClassDistribution:
         max_count=max(values, default=0),
         min_count=min(pool, default=0),
         median_count=_median(pool),
-        include_zero=include_zero,
     )
 
 
-@dataclass(frozen=True)
-class SortedClassList:
-    """Vocabulary class ids in descending instance-count order.
+def sort_classes(dist: ClassDistribution, vocab: Vocabulary) -> tuple[int, ...]:
+    """Every vocabulary class id, by descending count in ``dist``.
 
     Ties break by ascending class_id so that the ordering, and everything
     derived from it (top-k selection, balancing order), is deterministic.
     """
-
-    class_ids: tuple[int, ...]
-    counts: Mapping[int, int]
-    vocabulary: Vocabulary
-
-    def __post_init__(self):
-        ordered = [self.counts.get(c, 0) for c in self.class_ids]
-        if any(a < b for a, b in zip(ordered, ordered[1:])):
-            raise DataError("class list is not sorted by descending count")
+    return tuple(sorted(vocab.class_ids(), key=lambda c: (-dist.count(c), c)))
 
 
-def sort_classes(dist: ClassDistribution, vocab: Vocabulary) -> SortedClassList:
-    """Order the whole vocabulary by descending count, ties by ascending class_id."""
-    ids = sorted(vocab.class_ids(), key=lambda c: (-dist.count(c), c))
-    return SortedClassList(tuple(ids), dict(dist.counts), vocab)
-
-
-def top_k(sorted_classes: SortedClassList, k: int) -> Vocabulary:
-    """The ``k`` classes with the largest counts, as a vocabulary subset."""
-    n = len(sorted_classes.class_ids)
+def top_k(vocab: Vocabulary, ordered: Sequence[int], k: int) -> Vocabulary:
+    """The first ``k`` ids of ``ordered`` (see :func:`sort_classes`) as a subset of ``vocab``."""
+    n = len(ordered)
     if not 1 <= k <= n:
         raise DataError(f"k must be in [1, {n}], got {k}")
-    return sorted_classes.vocabulary.subset(sorted_classes.class_ids[:k])
+    return vocab.subset(ordered[:k])
 
 
 @dataclass(frozen=True)

@@ -26,17 +26,15 @@ class ZeroShotPlan:
 
     ``source_pool`` must hold real images unused by the train and test splits
     (the caller guarantees disjointness); ``class_budget`` caps how many
-    candidate classes are kept when more are satisfiable.
+    candidate classes are kept when more are satisfiable.  The per-class
+    instance target is the balancing config's ``target_per_class``.
     """
 
     candidate_classes: tuple[HoiClass, ...]
     source_pool: Dataset
-    instances_per_class: int = 10
     class_budget: int = DEFAULT_CLASS_BUDGET
 
     def __post_init__(self):
-        if self.instances_per_class < 1:
-            raise DataError("instances_per_class must be >= 1")
         if self.class_budget < 1:
             raise DataError("class_budget must be >= 1")
         pool_ids = set(self.source_pool.vocabulary.class_ids())
@@ -95,29 +93,23 @@ def enumerate_candidates(seen: Vocabulary, universe: Vocabulary) -> list[HoiClas
 
 
 def build_zeroshot_split(plan: ZeroShotPlan, cfg: BalanceConfig) -> ZeroShotResult:
-    """Balance the source pool down to exactly ``instances_per_class`` for each
-    selected candidate class.
+    """Balance the source pool down to exactly ``cfg.target_per_class``
+    instances of each selected candidate class.
 
     Candidates whose pool supply is below the per-class target are excluded
     with a warning, not an error.  When more candidates are satisfiable than
     the class budget allows, the ones with the largest supply win, ties by
     ascending class_id.
     """
-    if cfg.target_per_class != plan.instances_per_class:
-        raise DataError(
-            f"config target_per_class={cfg.target_per_class} does not match the "
-            f"plan's instances_per_class={plan.instances_per_class}"
-        )
+    target = cfg.target_per_class
     candidate_ids = [c.class_id for c in plan.candidate_classes]
-    pool = restrict(plan.source_pool, candidate_ids, drop_empty_images=True)
-
-    supply = {cid: pool.count(cid) for cid in candidate_ids}
-    satisfiable = [cid for cid in candidate_ids if supply[cid] >= plan.instances_per_class]
+    supply = {cid: plan.source_pool.count(cid) for cid in candidate_ids}
+    satisfiable = [cid for cid in candidate_ids if supply[cid] >= target]
     excluded = {cid: supply[cid] for cid in candidate_ids if cid not in set(satisfiable)}
     for cid, avail in sorted(excluded.items()):
         logger.warning(
             "zero-shot candidate %d has %d instances, needs %d; excluded",
-            cid, avail, plan.instances_per_class,
+            cid, avail, target,
         )
     if len(satisfiable) < plan.class_budget:
         logger.warning(
@@ -133,7 +125,7 @@ def build_zeroshot_split(plan: ZeroShotPlan, cfg: BalanceConfig) -> ZeroShotResu
         empty = Dataset([], plan.source_pool.vocabulary, plan.source_pool.vocabulary_ref)
         return ZeroShotResult(empty, (), excluded, over_budget)
 
-    scoped = restrict(pool, chosen, drop_empty_images=True)
+    scoped = restrict(plan.source_pool, chosen, drop_empty_images=True)
     chosen_vocab = plan.source_pool.vocabulary.subset(chosen)
     result = balance(scoped, chosen_vocab, cfg)
     if result.deficits:  # supply >= target for every chosen class rules this out

@@ -75,14 +75,15 @@ def test_criterion_1_balance_exactness():
             BalanceConfig(l_test, epochs=20, seed=rng.randint(0, 10**9)),
             BalanceConfig(l_train, epochs=20, seed=rng.randint(0, 10**9)),
         )
-        test_counts = recount(result.test)
-        train_counts = recount(result.train)
+        test, train = result.test.balanced, result.train.balanced
+        test_counts = recount(test)
+        train_counts = recount(train)
         for c in ids:
             got = test_counts.get(c, 0)
-            assert got + result.audit.test_deficits.get(c, 0) == l_test, (trial, c)
+            assert got + result.test.deficits.get(c, 0) == l_test, (trial, c)
             got = train_counts.get(c, 0)
-            assert got + result.audit.train_deficits.get(c, 0) == l_train, (trial, c)
-        assert not set(result.test.image_ids()) & set(result.train.image_ids()), trial
+            assert got + result.train.deficits.get(c, 0) == l_train, (trial, c)
+        assert not set(test.image_ids()) & set(train.image_ids()), trial
     elapsed = time.monotonic() - started
     assert elapsed < 10.0, f"200 randomized pools took {elapsed:.1f}s"
 
@@ -130,7 +131,7 @@ def test_criterion_2_hicodet_scale_reproduction():
     total = merge(train, test)
     assert (len(total), total.total_instances) == (47776, 151276)
 
-    classes = top_k(sort_classes(distribution(total), universe), 351)
+    classes = top_k(universe, sort_classes(distribution(total), universe), 351)
     assert set(classes.class_ids()) == set(bundled_vocabulary().class_ids())
     result = build_splits(
         total,
@@ -138,13 +139,14 @@ def test_criterion_2_hicodet_scale_reproduction():
         BalanceConfig(10, epochs=20, seed=0),
         BalanceConfig(50, epochs=20, seed=1),
     )
-    assert result.test.total_instances == 3510
-    assert 1579 <= len(result.test) <= 1618
+    test_split = result.test.balanced
+    assert test_split.total_instances == 3510
+    assert 1579 <= len(test_split) <= 1618
 
     # deficit filling from a synthesized augmentation file at the reported scale
     aug_images = []
     rng = random.Random(7)
-    for c, n in sorted(result.train_deficits.items()):
+    for c, n in sorted(result.train.deficits.items()):
         for i in range(n):
             aug_images.append(
                 ImageRecord(
@@ -152,19 +154,19 @@ def test_criterion_2_hicodet_scale_reproduction():
                     (HoiInstance(rand_box(rng, 400), rand_box(rng, 400), c, "generated"),),
                 )
             )
-    filled = fill_deficits(result.train, result.train_deficits, Dataset(aug_images, universe))
+    filled = fill_deficits(result.train.balanced, result.train.deficits,
+                           Dataset(aug_images, universe))
     assert filled.total_instances == 17550
     assert 6792 <= len(filled) <= 6935
 
     # balanced zero-shot split from the leftover real images
     candidates = enumerate_candidates(classes, universe)
     assert len(candidates) >= 107
-    used = set(result.test.image_ids()) | set(filled.image_ids())
+    used = set(test_split.image_ids()) | set(filled.image_ids())
     remainder = subtract(total, used)
     plan = ZeroShotPlan(
         candidate_classes=tuple(candidates),
         source_pool=remainder,
-        instances_per_class=10,
         class_budget=107,
     )
     zs = build_zeroshot_split(plan, BalanceConfig(10, epochs=20, seed=2))
@@ -225,7 +227,6 @@ def test_criterion_3_zeroshot_split():
     plan = ZeroShotPlan(
         candidate_classes=tuple(candidates),
         source_pool=pool,
-        instances_per_class=10,
         class_budget=107,
     )
     result = build_zeroshot_split(plan, BalanceConfig(10, epochs=20, seed=4))

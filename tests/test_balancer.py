@@ -170,10 +170,6 @@ def test_config_validation():
         BalanceConfig(target_per_class=0)
     with pytest.raises(DataError):
         BalanceConfig(target_per_class=1, epochs=0)
-    vocab = make_vocab(2)
-    pool = make_dataset([[1], [2]], vocab)
-    with pytest.raises(DataError):
-        balance(pool, vocab, BalanceConfig(target_per_class=1, top_k=5))
 
 
 def test_oversupply_is_trimmed_per_instance():
@@ -200,12 +196,12 @@ def test_build_splits_exact_multiple_no_deficits():
     lists = [[c] for c in vocab.class_ids() for _ in range(L_test + L_train)]
     pool = make_dataset(lists, vocab)
     result = build_splits(pool, vocab, _cfg(L_test, seed=1), _cfg(L_train, seed=2))
-    assert result.train_deficits == {}
-    assert result.audit.test_removed_annotations == 0
-    assert result.audit.train_removed_annotations == 0
-    assert recount(result.test) == {c: L_test for c in vocab.class_ids()}
-    assert recount(result.train) == {c: L_train for c in vocab.class_ids()}
-    assert not set(result.test.image_ids()) & set(result.train.image_ids())
+    assert result.train.deficits == {}
+    assert result.test.removed_annotations == 0
+    assert result.train.removed_annotations == 0
+    assert recount(result.test.balanced) == {c: L_test for c in vocab.class_ids()}
+    assert recount(result.train.balanced) == {c: L_train for c in vocab.class_ids()}
+    assert not set(result.test.balanced.image_ids()) & set(result.train.balanced.image_ids())
 
 
 def test_build_splits_trims_annotations_not_images():
@@ -215,16 +211,16 @@ def test_build_splits_trims_annotations_not_images():
     lists = [[1, 2]] * 8 + [[1]] * 20
     pool = make_dataset(lists, vocab)
     result = build_splits(pool, vocab, _cfg(2, seed=5), _cfg(4, seed=6))
-    test_ids_before_after = set(result.test.image_ids())
+    test_ids_before_after = set(result.test.balanced.image_ids())
     assert test_ids_before_after  # images survived trimming
-    for rec in result.test.images:
+    for rec in result.test.balanced.images:
         assert rec.image_id in set(pool.image_ids())
-    counts = recount(result.test)
+    counts = recount(result.test.balanced)
     for c, n in counts.items():
         assert n <= 2
     # classes listed as deficits account for the shortfall exactly
     for c in vocab.class_ids():
-        assert counts.get(c, 0) + result.audit.test_deficits.get(c, 0) == 2
+        assert counts.get(c, 0) + result.test.deficits.get(c, 0) == 2
 
 
 def test_build_splits_rejects_synthetic_pool():
@@ -243,11 +239,11 @@ def test_build_splits_restricts_to_selected_classes():
     lists = [[1, 3], [1, 4], [2, 3], [2, 4], [1], [2], [1], [2]]
     pool = make_dataset(lists, vocab)
     result = build_splits(pool, selected, _cfg(1, seed=0), _cfg(1, seed=1))
-    for split in (result.test, result.train):
+    for split in (result.test.balanced, result.train.balanced):
         for rec in split.images:
             for inst in rec.instances:
                 assert inst.class_id in (1, 2)
-    assert result.audit.out_of_scope_annotations == 4
+    assert result.out_of_scope_annotations == 4
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,18 @@ def test_stats_without_vocab_decodes_pool_once(workspace, monkeypatch):
     assert report["instances"] == 2
 
 
+@pytest.mark.parametrize("ref", ["5", '["vocab.json"]'])
+def test_stats_rejects_non_string_vocabulary_ref(workspace, capsys, ref):
+    tmp, _ = workspace
+    text = (tmp / "pool.json").read_text().replace('"vocabulary_ref": ""',
+                                                   f'"vocabulary_ref": {ref}')
+    assert ref in text
+    (tmp / "ref_pool.json").write_text(text)
+    code = _run("stats", "--pool", tmp / "ref_pool.json", "--out-dir", tmp / "out")
+    _assert_data_error(code, capsys, "AnnotationFormatError")
+    assert not (tmp / "out").exists()
+
+
 def test_stats_with_test_split_emits_ratios(workspace):
     tmp, vocab = workspace
     test = make_dataset([[1]], vocab, prefix="te")
@@ -499,7 +511,9 @@ def test_infinite_integer_field_exits_3(workspace, capsys, field, kind):
     assert not (tmp / "out").exists()
 
 
-@pytest.mark.parametrize("report", [{"mean_ap": "x"}, {"mean_ap": None}, [30.0]])
+@pytest.mark.parametrize(  # json.dumps writes NaN and Infinity as those bare tokens
+    "report", [{"mean_ap": "x"}, {"mean_ap": None}, [30.0], {"mean_ap": float("nan")},
+               {"mean_ap": float("inf")}, {"mean_ap": True}, {"mean_ap": "0.4"}])
 def test_compare_rejects_non_numeric_mean_ap(workspace, capsys, report):
     tmp, _ = workspace
     a_dir, b_dir = tmp / "ra", tmp / "rb"

@@ -300,6 +300,15 @@ def test_restrict_drops_other_classes(vocab5):
     assert len(r_keep) == 3
 
 
+def test_restrict_keeps_untouched_records(vocab5):
+    d = make_dataset([[1, 3], [1, 2], [3], [2]], vocab5)
+    r = restrict(d, [1, 3])
+    assert r.images[0] is d.images[0]
+    assert r.images[2] is d.images[2]
+    assert r.images[1] is not d.images[1]
+    assert r.images[1] == d.images[1].with_instances(d.images[1].instances[:1])
+
+
 def test_subtract_removes_named_images(vocab5):
     d = make_dataset([[1], [2], [3]], vocab5)
     s = subtract(d, ["img0001"])

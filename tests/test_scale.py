@@ -50,7 +50,7 @@ def _long_tail_pool(n_classes=600, n_images=20_000, seed=0):
 def test_full_benchmark_shape_stays_fast():
     pool, vocab = _long_tail_pool()
     started = time.monotonic()
-    classes = top_k(sort_classes(distribution(pool), vocab), 351)
+    classes = top_k(vocab, sort_classes(distribution(pool), vocab), 351)
     result = build_splits(
         pool, classes,
         BalanceConfig(10, epochs=20, seed=0),
@@ -59,16 +59,16 @@ def test_full_benchmark_shape_stays_fast():
     aug = [
         ImageRecord(f"aug_{c}_{i}", "a.jpg", 100, 100,
                     (HoiInstance(BBox(1, 1, 50, 50), BBox(5, 5, 60, 60), c, "generated"),))
-        for c, n in sorted(result.train_deficits.items())
+        for c, n in sorted(result.train.deficits.items())
         for i in range(n)
     ]
-    filled = fill_deficits(result.train, result.train_deficits, Dataset(aug, vocab))
+    filled = fill_deficits(result.train.balanced, result.train.deficits, Dataset(aug, vocab))
     elapsed = time.monotonic() - started
 
     selected = set(classes.class_ids())
-    test_counts = recount(result.test)
+    test_counts = recount(result.test.balanced)
     for c in selected:
-        assert test_counts.get(c, 0) + result.audit.test_deficits.get(c, 0) == 10
+        assert test_counts.get(c, 0) + result.test.deficits.get(c, 0) == 10
     assert filled.total_instances == 351 * 50
-    assert not set(result.test.image_ids()) & set(filled.image_ids())
+    assert not set(result.test.balanced.image_ids()) & set(filled.image_ids())
     assert elapsed < 30.0, f"mid-scale balancing took {elapsed:.1f}s"

@@ -2,7 +2,6 @@ import pytest
 
 from bright_kit import (
     BalanceConfig,
-    DataError,
     VocabularyMismatchError,
     ZeroShotPlan,
     build_zeroshot_split,
@@ -66,11 +65,10 @@ def test_candidate_components_always_seen():
             assert cand.class_id not in set(seen.class_ids())
 
 
-def _plan(pool, candidates, per_class=10, budget=107):
+def _plan(pool, candidates, budget=107):
     return ZeroShotPlan(
         candidate_classes=tuple(candidates),
         source_pool=pool,
-        instances_per_class=per_class,
         class_budget=budget,
     )
 
@@ -126,7 +124,7 @@ def test_budget_keeps_largest_supply_ties_by_id():
     # both satisfiable at L=2: class 1 supply 4, class 4 supply 2 -> budget 1 keeps class 1
     pool = make_dataset([[1]] * 4 + [[4]] * 2, universe)
     result = build_zeroshot_split(
-        _plan(pool, candidates, per_class=2, budget=1), BalanceConfig(2, epochs=5, seed=0)
+        _plan(pool, candidates, budget=1), BalanceConfig(2, epochs=5, seed=0)
     )
     assert result.selected_class_ids == (1,)
     assert result.over_budget == (4,)
@@ -134,7 +132,7 @@ def test_budget_keeps_largest_supply_ties_by_id():
     # equal supply: tie broken by ascending class_id
     pool = make_dataset([[1]] * 3 + [[4]] * 3, universe)
     result = build_zeroshot_split(
-        _plan(pool, candidates, per_class=2, budget=1), BalanceConfig(2, epochs=5, seed=0)
+        _plan(pool, candidates, budget=1), BalanceConfig(2, epochs=5, seed=0)
     )
     assert result.selected_class_ids == (1,)
 
@@ -147,18 +145,10 @@ def test_every_output_class_exactly_at_target():
         [[1]] * 12 + [[4]] * 11 + [[1, 4]] * 2, universe
     )
     result = build_zeroshot_split(
-        _plan(pool, candidates, per_class=10), BalanceConfig(10, epochs=20, seed=7)
+        _plan(pool, candidates), BalanceConfig(10, epochs=20, seed=7)
     )
     assert set(result.selected_class_ids) == {1, 4}
     assert recount(result.dataset) == {1: 10, 4: 10}
-
-
-def test_config_target_must_match_plan():
-    universe = _grid_universe()
-    pool = make_dataset([[1]], universe)
-    plan = _plan(pool, [universe.get(1)], per_class=10)
-    with pytest.raises(DataError):
-        build_zeroshot_split(plan, BalanceConfig(5, epochs=5, seed=0))
 
 
 def test_no_satisfiable_candidates_returns_empty_with_warning(caplog):
