@@ -31,10 +31,11 @@ config) inputs therefore reproduce identical results bit for bit.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import DataError, ResidualDeficitError, UnknownClassError
-from .model import Dataset, ImageRecord, Vocabulary, merge, restrict
+from .model import PROVENANCES, Dataset, Vocabulary, merge, restrict
 
 DEFAULT_EPOCHS = 20
 
@@ -77,11 +78,6 @@ class BalanceResult:
     trimmed_images: int = 0
 
 
-def _class_order(pool: Dataset, classes: Vocabulary) -> list[int]:
-    # Head-to-tail: descending pool count, ties by ascending class_id.
-    return sorted(classes.class_ids(), key=lambda c: (-pool.count(c), c))
-
-
 def balance(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) -> BalanceResult:
     """Select a subset of ``pool`` where every class in ``classes`` has exactly
     ``cfg.target_per_class`` instances, or as many as supply allows.
@@ -95,38 +91,40 @@ def balance(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) -> BalanceRe
 
     target = cfg.target_per_class
     target_ids = set(classes.class_ids())
-    head_to_tail = _class_order(pool, classes)
+    index = pool.vocabulary._index
     rng = random.Random(cfg.seed)
 
-    # Images are handled by position in ``pool.images``.  Shuffles and samples
-    # draw from the PRNG by list length only, so lists of positions reproduce
-    # the stream of the same lists of image ids.
-    images = pool.images
-    position = {rec.image_id: i for i, rec in enumerate(images)}
-    with_class = {
-        c: [position[iid] for iid in pool.images_with_class(c)] for c in target_ids
-    }
+    # Images are handled by position in the pool and classes by position in
+    # its vocabulary.  Shuffles and samples draw from the PRNG by list length
+    # only, so lists of positions reproduce the stream of the same lists of
+    # ids.  Head to tail: descending pool count, ties by ascending class_id.
+    ordered = sorted(target_ids, key=lambda c: (-pool.count(c), c))
+    head_to_tail = [index[c] for c in ordered]
+    codes, first = pool._column(pool._cols.cls), pool._first
+    with_class: dict[int, list[int]] = {c: [] for c in head_to_tail}
     # Per image, its (class, instance count) pairs over the balanced classes.
     image_counts: list[tuple[tuple[int, int], ...]] = []
-    for rec in images:
+    for i in range(len(pool)):
         per: dict[int, int] = {}
-        for inst in rec.instances:
-            if inst.class_id in target_ids:
-                per[inst.class_id] = per.get(inst.class_id, 0) + 1
+        for c in codes[first[i] : first[i + 1]]:
+            if c in with_class:
+                per[c] = per.get(c, 0) + 1
+        for c in per:
+            with_class[c].append(i)
         image_counts.append(tuple(per.items()))
 
-    selected = [False] * len(images)
-    counts: dict[int, int] = {c: 0 for c in target_ids}
+    selected = [False] * len(pool)
+    counts: dict[int, int] = {c: 0 for c in head_to_tail}
 
     for epoch in range(1, cfg.epochs + 1):
         # ADD stage, tail to head.
-        for cls_id in reversed(head_to_tail):
-            if counts[cls_id] >= target:
+        for cls in reversed(head_to_tail):
+            if counts[cls] >= target:
                 continue
-            candidates = [i for i in with_class[cls_id] if not selected[i]]
+            candidates = [i for i in with_class[cls] if not selected[i]]
             rng.shuffle(candidates)
             for i in candidates:
-                if counts[cls_id] >= target:
+                if counts[cls] >= target:
                     break
                 selected[i] = True
                 for c, n in image_counts[i]:
@@ -135,13 +133,13 @@ def balance(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) -> BalanceRe
 
         # REMOVE stage, head to tail; the final epoch keeps its additions.
         if epoch < cfg.epochs:
-            for cls_id in head_to_tail:
-                if counts[cls_id] <= target:
+            for cls in head_to_tail:
+                if counts[cls] <= target:
                     continue
-                candidates = with_class[cls_id].copy()
+                candidates = with_class[cls].copy()
                 rng.shuffle(candidates)
                 for i in candidates:
-                    if counts[cls_id] <= target:
+                    if counts[cls] <= target:
                         break
                     if not selected[i]:
                         continue
@@ -157,39 +155,26 @@ def balance(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) -> BalanceRe
         c: [] for c in head_to_tail if counts[c] > target
     }
     for i in selected_order:
-        for k, inst in enumerate(images[i].instances):
-            if inst.class_id in positions:
-                positions[inst.class_id].append((i, k))
-    drop: dict[int, set[int]] = {}
+        for j in range(first[i], first[i + 1]):
+            if codes[j] in positions:
+                positions[codes[j]].append((i, j))
+    keep = bytearray(b"\x01") * len(codes) if positions else None
+    trimmed: set[int] = set()
     removed_annotations = 0
-    for cls_id, cls_positions in positions.items():
-        excess = counts[cls_id] - target
-        for i, k in rng.sample(cls_positions, excess):
-            drop.setdefault(i, set()).add(k)
-        counts[cls_id] = target
+    for cls, cls_positions in positions.items():
+        excess = counts[cls] - target
+        for i, j in rng.sample(cls_positions, excess):
+            keep[j] = 0
+            trimmed.add(i)
+        counts[cls] = target
         removed_annotations += excess
 
-    balanced_records: list[ImageRecord] = []
-    for i in selected_order:
-        rec = images[i]
-        if i in drop:
-            kept = tuple(inst for k, inst in enumerate(rec.instances) if k not in drop[i])
-            rec = rec.with_instances(kept)
-        balanced_records.append(rec)
-
-    balanced = Dataset(balanced_records, pool.vocabulary, pool.vocabulary_ref)
-    remainder = Dataset(
-        (rec for rec, chosen in zip(images, selected) if not chosen),
-        pool.vocabulary,
-        pool.vocabulary_ref,
-    )
-    deficits = {c: target - n for c, n in counts.items() if n < target}
     return BalanceResult(
-        balanced=balanced,
-        deficits=deficits,
+        balanced=pool._select(selected_order, keep),
+        deficits={c: target - counts[index[c]] for c in target_ids if counts[index[c]] < target},
         removed_annotations=removed_annotations,
-        remainder=remainder,
-        trimmed_images=len(drop),
+        remainder=pool._select(i for i, chosen in enumerate(selected) if not chosen),
+        trimmed_images=len(trimmed),
     )
 
 
@@ -250,13 +235,14 @@ def build_splits(
     instance totals come out exact; annotations dropped by that restriction
     are counted apart from balancing removals.
     """
-    for rec in total.images:
-        for inst in rec.instances:
-            if inst.provenance != "real":
-                raise DataError(
-                    f"image {rec.image_id}: test-first construction requires a "
-                    f"real-only pool, found provenance {inst.provenance!r}"
-                )
+    provenance = total._column(total._cols.prov)
+    if any(provenance):
+        j = next(j for j, code in enumerate(provenance) if code)
+        image_id = total.image_ids()[bisect_right(total._first, j) - 1]
+        raise DataError(
+            f"image {image_id}: test-first construction requires a real-only pool, "
+            f"found provenance {PROVENANCES[provenance[j]]!r}"
+        )
 
     scoped = restrict(total, classes.class_ids(), drop_empty_images=True)
     test_result = balance(scoped, classes, test_cfg)
@@ -285,32 +271,30 @@ def fill_deficits(
 
     need = dict(deficits)
     train_ids = set(train.image_ids())
-    kept_records: list[ImageRecord] = []
-    for rec in augmented.images:
-        for inst in rec.instances:
-            if inst.provenance == "real":
+    classes, first = augmented.vocabulary.classes, augmented._first
+    class_ids = [classes[c].class_id for c in augmented._column(augmented._cols.cls)]
+    provenance = augmented._column(augmented._cols.prov)
+    keep = bytearray(len(class_ids))
+    for i, image_id in enumerate(augmented.image_ids()):
+        span = range(first[i], first[i + 1])
+        for j in span:
+            if PROVENANCES[provenance[j]] == "real":
                 raise DataError(
-                    f"augmented image {rec.image_id}: provenance must be "
-                    f"generated or crawled"
+                    f"augmented image {image_id}: provenance must be generated or crawled"
                 )
-            if inst.class_id not in need:
+            if class_ids[j] not in need:
                 raise DataError(
-                    f"augmented image {rec.image_id}: class {inst.class_id} "
-                    f"is not a deficit class"
+                    f"augmented image {image_id}: class {class_ids[j]} is not a deficit class"
                 )
-        if rec.image_id in train_ids:
-            raise DataError(f"augmented image_id {rec.image_id!r} already in train")
-        kept = []
-        for inst in rec.instances:
-            if need.get(inst.class_id, 0) > 0:
-                kept.append(inst)
-                need[inst.class_id] -= 1
-        if kept:
-            kept_records.append(rec.with_instances(kept))
+        if image_id in train_ids:
+            raise DataError(f"augmented image_id {image_id!r} already in train")
+        for j in span:
+            if need.get(class_ids[j], 0) > 0:
+                keep[j] = 1
+                need[class_ids[j]] -= 1
 
     residual = {c: n for c, n in need.items() if n > 0}
     if residual:
         raise ResidualDeficitError(residual)
 
-    filler = Dataset(kept_records, augmented.vocabulary, train.vocabulary_ref)
-    return merge(train, filler)
+    return merge(train, augmented._select(range(len(augmented)), keep, drop_empty=True))

@@ -37,12 +37,13 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .augment import GenerationBudget, generate_valid_images, http_ports, mock_ports
 from .balancer import BalanceConfig, build_splits, fill_deficits
-from .errors import AnnotationFormatError, DataError
+from .errors import DataError
 from .jsonio import read_json, write_json, write_json_lines
 from .model import (
     Dataset,
     HoiInstance,
     ImageRecord,
+    annotation_header,
     load_dataset,
     load_vocabulary,
     save_split,
@@ -156,9 +157,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 def _vocab_ref_path(pool_path, raw_pool) -> Path:
     """The vocabulary file a decoded pool names in its vocabulary_ref."""
-    ref = raw_pool.get("vocabulary_ref") if isinstance(raw_pool, dict) else None
-    if ref is not None and not isinstance(ref, str):
-        raise AnnotationFormatError(f"{pool_path}: vocabulary_ref must be a string")
+    ref = annotation_header(raw_pool, pool_path)[1]
     if not ref:
         raise _UsageError("missing required parameter --vocab")
     candidate = Path(pool_path).parent / ref

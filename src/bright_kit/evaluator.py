@@ -206,20 +206,20 @@ def _truth_columns(gt: Dataset, preds: PredictionTable, codes: np.ndarray):
     ``c * len(preds.image_ids) + k``.
     """
     image_of = {image_id: k for k, image_id in enumerate(preds.image_ids)}
-    code_of = {class_id: c for c, class_id in enumerate(codes.tolist())}
-    keys, boxes = [], []
-    for rec in gt.images:
-        k = image_of.get(rec.image_id)
-        if k is None:
-            continue
-        for inst in rec.instances:
-            c = code_of.get(inst.class_id)
-            if c is not None:
-                keys.append(c * len(image_of) + k)
-                boxes.append(inst.human_box.as_list() + inst.object_box.as_list())
-    keys = np.array(keys, dtype=np.int64)
+    index = gt.vocabulary._index
+    code_of = np.full(len(gt.vocabulary), -1, dtype=np.int64)  # vocabulary position -> code
+    for c, class_id in enumerate(codes.tolist()):
+        if class_id in index:
+            code_of[index[class_id]] = c
+    image = np.array([image_of.get(i, -1) for i in gt.image_ids()], dtype=np.int64)
+    inst = np.asarray(gt._inst, dtype=np.intp)
+    k = np.repeat(image, np.diff(np.frombuffer(gt._first, dtype=np.int64)))
+    c = code_of[np.frombuffer(gt._cols.cls, dtype=np.int64)[inst]]
+    known = (k >= 0) & (c >= 0)
+    keys = (c * len(image_of) + k)[known]
+    boxes = np.frombuffer(gt._cols.box, dtype=np.float64).reshape(-1, 2, 4)[inst[known]]
     by_key = np.argsort(keys, kind="stable")
-    return keys[by_key], _by_pair(np.array(boxes, dtype=np.float64).reshape(-1, 2, 4)[by_key])
+    return keys[by_key], _by_pair(boxes[by_key])
 
 
 def _by_pair(boxes: np.ndarray) -> np.ndarray:

@@ -1,13 +1,18 @@
 """Canonical data model and file I/O for benchmarks, vocabularies, and splits.
 
-A benchmark is a :class:`Dataset`: a list of image records, each carrying zero
-or more human-object interaction instances, validated against a
+A benchmark is a :class:`Dataset`: a sequence of image records, each carrying
+zero or more human-object interaction instances, validated against a
 :class:`Vocabulary` of (verb, object) classes.  The subject of every
 interaction is a person, so classes carry only the verb and object components.
 
+A Dataset keeps its annotations in stdlib ``array`` columns, not in one
+object per instance: :func:`load_dataset` appends each file's rows to them in
+one loop.  ``Dataset.images`` is a read-only view that builds the
+:class:`ImageRecord`, :class:`HoiInstance` and :class:`BBox` values on access.
+
 Datasets are immutable after construction; every "mutation" (merge, restrict,
-balancing) builds a new Dataset.  All read accessors are therefore safe to use
-from multiple threads.
+balancing) builds a new Dataset, most of them as a selection from the same
+columns.  All read accessors are therefore safe to use from multiple threads.
 """
 
 from __future__ import annotations
@@ -15,9 +20,12 @@ from __future__ import annotations
 import json
 import logging
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
+from itertools import compress
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -34,6 +42,7 @@ from .jsonio import canonical_dumps, read_json, write_json
 logger = logging.getLogger("bright_kit")
 
 PROVENANCES = ("real", "generated", "crawled")
+_PROVENANCE_CODE = {p: i for i, p in enumerate(PROVENANCES)}
 
 
 @dataclass(frozen=True)
@@ -130,10 +139,10 @@ class Vocabulary:
 
     def __init__(self, classes: Iterable[HoiClass]):
         self.classes: tuple[HoiClass, ...] = tuple(classes)
-        self._by_id: dict[int, HoiClass] = {}
+        self._index: dict[int, int] = {}  # class_id -> position in ``classes``
         pairs: set[tuple[int, int]] = set()
         for cls in self.classes:
-            if cls.class_id in self._by_id:
+            if cls.class_id in self._index:
                 raise AnnotationFormatError(f"duplicate class_id {cls.class_id}")
             key = (cls.verb_id, cls.object_id)
             if key in pairs:
@@ -141,7 +150,7 @@ class Vocabulary:
                     f"duplicate (verb_id, object_id) pair {key}"
                 )
             pairs.add(key)
-            self._by_id[cls.class_id] = cls
+            self._index[cls.class_id] = len(self._index)
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -150,7 +159,7 @@ class Vocabulary:
         return iter(self.classes)
 
     def __contains__(self, class_id: int) -> bool:
-        return class_id in self._by_id
+        return class_id in self._index
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Vocabulary):
@@ -159,7 +168,7 @@ class Vocabulary:
 
     def get(self, class_id: int) -> HoiClass:
         try:
-            return self._by_id[class_id]
+            return self.classes[self._index[class_id]]
         except KeyError:
             raise UnknownClassError(f"unknown class_id {class_id}") from None
 
@@ -179,7 +188,7 @@ class Vocabulary:
     def subset(self, class_ids: Iterable[int]) -> "Vocabulary":
         """New vocabulary restricted to ``class_ids``, preserving original order."""
         wanted = set(class_ids)
-        missing = wanted - set(self._by_id)
+        missing = wanted - set(self._index)
         if missing:
             raise UnknownClassError(f"unknown class_ids {sorted(missing)}")
         return Vocabulary(c for c in self.classes if c.class_id in wanted)
@@ -226,11 +235,76 @@ class ImageRecord:
         )
 
 
+class _Columns:
+    """The annotations Datasets select from, filled while the first one is built.
+
+    Per image: ``image_id``, ``file_name``, ``width``, ``height``, and in
+    ``first`` the position of its first instance (one more entry closes the
+    last image).  Per instance: ``cls``, its class's position in ``vocabulary``;
+    ``box``, human then object box, 8 coordinates; ``prov``, its position in
+    :data:`PROVENANCES`.  ``records`` caches each image read whole as a record.
+    """
+
+    def __init__(self, vocabulary: Vocabulary):
+        self.vocabulary = vocabulary
+        self.image_id, self.file_name, self.width, self.height = [], [], [], []
+        self.first, self.cls, self.box = array("q", [0]), array("q"), array("d")
+        self.prov = array("b")
+        self.records: dict[int, ImageRecord] = {}
+
+    def add_image(self, image_id: str, file_name: str, width: int, height: int) -> None:
+        """Close the image whose instances were appended since the last call."""
+        self.image_id.append(image_id)
+        self.file_name.append(file_name)
+        self.width.append(width)
+        self.height.append(height)
+        self.first.append(len(self.cls))
+
+    def add_instance(self, inst: HoiInstance) -> None:
+        h, o = inst.human_box, inst.object_box
+        self.cls.append(self.vocabulary._index[inst.class_id])
+        self.box.extend((h.x1, h.y1, h.x2, h.y2, o.x1, o.y1, o.x2, o.y2))
+        self.prov.append(_PROVENANCE_CODE[inst.provenance])
+
+    def instance(self, k: int) -> HoiInstance:
+        box = self.box[8 * k : 8 * k + 8]
+        class_id = self.vocabulary.classes[self.cls[k]].class_id
+        return HoiInstance(BBox(*box[:4]), BBox(*box[4:]), class_id, PROVENANCES[self.prov[k]])
+
+
+class _Images(Sequence[ImageRecord]):
+    """Read-only view of a Dataset's images that builds each record on access;
+    indexed, sliced and compared like a tuple of them."""
+
+    def __init__(self, d: "Dataset"):
+        self._d = d
+
+    def __len__(self) -> int:
+        return len(self._d)
+
+    def __getitem__(self, p):
+        positions = range(len(self))[p]
+        if isinstance(p, slice):
+            return tuple(map(self._d._record, positions))
+        return self._d._record(positions)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (_Images, tuple)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+
 class Dataset:
     """Immutable collection of image records bound to one vocabulary.
 
-    The per-class instance-count index and the class -> images index are built
-    once at construction and always consistent with ``images``.
+    A Dataset is a selection from stdlib ``array`` columns (``_Columns``):
+    ``_rows`` holds the positions of its images in the columns, ``_inst`` those
+    of the instances it keeps, image after image, and image ``p`` has the
+    instances ``_inst[_first[p]:_first[p + 1]]``.  Restricting and balancing
+    select again from the same columns, copying and checking nothing twice.
+    ``images`` builds records on access; counts and the class -> images index
+    are computed on first use.  Nothing else is written after construction,
+    so every read is safe from several threads.
     """
 
     def __init__(
@@ -239,32 +313,69 @@ class Dataset:
         vocabulary: Vocabulary,
         vocabulary_ref: str = "",
     ):
-        self.images: tuple[ImageRecord, ...] = tuple(images)
-        self.vocabulary = vocabulary
-        self.vocabulary_ref = vocabulary_ref
-
-        self._by_id: dict[str, ImageRecord] = {}
-        counts: Counter[int] = Counter()
-        by_class: dict[int, list[str]] = {}
-        for rec in self.images:
-            if rec.image_id in self._by_id:
+        cols = _Columns(vocabulary)
+        seen: set[str] = set()
+        for rec in images:
+            if rec.image_id in seen:
                 raise DuplicateImageError(f"duplicate image_id {rec.image_id!r}")
-            self._by_id[rec.image_id] = rec
-            seen_here: set[int] = set()
+            seen.add(rec.image_id)
             for inst in rec.instances:
                 if inst.class_id not in vocabulary:
                     raise UnknownClassError(
                         f"image {rec.image_id}: unknown class_id {inst.class_id}"
                     )
-                counts[inst.class_id] += 1
-                if inst.class_id not in seen_here:
-                    seen_here.add(inst.class_id)
-                    by_class.setdefault(inst.class_id, []).append(rec.image_id)
-        self._counts = counts
-        self._by_class = {c: tuple(ids) for c, ids in by_class.items()}
+                cols.add_instance(inst)
+            cols.add_image(rec.image_id, rec.file_name, rec.width, rec.height)
+        self._bind(cols, vocabulary_ref)
+
+    def _bind(self, cols: _Columns, vocabulary_ref: str, rows=None, inst=None, first=None):
+        """Select ``rows``/``inst``/``first`` of ``cols``, by default all of it."""
+        self._cols, self.vocabulary_ref = cols, vocabulary_ref
+        self._rows = range(len(cols.image_id)) if rows is None else rows
+        self._inst = range(len(cols.cls)) if inst is None else inst
+        self._first = cols.first if first is None else first
+        return self
+
+    def _select(self, positions: Iterable[int], keep=None, drop_empty: bool = False) -> "Dataset":
+        """The images at ``positions``, in that order, with the instances whose
+        entry in ``keep`` (indexed like ``_inst``) is true, or all of them;
+        ``drop_empty`` leaves out the images left without instances."""
+        rows, inst, first = array("q"), array("q"), array("q", [0])
+        for p in positions:
+            a, b = self._first[p], self._first[p + 1]
+            inst.extend(self._inst[a:b] if keep is None else compress(self._inst[a:b], keep[a:b]))
+            if drop_empty and len(inst) == first[-1]:
+                continue
+            rows.append(self._rows[p])
+            first.append(len(inst))
+        return Dataset.__new__(Dataset)._bind(self._cols, self.vocabulary_ref, rows, inst, first)
+
+    def _column(self, values: array) -> array:
+        """A per-instance column of ``_cols``, in the order of ``_inst``."""
+        if isinstance(self._inst, range):
+            return values
+        return array(values.typecode, map(values.__getitem__, self._inst))
+
+    def _record(self, p: int) -> ImageRecord:
+        cols, r = self._cols, self._rows[p]
+        a, b = self._first[p], self._first[p + 1]
+        whole = b - a == cols.first[r + 1] - cols.first[r]
+        if whole and r in cols.records:
+            return cols.records[r]
+        rec = ImageRecord(cols.image_id[r], cols.file_name[r], cols.width[r], cols.height[r],
+                          tuple(map(cols.instance, self._inst[a:b])))
+        return cols.records.setdefault(r, rec) if whole else rec
+
+    @property
+    def vocabulary(self) -> Vocabulary:
+        return self._cols.vocabulary
+
+    @property
+    def images(self) -> Sequence[ImageRecord]:
+        return _Images(self)
 
     def __len__(self) -> int:
-        return len(self.images)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[ImageRecord]:
         return iter(self.images)
@@ -272,28 +383,53 @@ class Dataset:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return self.images == other.images and self.vocabulary == other.vocabulary
+        return self.vocabulary == other.vocabulary and self._key() == other._key()
+
+    def _key(self) -> tuple:
+        c, classes = self._cols, self.vocabulary.classes
+        images = [(c.image_id[r], c.file_name[r], c.width[r], c.height[r]) for r in self._rows]
+        instances = [(classes[c.cls[k]].class_id, c.box[8 * k : 8 * k + 8], c.prov[k])
+                     for k in self._inst]
+        return images, self._first, instances
 
     @property
     def total_instances(self) -> int:
-        return sum(self._counts.values())
+        return len(self._inst)
+
+    @cached_property
+    def _counts(self) -> Counter[int]:  # class position -> instance count
+        return Counter(self._column(self._cols.cls))
 
     def count(self, class_id: int) -> int:
-        return self._counts.get(class_id, 0)
+        return self._counts[self.vocabulary._index.get(class_id)]  # 0 for unknown ids
 
     def class_counts(self) -> dict[int, int]:
         """class_id -> instance count for every vocabulary class (zeros included)."""
-        return {c.class_id: self._counts.get(c.class_id, 0) for c in self.vocabulary}
+        counts = self._counts
+        return {c.class_id: counts[code] for code, c in enumerate(self.vocabulary.classes)}
 
     def image_ids(self) -> tuple[str, ...]:
-        return tuple(r.image_id for r in self.images)
+        return tuple(map(self._cols.image_id.__getitem__, self._rows))
+
+    @cached_property
+    def _position(self) -> dict[str, int]:
+        return {image_id: p for p, image_id in enumerate(self.image_ids())}
 
     def get_image(self, image_id: str) -> ImageRecord:
-        return self._by_id[image_id]
+        return self._record(self._position[image_id])
+
+    @cached_property
+    def _by_class(self) -> dict[int, tuple[str, ...]]:  # class position -> image ids
+        codes, first = self._column(self._cols.cls), self._first
+        by_class: dict[int, list[str]] = {}
+        for p, image_id in enumerate(self.image_ids()):
+            for code in set(codes[first[p] : first[p + 1]]):
+                by_class.setdefault(code, []).append(image_id)
+        return {code: tuple(ids) for code, ids in by_class.items()}
 
     def images_with_class(self, class_id: int) -> tuple[str, ...]:
         """Ids of images carrying at least one instance of ``class_id``, in dataset order."""
-        return self._by_class.get(class_id, ())
+        return self._by_class.get(self.vocabulary._index.get(class_id), ())
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +480,38 @@ def bundled_vocabulary() -> Vocabulary:
         return load_vocabulary(path)
 
 
+def annotation_header(raw, path) -> tuple[list, str]:
+    """The ``images`` array and the ``vocabulary_ref`` of a decoded annotation
+    file; a missing or null reference reads as ``""``."""
+    if not isinstance(raw, dict) or "images" not in raw:
+        raise AnnotationFormatError(f"{path}: expected an object with an 'images' array")
+    if not isinstance(raw["images"], list):
+        raise AnnotationFormatError(f"{path}: 'images' must be an array")
+    ref = raw.get("vocabulary_ref")
+    if ref is not None and not isinstance(ref, str):
+        raise AnnotationFormatError(f"{path}: vocabulary_ref must be a string")
+    return raw["images"], ref or ""
+
+
+def _instance_row(inst, where: str, vocab: Vocabulary, width: int, height: int) -> HoiInstance:
+    """One instance row of an annotation file, checked field by field."""
+    try:
+        class_id = int(inst["class_id"])
+        human_raw = inst["human_box"]
+        object_raw = inst["object_box"]
+        provenance = str(inst.get("provenance", "real"))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise AnnotationFormatError(f"{where}: missing or bad field ({exc})") from exc
+    if class_id not in vocab:
+        raise UnknownClassError(f"{where}: unknown class_id {class_id}")
+    return HoiInstance(
+        human_box=parse_box(human_raw, where, width, height),
+        object_box=parse_box(object_raw, where, width, height),
+        class_id=class_id,
+        provenance=provenance,
+    )
+
+
 def load_dataset(path: str | Path, vocab: Vocabulary, raw=None) -> Dataset:
     """Read an annotation file into a Dataset, validating against ``vocab``.
 
@@ -352,17 +520,19 @@ def load_dataset(path: str | Path, vocab: Vocabulary, raw=None) -> Dataset:
     boxes are rejected.  Unknown top-level keys (e.g. the ``meta``
     block the CLI adds) are ignored.  A caller that has already decoded the
     file passes its JSON as ``raw``; ``path`` then only names it in messages.
+
+    Rows go straight into the columns when they hold a known class, a known
+    provenance and two boxes of 4 numbers inside the image.  Every other row
+    takes the field-by-field rule (``_instance_row``) at its place in the
+    file, so warnings and the first error are those of a row-by-row read.
     """
     if raw is None:
         raw = read_json(path)
-    if not isinstance(raw, dict) or "images" not in raw:
-        raise AnnotationFormatError(f"{path}: expected an object with an 'images' array")
-    if not isinstance(raw["images"], list):
-        raise AnnotationFormatError(f"{path}: 'images' must be an array")
-
-    records = []
-    for i, img in enumerate(raw["images"]):
-        where = f"{path}: images[{i}]"
+    images, vocabulary_ref = annotation_header(raw, path)
+    cols = _Columns(vocab)
+    cls, box, prov = cols.cls, cols.box, cols.prov
+    index, prov_code = vocab._index, _PROVENANCE_CODE
+    for i, img in enumerate(images):
         try:
             image_id = str(img["image_id"])
             file_name = str(img["file_name"])
@@ -370,32 +540,38 @@ def load_dataset(path: str | Path, vocab: Vocabulary, raw=None) -> Dataset:
             height = int(img["height"])
             raw_instances = img.get("instances", [])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise AnnotationFormatError(f"{where}: missing or bad field ({exc})") from exc
+            raise AnnotationFormatError(
+                f"{path}: images[{i}]: missing or bad field ({exc})"
+            ) from exc
         if not isinstance(raw_instances, list):
-            raise AnnotationFormatError(f"{where}: 'instances' must be an array")
-        instances = []
+            raise AnnotationFormatError(f"{path}: images[{i}]: 'instances' must be an array")
         for j, inst in enumerate(raw_instances):
-            iwhere = f"{where}.instances[{j}]"
             try:
-                class_id = int(inst["class_id"])
-                human_raw = inst["human_box"]
-                object_raw = inst["object_box"]
-                provenance = str(inst.get("provenance", "real"))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise AnnotationFormatError(f"{iwhere}: missing or bad field ({exc})") from exc
-            if class_id not in vocab:
-                raise UnknownClassError(f"{iwhere}: unknown class_id {class_id}")
-            instances.append(
-                HoiInstance(
-                    human_box=parse_box(human_raw, iwhere, width, height),
-                    object_box=parse_box(object_raw, iwhere, width, height),
-                    class_id=class_id,
-                    provenance=provenance,
-                )
-            )
-        records.append(ImageRecord(image_id, file_name, width, height, tuple(instances)))
+                h, o = inst["human_box"], inst["object_box"]
+                code, p = index[inst["class_id"]], prov_code[inst.get("provenance", "real")]
+                if type(h) is list and type(o) is list:
+                    hx1, hy1, hx2, hy2 = map(float, h)
+                    ox1, oy1, ox2, oy2 = map(float, o)
+                    if (0.0 <= hx1 < hx2 <= width and 0.0 <= hy1 < hy2 <= height
+                            and 0.0 <= ox1 < ox2 <= width and 0.0 <= oy1 < oy2 <= height):
+                        cls.append(code)
+                        box.extend((hx1, hy1, hx2, hy2, ox1, oy1, ox2, oy2))
+                        prov.append(p)
+                        continue
+            except (KeyError, TypeError, ValueError, OverflowError):
+                pass
+            where = f"{path}: images[{i}].instances[{j}]"
+            cols.add_instance(_instance_row(inst, where, vocab, width, height))
+        if not (width > 0 and height > 0):
+            ImageRecord(image_id, file_name, width, height)  # raises the size error
+        cols.add_image(image_id, file_name, width, height)
 
-    return Dataset(records, vocab, vocabulary_ref=str(raw.get("vocabulary_ref", "")))
+    seen: set[str] = set()
+    for image_id in cols.image_id:
+        if image_id in seen:
+            raise DuplicateImageError(f"duplicate image_id {image_id!r}")
+        seen.add(image_id)
+    return Dataset.__new__(Dataset)._bind(cols, vocabulary_ref)
 
 
 def _json_scalar(value) -> str:
@@ -441,24 +617,23 @@ _IMAGE = """\
 def _split_document(d: Dataset, meta) -> str:
     """The text ``canonical_dumps`` gives for the split's JSON object, from a
     fixed template: keys sorted, two-space indent, trailing newline."""
-    enc = _json_scalar
+    enc, c = _json_scalar, d._cols
+    class_ids = [enc(cls.class_id) for cls in d.vocabulary.classes]
+    provenances = [enc(p) for p in PROVENANCES]
+    box, inst, first = c.box, d._inst, d._first
     images = []
-    for rec in d.images:
-        instances = []
-        for inst in rec.instances:
-            h, o = inst.human_box, inst.object_box
-            instances.append(_INSTANCE.format(
-                enc(inst.class_id),
-                enc(h.x1), enc(h.y1), enc(h.x2), enc(h.y2),
-                enc(o.x1), enc(o.y1), enc(o.x2), enc(o.y2),
-                enc(inst.provenance),
-            ))
+    for p, r in enumerate(d._rows):
+        instances = [
+            _INSTANCE.format(class_ids[c.cls[k]], *map(float.__repr__, box[8 * k : 8 * k + 8]),
+                             provenances[c.prov[k]])
+            for k in inst[first[p] : first[p + 1]]
+        ]
         images.append(_IMAGE.format(
-            enc(rec.file_name),
-            enc(rec.height),
-            enc(rec.image_id),
+            enc(c.file_name[r]),
+            enc(c.height[r]),
+            enc(c.image_id[r]),
             "[\n" + ",\n".join(instances) + "\n      ]" if instances else "[]",
-            enc(rec.width),
+            enc(c.width[r]),
         ))
     parts = ['{\n  "images": ', "[\n" + ",\n".join(images) + "\n  ]" if images else "[]"]
     if meta is not None:
@@ -475,7 +650,7 @@ def save_split(d: Dataset, path: str | Path, meta: dict | None = None) -> None:
     ``load_dataset(save_split(d))`` is structurally equal to ``d``.  ``meta``
     (toolkit version, seed, config hash) is embedded verbatim when given.  The
     file holds the bytes :func:`~bright_kit.jsonio.write_json` would give the
-    schema's JSON object, encoded straight from the records.
+    schema's JSON object, encoded straight from the columns.
     """
     write_json(path, _split_document(d, meta), encoded=True)
 
@@ -494,31 +669,35 @@ def merge(a: Dataset, b: Dataset) -> Dataset:
         raise DuplicateImageError(
             f"image_ids present in both datasets: {sorted(overlap)[:5]}"
         )
-    return Dataset(a.images + b.images, a.vocabulary, vocabulary_ref=a.vocabulary_ref)
+    cols = _Columns(a.vocabulary)
+    for d in (a, b):
+        src, base = d._cols, len(cols.cls)
+        cols.first.extend(base + f for f in d._first[1:])
+        code = [a.vocabulary._index[c.class_id] for c in src.vocabulary.classes]
+        cols.cls.extend(code[src.cls[k]] for k in d._inst)
+        cols.prov.extend(src.prov[k] for k in d._inst)
+        for k in d._inst:
+            cols.box.extend(src.box[8 * k : 8 * k + 8])
+        for name in ("image_id", "file_name", "width", "height"):
+            getattr(cols, name).extend(map(getattr(src, name).__getitem__, d._rows))
+    return Dataset.__new__(Dataset)._bind(cols, a.vocabulary_ref)
 
 
 def restrict(d: Dataset, class_ids: Iterable[int], drop_empty_images: bool = True) -> Dataset:
     """Keep only instances of ``class_ids``; optionally drop images left empty.
 
-    A record that loses no instance is kept as it is, not rebuilt.
+    An image that loses no instance keeps its record (see ``Dataset.images``).
     """
     wanted = set(class_ids)
     unknown = wanted - set(d.vocabulary.class_ids())
     if unknown:
         raise UnknownClassError(f"unknown class_ids {sorted(unknown)}")
-    records = []
-    for rec in d.images:
-        kept = tuple(i for i in rec.instances if i.class_id in wanted)
-        if kept or not drop_empty_images:
-            records.append(rec if len(kept) == len(rec.instances) else rec.with_instances(kept))
-    return Dataset(records, d.vocabulary, vocabulary_ref=d.vocabulary_ref)
+    codes = {d.vocabulary._index[c] for c in wanted}
+    keep = [code in codes for code in d._column(d._cols.cls)]
+    return d._select(range(len(d)), keep, drop_empty_images)
 
 
 def subtract(d: Dataset, image_ids: Iterable[str]) -> Dataset:
     """Images of ``d`` whose ids are not in ``image_ids``, annotations untouched."""
     drop = set(image_ids)
-    return Dataset(
-        (rec for rec in d.images if rec.image_id not in drop),
-        d.vocabulary,
-        vocabulary_ref=d.vocabulary_ref,
-    )
+    return d._select(p for p, image_id in enumerate(d.image_ids()) if image_id not in drop)

@@ -5,17 +5,29 @@ arithmetic, their own greedy matcher, and a point-by-point precision-recall
 enumeration that never shares code with the evaluator under test.
 
 The construction references are the straightforward first versions of code
-that was later rewritten for speed: :func:`reference_balance` (the balancer)
-and :func:`dataset_to_dict` (the split file's JSON object, which
-``save_split`` now encodes from a template).  The rewrites must agree with
-them exactly.
+that was later rewritten for speed: :func:`reference_balance` (the balancer),
+:func:`reference_load_dataset` (the annotation loader, one object per row,
+which ``load_dataset`` replaced with columns) and :func:`dataset_to_dict`
+(the split file's JSON object, which ``save_split`` now encodes from a
+template).  The rewrites must agree with them exactly.
 """
 
 from __future__ import annotations
 
 import random
 
-from bright_kit import BalanceConfig, BalanceResult, Dataset, ImageRecord, Vocabulary
+from bright_kit import (
+    BalanceConfig,
+    BalanceResult,
+    Dataset,
+    HoiInstance,
+    ImageRecord,
+    UnknownClassError,
+    Vocabulary,
+)
+from bright_kit.errors import AnnotationFormatError
+from bright_kit.jsonio import read_json
+from bright_kit.model import parse_box
 
 
 def oracle_iou(a: tuple[float, float, float, float], b: tuple[float, float, float, float]) -> float:
@@ -182,6 +194,54 @@ def reference_balance(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) ->
         remainder=remainder,
         trimmed_images=len(drop),
     )
+
+
+def reference_load_dataset(path, vocab: Vocabulary, raw=None) -> Dataset:
+    """The annotation loader as first written: an :class:`ImageRecord` per
+    image and a :class:`HoiInstance` per row, validated again by ``Dataset``."""
+    if raw is None:
+        raw = read_json(path)
+    if not isinstance(raw, dict) or "images" not in raw:
+        raise AnnotationFormatError(f"{path}: expected an object with an 'images' array")
+    if not isinstance(raw["images"], list):
+        raise AnnotationFormatError(f"{path}: 'images' must be an array")
+
+    records = []
+    for i, img in enumerate(raw["images"]):
+        where = f"{path}: images[{i}]"
+        try:
+            image_id = str(img["image_id"])
+            file_name = str(img["file_name"])
+            width = int(img["width"])
+            height = int(img["height"])
+            raw_instances = img.get("instances", [])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise AnnotationFormatError(f"{where}: missing or bad field ({exc})") from exc
+        if not isinstance(raw_instances, list):
+            raise AnnotationFormatError(f"{where}: 'instances' must be an array")
+        instances = []
+        for j, inst in enumerate(raw_instances):
+            iwhere = f"{where}.instances[{j}]"
+            try:
+                class_id = int(inst["class_id"])
+                human_raw = inst["human_box"]
+                object_raw = inst["object_box"]
+                provenance = str(inst.get("provenance", "real"))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise AnnotationFormatError(f"{iwhere}: missing or bad field ({exc})") from exc
+            if class_id not in vocab:
+                raise UnknownClassError(f"{iwhere}: unknown class_id {class_id}")
+            instances.append(
+                HoiInstance(
+                    human_box=parse_box(human_raw, iwhere, width, height),
+                    object_box=parse_box(object_raw, iwhere, width, height),
+                    class_id=class_id,
+                    provenance=provenance,
+                )
+            )
+        records.append(ImageRecord(image_id, file_name, width, height, tuple(instances)))
+
+    return Dataset(records, vocab, vocabulary_ref=str(raw.get("vocabulary_ref", "")))
 
 
 def dataset_to_dict(d: Dataset) -> dict:

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -12,9 +13,11 @@ from bright_kit import (
     balance,
     build_splits,
     fill_deficits,
+    load_dataset,
 )
+from bright_kit.jsonio import canonical_dumps
 from helpers import fixed_box, make_dataset, make_image, make_vocab, random_pool, recount
-from oracles import dataset_to_dict, reference_balance
+from oracles import dataset_to_dict, reference_balance, reference_load_dataset
 
 
 def _cfg(target, seed=0, epochs=20):
@@ -136,14 +139,20 @@ def _skewed_pool(rng: random.Random):
     return pool, classes
 
 
+def _random_cases():
+    """The 250 (pool, classes, config) cases of the reference comparisons."""
+    rng = random.Random(2024)
+    for _ in range(250):
+        pool, classes = _skewed_pool(rng)
+        yield pool, classes, _cfg(rng.randint(1, 8), seed=rng.randint(0, 10**6),
+                                  epochs=rng.randint(1, 5))
+
+
 def test_balance_matches_reference_on_random_pools():
     # The indexed balancer reproduces the first implementation, PRNG stream
     # included, on every field of the result.
-    rng = random.Random(2024)
     trims = deficits = 0
-    for _ in range(250):
-        pool, classes = _skewed_pool(rng)
-        cfg = _cfg(rng.randint(1, 8), seed=rng.randint(0, 10**6), epochs=rng.randint(1, 5))
+    for pool, classes, cfg in _random_cases():
         got, want = balance(pool, classes, cfg), reference_balance(pool, classes, cfg)
         assert got.balanced == want.balanced
         assert got.balanced.vocabulary_ref == want.balanced.vocabulary_ref
@@ -155,6 +164,16 @@ def test_balance_matches_reference_on_random_pools():
         deficits += bool(want.deficits)
     # the pools exercise both the trim and short supply, many times over
     assert trims >= 100 and deficits >= 25
+
+
+def test_loader_matches_reference_on_random_pools():
+    # The columnar loader and the row-by-row one read each pool's split file
+    # into equal datasets, equal to the pool itself.
+    for pool, _, _ in _random_cases():
+        raw = json.loads(canonical_dumps(dataset_to_dict(pool)))
+        got = load_dataset("pool.json", pool.vocabulary, raw=raw)
+        assert got == reference_load_dataset("pool.json", pool.vocabulary, raw=raw) == pool
+        assert got.images == pool.images
 
 
 def test_balance_requires_subset_vocab():

@@ -82,6 +82,58 @@ def test_stats_rejects_non_string_vocabulary_ref(workspace, capsys, ref):
     assert not (tmp / "out").exists()
 
 
+def _balance(tmp, pool, out):
+    return _run("balance", "--pool", pool, "--vocab", tmp / "vocab.json", "--top-k", "4",
+                "--l-test", "1", "--l-train", "2", "--out-dir", out)
+
+
+@pytest.mark.parametrize("ref", ["5", '["v.json"]'])
+def test_balance_rejects_non_string_vocabulary_ref(workspace, capsys, ref):
+    tmp, _ = workspace
+    text = (tmp / "pool.json").read_text().replace('"vocabulary_ref": ""',
+                                                   f'"vocabulary_ref": {ref}')
+    assert ref in text
+    (tmp / "ref_pool.json").write_text(text)
+    code = _balance(tmp, tmp / "ref_pool.json", tmp / "out")
+    assert code == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == {
+        "type": "AnnotationFormatError",
+        "message": f"{tmp / 'ref_pool.json'}: vocabulary_ref must be a string",
+    }
+    assert not (tmp / "out").exists()
+
+
+def test_balance_reads_null_vocabulary_ref_as_empty(workspace):
+    tmp, _ = workspace
+    text = (tmp / "pool.json").read_text().replace('"vocabulary_ref": ""',
+                                                   '"vocabulary_ref": null')
+    assert "null" in text
+    (tmp / "ref_pool.json").write_text(text)
+    assert _balance(tmp, tmp / "ref_pool.json", tmp / "out") == 0
+    for split in ("test.json", "train.json"):
+        assert json.loads((tmp / "out" / split).read_text())["vocabulary_ref"] == ""
+
+
+@pytest.mark.parametrize("pool", ["[1, 2]", '"images"', "{}"])
+def test_stats_rejects_non_object_pool_with_or_without_vocab(workspace, capsys, pool):
+    tmp, _ = workspace
+    (tmp / "odd_pool.json").write_text(pool)
+    errors = []
+    for vocab in ([], ["--vocab", tmp / "vocab.json"]):
+        code = _run("stats", "--pool", tmp / "odd_pool.json", *vocab, "--out-dir", tmp / "out")
+        assert code == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        errors.append(json.loads(lines[0])["error"])
+    assert errors[0] == errors[1] == {
+        "type": "AnnotationFormatError",
+        "message": f"{tmp / 'odd_pool.json'}: expected an object with an 'images' array",
+    }
+    assert not (tmp / "out").exists()
+
+
 def test_stats_with_test_split_emits_ratios(workspace):
     tmp, vocab = workspace
     test = make_dataset([[1]], vocab, prefix="te")

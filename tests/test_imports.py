@@ -1,4 +1,5 @@
-"""The construction commands never import numpy; only scoring loads the evaluator."""
+"""The construction commands (stats, balance, augment, balance --augmented,
+zeroshot) never import numpy; only scoring loads the evaluator."""
 
 import os
 import subprocess
@@ -16,10 +17,19 @@ import bright_kit.cli
 assert "numpy" not in sys.modules, "import"
 out = sys.argv[1]
 common = ["--pool", "pool.json", "--vocab", "universe.json"]
+balance = ["balance", *common, "--top-k", "10", "--l-test", "4", "--l-train", "8",
+           "--epochs", "5", "--seed", "11"]
 assert bright_kit.cli.main(["stats", *common, "--out-dir", out + "/stats"]) == 0
-assert bright_kit.cli.main(["balance", *common, "--top-k", "10", "--l-test", "4",
-                            "--l-train", "8", "--epochs", "5", "--out-dir", out + "/balance"]) == 0
-assert "numpy" not in sys.modules, "stats/balance"
+assert bright_kit.cli.main([*balance, "--out-dir", out + "/balance"]) == 0
+assert bright_kit.cli.main(["augment", "--deficits", out + "/balance/deficits.json",
+                            "--refs", "pool.json", "--vocab", "universe.json", "--ports", "mock",
+                            "--budget", "6", "--seed", "11", "--out-dir", out + "/augment"]) == 0
+assert bright_kit.cli.main([*balance, "--augmented", out + "/augment/augmented.json",
+                            "--out-dir", out + "/balance_fill"]) == 0
+assert bright_kit.cli.main(["zeroshot", "--seen", "seen.json", "--universe", "universe.json",
+                            "--pool", "pool.json", "--per-class", "3", "--classes", "3",
+                            "--epochs", "2", "--seed", "11", "--out-dir", out + "/zeroshot"]) == 0
+assert "numpy" not in sys.modules, "construction commands"
 assert "bright_kit.evaluator" not in sys.modules
 from bright_kit import MatchConfig, PredictionTable, evaluate
 assert evaluate is sys.modules["bright_kit.evaluator"].evaluate

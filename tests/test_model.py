@@ -1,5 +1,8 @@
+import copy
 import json
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -26,6 +29,7 @@ from bright_kit import (
 from bright_kit.errors import AnnotationFormatError
 
 from helpers import fixed_box, make_dataset, make_image, make_vocab, random_pool, recount
+from oracles import reference_load_dataset
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +259,134 @@ def test_load_ignores_meta_block(tmp_path, vocab5):
     path = tmp_path / "d.json"
     save_split(d, path, meta={"toolkit_version": "0.1.0", "seed": 1, "config_hash": "x"})
     assert load_dataset(path, vocab5) == d
+
+
+# Loader parity: every row the columns cannot take as it is goes through the
+# row-by-row rule, so the outcome is that of the first loader.
+
+NAN, INF = float("nan"), float("inf")
+WIDE = 2**70  # beyond 64 bits
+ROW = {"class_id": 1, "human_box": [0, 0, 5, 5], "object_box": [1, 1, 6, 6], "provenance": "real"}
+
+
+def _row(**fields):
+    return {**ROW, **fields}
+
+
+# case -> (rows of the image under test, its other fields, whether it loads)
+LOADER_CASES = {
+    "missing_key": ([{k: v for k, v in ROW.items() if k != "human_box"}], {}, False),
+    "non_object_instance": ([[1, [0, 0, 5, 5], [1, 1, 6, 6]]], {}, False),
+    "string_class_id": ([_row(class_id="2")], {}, True),
+    "float_class_id": ([_row(class_id=2.0), _row(class_id=1.7)], {}, True),
+    "non_numeric_class_id": ([_row(class_id="one")], {}, False),
+    "infinite_class_id": ([_row(class_id=1e999)], {}, False),
+    "unknown_class_id": ([_row(class_id=7)], {}, False),
+    "nan_coordinate": ([_row(object_box=[1, NAN, 6, 6])], {}, False),
+    "pos_inf_coordinate": ([_row(human_box=[0, 0, INF, 5])], {}, False),
+    "neg_inf_coordinate": ([_row(human_box=[-INF, 0, 5, 5])], {}, False),
+    "string_coordinate": ([_row(human_box=[0, "1", 5, 5])], {}, True),
+    "non_numeric_coordinate": ([_row(human_box=[0, "one", 5, 5])], {}, False),
+    "three_values": ([_row(object_box=[1, 1, 6])], {}, False),
+    "box_as_object": ([_row(object_box={"1": 0, "2": 0, "5": 0, "6": 0})], {}, False),
+    "boolean_coordinate": ([_row(human_box=[False, True, 5, 5])], {}, True),
+    "degenerate_box": ([_row(human_box=[5, 0, 5, 5])], {}, False),
+    "box_outside_image": ([_row(object_box=[20, 20, 30, 30])], {}, False),
+    "negative_coordinate": ([_row(human_box=[-1, 0, 5, 5]), _row(object_box=[1, 1, 12, 6])],
+                            {}, True),
+    "instances_not_array": ([], {"instances": {"0": ROW}}, False),
+    "missing_width": ([ROW], {"width": None}, False),
+    "width_zero": ([ROW], {"width": 0}, False),
+    "width_zero_no_instances": ([], {"width": 0}, False),
+    "synthetic_provenance": ([_row(provenance="synthetic")], {}, False),
+    "width_beyond_64_bits": ([_row(human_box=[0, 0, 2**65, 5])], {"width": WIDE}, True),
+    "class_id_beyond_64_bits": ([_row(class_id=WIDE)], {}, True),
+}
+
+
+def _document(rows, fields, second_bad_row=True):
+    image = {"image_id": "b", "file_name": "b.jpg", "width": 10, "height": 10,
+             "instances": rows, **fields}
+    if image["width"] is None:
+        del image["width"]
+    images = [{"image_id": "a", "file_name": "a.jpg", "width": 10, "height": 10,
+               "instances": [ROW]}, image]
+    if second_bad_row:  # an unknown class after the row under test
+        images.append({"image_id": "c", "file_name": "c.jpg", "width": 10, "height": 10,
+                       "instances": [ROW, _row(class_id=99)]})
+    return {"vocabulary_ref": "v.json", "images": images}
+
+
+def _outcome(load, document, caplog):
+    vocab = Vocabulary([*make_vocab(2), HoiClass(WIDE, 9, 9, "wide", "class")])
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="bright_kit"):
+        try:
+            result = load("d.json", vocab, raw=copy.deepcopy(document))
+        except Exception as exc:  # noqa: BLE001 - the class is part of the outcome
+            result = (type(exc), str(exc))
+    return result, [r.getMessage() for r in caplog.records]
+
+
+@pytest.mark.parametrize("case", sorted(LOADER_CASES))
+def test_loader_matches_row_by_row_reference(case, caplog):
+    rows, fields, loads = LOADER_CASES[case]
+    document = _document(rows, fields)
+    got, want = _outcome(load_dataset, document, caplog), _outcome(reference_load_dataset,
+                                                                   document, caplog)
+    assert isinstance(want[0], tuple)  # the second bad row, if nothing before it
+    assert got == want
+    if loads:
+        document = _document(rows, fields, second_bad_row=False)
+        got, want = _outcome(load_dataset, document, caplog), _outcome(reference_load_dataset,
+                                                                       document, caplog)
+        assert isinstance(want[0], Dataset) and got == want
+
+
+def test_loader_reads_null_vocabulary_ref_as_empty(vocab5):
+    assert load_dataset("d.json", vocab5, raw={"vocabulary_ref": None, "images": []}) \
+        .vocabulary_ref == ""
+    for ref in (5, ["v.json"]):
+        with pytest.raises(AnnotationFormatError, match="vocabulary_ref must be a string"):
+            load_dataset("d.json", vocab5, raw={"vocabulary_ref": ref, "images": []})
+
+
+def test_concurrent_first_reads_agree(vocab5):
+    # Counts, indexes and records are computed on first use; threads racing
+    # to do so must all see the values a single reader sees, and one record
+    # object per image.
+    rng = random.Random(3)
+    pool = random_pool(rng, vocab5, n_images=300)
+    want = (pool.class_counts(), [pool.images_with_class(c) for c in vocab5.class_ids()],
+            list(pool.images))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            d = Dataset(pool.images, vocab5)  # fresh columns, nothing cached yet
+            with ThreadPoolExecutor(max_workers=8) as pool_of_threads:
+                futures = [pool_of_threads.submit(
+                    lambda: (d.class_counts(), [d.images_with_class(c) for c in vocab5.class_ids()],
+                             [d.get_image(i) for i in d.image_ids()]))
+                    for _ in range(8)]
+                results = [f.result(timeout=60) for f in futures]
+            for counts, by_class, records in results:
+                assert (counts, by_class, records) == want
+                assert all(a is b for a, b in zip(records, results[0][2]))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_images_view_is_a_read_only_sequence(vocab5):
+    d = make_dataset([[1, 2], [3], [4]], vocab5)
+    assert len(d.images) == 3
+    assert d.images[-1] is d.images[2]
+    assert d.images[1:] == (d.images[1], d.images[2])
+    assert list(d) == list(d.images)
+    with pytest.raises(IndexError):
+        d.images[3]
+    with pytest.raises(TypeError):
+        d.images[0] = d.images[1]
 
 
 # ---------------------------------------------------------------------------
