@@ -9,7 +9,9 @@ a change to the toolkit's results and must be stated, not regenerated away.
 
 The commands run from inside the fixture directory with relative input
 paths, because ``augment`` stamps its ``--vocab`` argument into
-``augmented.json`` as the ``vocabulary_ref``.
+``augmented.json`` as the ``vocabulary_ref``.  Each step's stdout is pinned
+here too, with its out-dir written as ``<out>``; it stays in this file
+because ``expected/`` is compared as a whole file set.
 """
 
 from pathlib import Path
@@ -36,14 +38,27 @@ STEPS = [
 ]
 
 
-def run_steps(root: Path) -> None:
+STDOUT = {
+    "stats": "stats: 90 images, 320 instances -> <out>\n",
+    "balance": "balance: test 14 images / 40 instances, train 20 images / 65 instances, "
+               "4 deficit classes -> <out>\n",
+    "augment": "augment: 15 generated images for 4 deficit classes -> <out>\n",
+    "balance_fill": "balance: test 14 images / 40 instances, train 35 images / 80 instances, "
+                    "4 deficit classes -> <out>\n",
+    "zeroshot": "zeroshot: 3 classes x 3 = 9 instances -> <out>\n",
+}
+
+
+def run_steps(root: Path, capsys) -> None:
     for step, argv in STEPS:
-        assert main(argv(root) + ["--out-dir", str(root / step)]) == 0, step
+        out = root / step
+        assert main(argv(root) + ["--out-dir", str(out)]) == 0, step
+        assert capsys.readouterr().out.replace(str(out), "<out>") == STDOUT[step], step
 
 
-def test_cli_reproduces_golden_construction_artifacts(tmp_path, monkeypatch):
+def test_cli_reproduces_golden_construction_artifacts(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(GOLDEN)
-    run_steps(tmp_path)
+    run_steps(tmp_path, capsys)
     expected = GOLDEN / "expected"
     produced = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
     assert produced == sorted(p.relative_to(expected) for p in expected.rglob("*") if p.is_file())
