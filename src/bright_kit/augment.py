@@ -353,10 +353,12 @@ class HttpServicePorts:
         POST /paraphrase    {"prompt"}                        -> {"prompt"}
 
     Any transport or HTTP error, and any response of the wrong shape (not a
-    JSON object, ``accepted`` not a JSON bool, box lists not arrays), raises
-    :class:`PortError`, which aborts one attempt, not the run.  Detected
-    boxes go through :func:`~bright_kit.model.parse_box` without an image
-    size; a box it rejects is a ``PortError`` of the ``detect`` endpoint.
+    JSON object, ``accepted`` not a JSON bool, ``text``, ``image_ref`` or
+    ``prompt`` not a JSON string, an empty ``image_ref`` or ``prompt``, box
+    lists not arrays), raises :class:`PortError`, which aborts one attempt,
+    not the run.  Detected boxes go through :func:`~bright_kit.model.parse_box`
+    without an image size; a box it rejects is a ``PortError`` of the
+    ``detect`` endpoint.
     """
 
     def __init__(self, base_url: str, timeout: float = 60.0, session=None):
@@ -385,10 +387,11 @@ class HttpServicePorts:
         return out
 
     @staticmethod
-    def _field(endpoint: str, out: dict, key: str, kind: type):
+    def _field(endpoint: str, out: dict, key: str, kind: type, nonempty: bool = False):
         value = out.get(key)
-        if not isinstance(value, kind):
-            raise PortError(f"{endpoint}: response field {key!r} must be a {kind.__name__}")
+        if not isinstance(value, kind) or (nonempty and not value):
+            what = ("non-empty " if nonempty else "") + kind.__name__
+            raise PortError(f"{endpoint}: response field {key!r} must be a {what}")
         return value
 
     def describe(self, image_ref: str, cls: HoiClass) -> str:
@@ -396,14 +399,11 @@ class HttpServicePorts:
             "describe",
             {"image_ref": image_ref, "class": _class_payload(cls), "query": describe_query(cls)},
         )
-        return str(out.get("text", ""))
+        return self._field("describe", out, "text", str)
 
     def generate(self, prompt: str) -> str:
         out = self._post("generate", {"prompt": prompt})
-        ref = out.get("image_ref")
-        if not ref:
-            raise PortError("generate: response missing image_ref")
-        return str(ref)
+        return self._field("generate", out, "image_ref", str, nonempty=True)
 
     def detect(self, image_ref: str) -> Detections:
         out = self._post("detect", {"image_ref": image_ref})
@@ -448,10 +448,7 @@ class HttpServicePorts:
 
     def paraphrase(self, prompt: str) -> str:
         out = self._post("paraphrase", {"prompt": prompt})
-        new = out.get("prompt")
-        if not new:
-            raise PortError("paraphrase: response missing prompt")
-        return str(new)
+        return self._field("paraphrase", out, "prompt", str, nonempty=True)
 
 
 def http_ports(base_url: str, timeout: float = 60.0) -> ServicePorts:
@@ -515,8 +512,8 @@ class PairVerdictRecord:
 @dataclass
 class AttemptRecord:
     attempt: int
-    prompt_text: str
-    paraphrase_generation: int
+    prompt_text: str | None = None  # None when the describer failed on this attempt
+    paraphrase_generation: int = 0
     image_ref: str | None = None
     pairs: list[PairVerdictRecord] = field(default_factory=list)
     valid: bool = False
@@ -553,7 +550,7 @@ class GenerationResult:
 
     @property
     def generator_calls(self) -> int:
-        return len(self.attempts)  # every attempt starts with one generate call
+        return sum(a.prompt_text is not None for a in self.attempts)  # each prompted attempt
 
 
 def generate_valid_images(
@@ -565,28 +562,28 @@ def generate_valid_images(
 ) -> GenerationResult:
     """Run the generate/verify/paraphrase loop for one class.
 
-    Every verification verdict is logged per attempt.  A rejected image
-    paraphrases the active prompt before the next attempt; a port failure,
-    the paraphraser's included, aborts only that attempt and keeps the same
-    prompt.  Stops as soon as ``budget.target_valid`` images are valid or the
-    attempt budget is spent.
+    Every verification verdict is logged per attempt.  The prompt is built
+    by :func:`build_prompt` in the first attempt and rebuilt, from the same
+    seeded reference image, by each next attempt until the describer
+    answers.  A rejected image paraphrases the active prompt before the next
+    attempt; a port failure, the describer's and the paraphraser's included,
+    aborts only that attempt and keeps the same prompt.  Stops as soon as
+    ``budget.target_valid`` images are valid or the attempt budget is spent.
     """
     ports.require(
         "describer", "generator", "detector",
         "region_verifier", "text_verifier", "paraphraser",
     )
-    prompt = build_prompt(cls, reference_pool, ports, seed)
-
+    prompt: PromptRecord | None = None
     attempts: list[AttemptRecord] = []
     valid = 0
     while valid < budget.target_valid and len(attempts) < budget.max_attempts_per_class:
-        rec = AttemptRecord(
-            attempt=len(attempts) + 1,
-            prompt_text=prompt.text,
-            paraphrase_generation=prompt.paraphrase_generation,
-        )
+        rec = AttemptRecord(attempt=len(attempts) + 1)
         attempts.append(rec)
         try:
+            if prompt is None:
+                prompt = build_prompt(cls, reference_pool, ports, seed)
+            rec.prompt_text, rec.paraphrase_generation = prompt.text, prompt.paraphrase_generation
             image_ref = ports.generator.generate(prompt.text)
             rec.image_ref = image_ref
             dets = ports.detector.detect(image_ref)

@@ -11,6 +11,10 @@
     bright-kit perturb   --class ID --gt test.json --preds model.jsonl --vocab v.json --out-dir d/
     bright-kit compare   --a reportsA/ --b reportsB/ --out-dir d/
 
+Each handler only computes and returns ``({file name: content}, summary)``;
+:func:`main` writes the artifacts with :func:`_write_artifacts` only after the
+command succeeded, then prints the summary, so a usage or data error writes nothing.
+
 Exit codes: 0 success, 2 usage error, 3 data error, 4 I/O error.  Errors are
 reported as one JSON object on stderr.  A JSON config file (``--config``) can
 pre-set any parameter; explicit flags win, and config values pass the same
@@ -30,13 +34,13 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__
 from .augment import GenerationBudget, generate_valid_images, http_ports, mock_ports
-from .balancer import BalanceConfig, build_splits, fill_deficits
+from .balancer import DEFAULT_EPOCHS, BalanceConfig, build_splits, fill_deficits
 from .errors import DataError
 from .jsonio import read_json, write_json, write_json_lines
 from .model import (
@@ -49,7 +53,8 @@ from .model import (
     save_split,
 )
 from .stats import ClassDistribution, distribution, ratio_report, sort_classes, top_k
-from .zeroshot import ZeroShotPlan, build_zeroshot_split, enumerate_candidates
+from .zeroshot import (DEFAULT_CLASS_BUDGET, ZeroShotPlan, build_zeroshot_split,
+                       enumerate_candidates)
 
 
 # The scoring commands' names come from bright_kit.evaluator, which imports
@@ -139,19 +144,12 @@ _VOCAB = _Param("vocab", "vocabulary file")
 _GT = _Param("gt", "ground-truth annotation file")
 _PREDS = _Param("preds", "JSON-lines prediction dump")
 _IOU = _Param("iou", "pair IoU threshold", _float, 0.5, hashed=True)
-_EPOCHS = _Param("epochs", "add/remove rounds", _int, 20, hashed=True)
+_EPOCHS = _Param("epochs", "add/remove rounds", _int, DEFAULT_EPOCHS, hashed=True)
 _COMMON = (_OUT_DIR, _SEED)  # taken by every subcommand, after its own parameters
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each returns ({file name: content}, stdout summary)
 # ---------------------------------------------------------------------------
 
 
@@ -170,7 +168,7 @@ def _summary(d: Dataset, dist: ClassDistribution) -> dict:
             "min_count": dist.min_count, "median_count": dist.median_count}
 
 
-def _cmd_stats(p) -> int:
+def _cmd_stats(p):
     if p.vocab is not None:
         vocab = load_vocabulary(p.vocab)
         pool = load_dataset(p.pool, vocab)
@@ -188,8 +186,7 @@ def _cmd_stats(p) -> int:
         "classes": len(vocab),
         "sorted_class_ids": list(ordered),
     }
-    header = ["class_id", "verb", "object", "count"]
-    rows = [
+    rows = [["class_id", "verb", "object", "count"]] + [
         [c.class_id, c.verb_name, c.object_name, dist.count(c.class_id)]
         for c in vocab
     ]
@@ -199,21 +196,17 @@ def _cmd_stats(p) -> int:
         ratios = ratio_report(pool, test)  # one row per class, in vocabulary order
         report["test"] = _summary(test, distribution(test))
         report["ratios"] = [asdict(r) for r in ratios]
-        header = ["class_id", "verb", "object", "train_count", "test_count", "ratio"]
-        rows = [
+        rows = [["class_id", "verb", "object", "train_count", "test_count", "ratio"]] + [
             [c.class_id, c.verb_name, c.object_name, r.train_count, r.test_count,
              "undefined" if r.ratio is None else r.ratio]
             for c, r in zip(vocab, ratios)
         ]
 
-    p.out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(p.out_dir / "stats.json", report)
-    _write_csv(p.out_dir / "per_class.csv", header, rows)
-    print(f"stats: {len(pool)} images, {dist.total_instances} instances -> {p.out_dir}")
-    return 0
+    return ({"stats.json": report, "per_class.csv": rows},
+            f"stats: {len(pool)} images, {dist.total_instances} instances -> {p.out_dir}")
 
 
-def _cmd_balance(p) -> int:
+def _cmd_balance(p):
     vocab = load_vocabulary(p.vocab)
     pool = load_dataset(p.pool, vocab)
     classes = top_k(vocab, sort_classes(distribution(pool), vocab), p.top_k)
@@ -230,20 +223,19 @@ def _cmd_balance(p) -> int:
         train = fill_deficits(train, deficits, augmented)
         filled = deficits
 
-    p.out_dir.mkdir(parents=True, exist_ok=True)
-    save_split(test, p.out_dir / "test.json", meta=p.meta)
-    save_split(train, p.out_dir / "train.json", meta=p.meta)
-    write_json(p.out_dir / "deficits.json", {str(c): n for c, n in sorted(deficits.items())})
-    write_json(p.out_dir / "audit.json", {"meta": p.meta, **result.audit(train, filled)})
-    print(
+    return {
+        "test.json": test,
+        "train.json": train,
+        "deficits.json": {str(c): n for c, n in sorted(deficits.items())},
+        "audit.json": {"meta": p.meta, **result.audit(train, filled)},
+    }, (
         f"balance: test {len(test)} images / {test.total_instances} "
         f"instances, train {len(train)} images / {train.total_instances} instances, "
         f"{len(deficits)} deficit classes -> {p.out_dir}"
     )
-    return 0
 
 
-def _cmd_zeroshot(p) -> int:
+def _cmd_zeroshot(p):
     seen = load_vocabulary(p.seen)
     universe = load_vocabulary(p.universe)
     pool = load_dataset(p.pool, universe)
@@ -255,17 +247,16 @@ def _cmd_zeroshot(p) -> int:
         plan, BalanceConfig(p.per_class, epochs=p.epochs, seed=p.seed)
     )
 
-    p.out_dir.mkdir(parents=True, exist_ok=True)
-    save_split(result.dataset, p.out_dir / "zeroshot.json", meta=p.meta)
-    write_json(p.out_dir / "zeroshot_report.json", {"meta": p.meta, **result.to_report_dict()})
-    print(
+    return {
+        "zeroshot.json": result.dataset,
+        "zeroshot_report.json": {"meta": p.meta, **result.to_report_dict()},
+    }, (
         f"zeroshot: {len(result.selected_class_ids)} classes x {p.per_class} = "
         f"{result.dataset.total_instances} instances -> {p.out_dir}"
     )
-    return 0
 
 
-def _cmd_augment(p) -> int:
+def _cmd_augment(p):
     vocab = load_vocabulary(p.vocab)
     refs = load_dataset(p.refs, vocab)
     raw_deficits = read_json(p.deficits)
@@ -328,53 +319,43 @@ def _cmd_augment(p) -> int:
                 )
             )
 
-    augmented = Dataset(records, vocab, vocabulary_ref=str(p.vocab))
-    p.out_dir.mkdir(parents=True, exist_ok=True)
-    save_split(augmented, p.out_dir / "augmented.json", meta=p.meta)
-    write_json_lines(p.out_dir / "attempts.jsonl", attempt_rows)
-    write_json(p.out_dir / "augment_report.json", {"meta": p.meta, "classes": summary})
-    print(
+    return {
+        "augmented.json": Dataset(records, vocab, vocabulary_ref=str(p.vocab)),
+        "attempts.jsonl": attempt_rows,
+        "augment_report.json": {"meta": p.meta, "classes": summary},
+    }, (
         f"augment: {len(records)} generated images for {len(deficits)} deficit "
         f"classes -> {p.out_dir}"
     )
-    return 0
 
 
-def _cmd_evaluate(p) -> int:
+def _cmd_evaluate(p):
     _bind_scoring()
     vocab = load_vocabulary(p.vocab)
     gt = load_dataset(p.gt, vocab)
     preds = load_predictions(p.preds, vocab)
     report = evaluate(preds, gt, vocab, MatchConfig(iou_threshold=p.iou, ap_method=p.ap_method))
 
-    p.out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(p.out_dir / "report.json", {"meta": p.meta, **report.to_dict()})
-    _write_csv(
-        p.out_dir / "per_class_ap.csv",
-        ["class_id", "verb", "object", "ap"],
-        [
-            [c, vocab.get(c).verb_name, vocab.get(c).object_name, ap]
-            for c, ap in sorted(report.per_class_ap.items())
-        ],
+    rows = [["class_id", "verb", "object", "ap"]] + [
+        [c, vocab.get(c).verb_name, vocab.get(c).object_name, ap]
+        for c, ap in sorted(report.per_class_ap.items())
+    ]
+    return {"report.json": {"meta": p.meta, **report.to_dict()}, "per_class_ap.csv": rows}, (
+        f"evaluate: mAP {report.mean_ap:.4f} over {report.num_evaluated} classes -> {p.out_dir}"
     )
-    print(f"evaluate: mAP {report.mean_ap:.4f} over {report.num_evaluated} classes -> {p.out_dir}")
-    return 0
 
 
-def _cmd_perturb(p) -> int:
+def _cmd_perturb(p):
     _bind_scoring()
     vocab = load_vocabulary(p.vocab)
     gt = load_dataset(p.gt, vocab)
     preds = load_predictions(p.preds, vocab)
     result = perturb_tp_flip(preds, gt, p.class_id, MatchConfig(iou_threshold=p.iou), flip=p.flip)
 
-    p.out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(p.out_dir / "perturb.json", {"meta": p.meta, **result.to_dict()})
-    print(
+    return {"perturb.json": {"meta": p.meta, **asdict(result)}}, (
         f"perturb: class {p.class_id} AP {result.original_ap:.4f} -> "
         f"{result.perturbed_ap:.4f} ({result.relative_drop:.1%} drop) -> {p.out_dir}"
     )
-    return 0
 
 
 def _load_report_dir(path: str) -> dict[str, float]:
@@ -394,23 +375,35 @@ def _load_report_dir(path: str) -> dict[str, float]:
     return reports
 
 
-def _cmd_compare(p) -> int:
+def _cmd_compare(p):
     _bind_scoring()
     rows = ranking_shift(_load_report_dir(p.a), _load_report_dir(p.b))
-    p.out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(p.out_dir / "ranking.json", {"meta": p.meta, "rows": [r.to_dict() for r in rows]})
-    _write_csv(
-        p.out_dir / "ranking.csv",
-        ["model", "map_a", "rank_a", "map_b", "rank_b", "delta"],
-        [[r.model, r.map_a, r.rank_a, r.map_b, r.rank_b, r.delta] for r in rows],
-    )
+    lines = []
     for r in rows:
         arrow = "=" if r.delta == 0 else ("up" if r.delta > 0 else "down")
-        print(
-            f"{r.model}: {r.map_a} (rank {r.rank_a}) -> {r.map_b} "
-            f"(rank {r.rank_b}, {arrow} {abs(r.delta)})"
-        )
-    return 0
+        lines.append(f"{r.model}: {r.map_a} (rank {r.rank_a}) -> {r.map_b} "
+                     f"(rank {r.rank_b}, {arrow} {abs(r.delta)})")
+    return {
+        "ranking.json": {"meta": p.meta, "rows": [asdict(r) for r in rows]},
+        "ranking.csv": [[f.name for f in fields(rows[0])]] + [astuple(r) for r in rows],
+    }, "\n".join(lines)
+
+
+def _write_artifacts(p, artifacts: dict) -> None:
+    """Create ``p.out_dir`` and write each artifact by kind: a Dataset as a split stamped
+    with ``p.meta``, ``.csv`` as rows, ``.jsonl`` as JSON lines, anything else as JSON."""
+    p.out_dir.mkdir(parents=True, exist_ok=True)
+    for name, content in artifacts.items():
+        path = p.out_dir / name
+        if isinstance(content, Dataset):
+            save_split(content, path, meta=p.meta)
+        elif name.endswith(".csv"):
+            with open(path, "w", newline="", encoding="utf-8") as f:
+                csv.writer(f).writerows(content)
+        elif name.endswith(".jsonl"):
+            write_json_lines(path, content)
+        else:
+            write_json(path, content)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +434,7 @@ _COMMANDS = {
         _Param("universe", "full vocabulary file"),
         _Param("pool", "real images unused by train/test"),
         _Param("per_class", "instances per selected class", _int, 10, hashed=True),
-        _Param("classes", "class budget", _int, 107, hashed=True),
+        _Param("classes", "class budget", _int, DEFAULT_CLASS_BUDGET, hashed=True),
         _EPOCHS,
     )),
     "augment": (_cmd_augment, "generate and filter images for deficit classes", (
@@ -534,12 +527,14 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     return resolved
 
 
-def _emit_error(kind: str, exc: Exception) -> None:
+def _emit_error(kind: str, exc: Exception, code: int) -> int:
+    """Print the JSON error line for ``exc`` on stderr; returns the exit code."""
     payload: dict = {"error": {"type": kind, "message": str(exc)}}
     filename = getattr(exc, "filename", None)
     if filename:
         payload["error"]["path"] = str(filename)
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
@@ -547,16 +542,17 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command][0](_resolve(args))
+        p = _resolve(args)
+        artifacts, summary = _COMMANDS[args.command][0](p)
+        _write_artifacts(p, artifacts)
     except _UsageError as exc:
-        _emit_error("UsageError", exc)
-        return 2
+        return _emit_error("UsageError", exc, 2)
     except DataError as exc:
-        _emit_error(type(exc).__name__, exc)
-        return 3
+        return _emit_error(type(exc).__name__, exc, 3)
     except OSError as exc:
-        _emit_error(type(exc).__name__, exc)
-        return 4
+        return _emit_error(type(exc).__name__, exc, 4)
+    print(summary)
+    return 0
 
 
 if __name__ == "__main__":

@@ -432,16 +432,6 @@ class RankingRow:
     rank_b: int
     delta: int  # rank_a - rank_b; positive means the model improved on b
 
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "map_a": self.map_a,
-            "rank_a": self.rank_a,
-            "map_b": self.map_b,
-            "rank_b": self.rank_b,
-            "delta": self.delta,
-        }
-
 
 def _as_map(value) -> float:
     if isinstance(value, EvalReport):
@@ -478,16 +468,6 @@ class PerturbResult:
     relative_drop: float
     flipped_rank: int
     flipped_score: float
-
-    def to_dict(self) -> dict:
-        return {
-            "class_id": self.class_id,
-            "original_ap": self.original_ap,
-            "perturbed_ap": self.perturbed_ap,
-            "relative_drop": self.relative_drop,
-            "flipped_rank": self.flipped_rank,
-            "flipped_score": self.flipped_score,
-        }
 
 
 def perturb_tp_flip(

@@ -40,6 +40,7 @@ from .errors import (
 from .jsonio import canonical_dumps, read_json, write_json
 
 logger = logging.getLogger("bright_kit")
+_MAX = math.nextafter(math.inf, 0)  # the largest finite float
 
 PROVENANCES = ("real", "generated", "crawled")
 _PROVENANCE_CODE = {p: i for i, p in enumerate(PROVENANCES)}
@@ -55,8 +56,9 @@ class BBox:
     y2: float
 
     def __post_init__(self):
-        # Finite, non-negative and non-degenerate; NaN fails every comparison.
-        if not (0 <= self.x1 < self.x2 < math.inf and 0 <= self.y1 < self.y2 < math.inf):
+        # Non-negative, non-degenerate and at most the largest float, so an int
+        # beyond the float range fails like inf; NaN fails every comparison.
+        if not (0 <= self.x1 < self.x2 <= _MAX and 0 <= self.y1 < self.y2 <= _MAX):
             coords = (self.x1, self.y1, self.x2, self.y2)
             raise DegenerateBoxError(f"negative, non-finite or degenerate box {coords}")
 

@@ -6,7 +6,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from bright_kit import BBox, HoiClass, PortError
+from bright_kit import BBox, HoiClass, PortError, save_split, save_vocabulary
 from bright_kit.augment import (
     GenerationBudget,
     HttpServicePorts,
@@ -14,6 +14,7 @@ from bright_kit.augment import (
     http_ports,
     prompt_prefix,
 )
+from bright_kit.cli import main
 
 from helpers import make_dataset, make_vocab
 
@@ -72,10 +73,12 @@ def server():
     _Handler.bad_bodies = {}
     _Handler.requests_seen = []
     httpd = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    # A short poll interval lets shutdown() return at once instead of after 0.5 s.
+    thread = threading.Thread(target=httpd.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{httpd.server_address[1]}"
     httpd.shutdown()
+    httpd.server_close()
 
 
 def test_all_ports_round_trip(server):
@@ -159,6 +162,13 @@ def test_pipeline_survives_failing_detect(server):
         ("detect", {"person_boxes": ["1234"], "object_boxes": [[50, 40, 140, 130]]}),
         ("detect", {"person_boxes": [[10, 10, 60]], "object_boxes": [[50, 40, 140, 130]]}),
         ("detect", {"person_boxes": [[10, 10, "x", 120]], "object_boxes": [[50, 40, 140, 130]]}),
+        ("generate", {"image_ref": ["a", 1]}),  # would become an image's file_name
+        ("generate", {"image_ref": 7}),
+        ("generate", {"image_ref": ""}),
+        ("generate", {"ref": "http://images/1.png"}),  # image_ref missing
+        ("describe", {"text": {"k": 1}}),
+        ("describe", {"text": 7}),
+        ("describe", {"prompt": "A photo of a person verb1 a/an object1, x."}),  # text missing
     ],
 )
 def test_pipeline_survives_badly_typed_response(server, endpoint, body):
@@ -175,6 +185,54 @@ def test_pipeline_survives_badly_typed_response(server, endpoint, body):
     assert len(gen.attempts) == 2
     assert all(a.error and endpoint in a.error for a in gen.attempts)
     assert not gen.valid_images
+
+
+@pytest.mark.parametrize("body", [{"prompt": 7}, {"prompt": {"k": 1}}, {"prompt": ""}, {"x": 1}])
+def test_pipeline_survives_badly_typed_paraphrase(server, body):
+    # Every image is rejected, so every attempt asks for a paraphrase, which fails.
+    _Handler.bad_bodies = {"verify_region": {"accepted": False, "description": "no"},
+                           "paraphrase": body}
+    vocab = make_vocab(1)
+    gen = generate_valid_images(
+        vocab.get(1),
+        GenerationBudget(max_attempts_per_class=3, target_valid=1),
+        http_ports(server),
+        make_dataset([[1]], vocab),
+        seed=0,
+    )
+    assert gen.status == "budget_exhausted"
+    assert all(a.error and a.error.startswith("paraphrase:") for a in gen.attempts)
+    assert {a.paraphrase_generation for a in gen.attempts} == {0}
+    assert gen.paraphrase_events == 0
+
+
+def test_augment_command_survives_failing_describe(server, tmp_path, capsys):
+    vocab = make_vocab(2)
+    save_vocabulary(vocab, tmp_path / "vocab.json")
+    save_split(make_dataset([[1], [2], [1, 2]], vocab), tmp_path / "pool.json")
+    (tmp_path / "deficits.json").write_text(json.dumps({"1": 2, "2": 1}))
+    _Handler.fail_endpoints = {"describe"}
+    out = tmp_path / "aug"
+    code = main(["augment", "--deficits", str(tmp_path / "deficits.json"),
+                 "--refs", str(tmp_path / "pool.json"), "--vocab", str(tmp_path / "vocab.json"),
+                 "--ports", "http", "--http-base", server, "--budget", "3", "--out-dir", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "Traceback" not in captured.err
+    assert captured.out == f"augment: 0 generated images for 2 deficit classes -> {out}\n"
+    rows = [json.loads(line) for line in (out / "attempts.jsonl").read_text().splitlines()]
+    assert [(r["class_id"], r["attempt"]) for r in rows] == [(1, 1), (1, 2), (1, 3),
+                                                             (2, 1), (2, 2), (2, 3)]
+    for row in rows:
+        assert row["error"] == "describe: HTTP 500"
+        assert row["prompt_text"] is None and row["image_ref"] is None
+        assert sorted(row) == ["attempt", "class_id", "error", "image_ref", "pairs",
+                               "paraphrase_generation", "paraphrased_after", "prompt_text",
+                               "valid"]
+    assert {e for e, _ in _Handler.requests_seen} == {"describe"}
+    report = json.loads((out / "augment_report.json").read_text())["classes"]
+    assert {c: (r["status"], r["attempts"], r["generator_calls"]) for c, r in report.items()} \
+        == {"1": ("budget_exhausted", 3, 0), "2": ("budget_exhausted", 3, 0)}
 
 
 def test_detect_clamps_negative_coordinates(server, caplog):

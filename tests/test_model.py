@@ -46,6 +46,11 @@ def test_bbox_rejects_degenerate():
         BBox(-1, 0, 5, 5)
     with pytest.raises(DegenerateBoxError):
         BBox(0, 0, float("nan"), 5)
+    # An int beyond the float range: not a finite float, though it is below inf.
+    for huge in ((0, 0, 10**400, 5), (0, 0, 5, 10**400), (10**400, 0, 10**401, 5)):
+        with pytest.raises(DegenerateBoxError):
+            BBox(*huge)
+    assert BBox(0, 0, 2**1023, 5).x2 == 2**1023  # the largest power of two a float holds
 
 
 def test_bbox_iou():
