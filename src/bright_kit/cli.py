@@ -545,13 +545,13 @@ def main(argv=None) -> int:
         p = _resolve(args)
         artifacts, summary = _COMMANDS[args.command][0](p)
         _write_artifacts(p, artifacts)
+        print(summary)
     except _UsageError as exc:
         return _emit_error("UsageError", exc, 2)
     except DataError as exc:
         return _emit_error(type(exc).__name__, exc, 3)
     except OSError as exc:
         return _emit_error(type(exc).__name__, exc, 4)
-    print(summary)
     return 0
 
 
