@@ -260,6 +260,68 @@ def test_zeroshot_command(workspace):
     assert zs.total_instances == 10 * len(report["selected_classes"])
 
 
+def _zeroshot_workspace(tmp, pool_lists):
+    """Universe of 3 verbs x 2 objects whose seen classes 2-5 leave 1 and 6 as candidates."""
+    universe = make_vocab(6, verbs=3, objects=2)
+    save_vocabulary(universe, tmp / "universe.json")
+    save_vocabulary(universe.subset([2, 3, 4, 5]), tmp / "seen.json")
+    save_split(make_dataset(pool_lists, universe), tmp / "remainder.json")
+
+
+def _zeroshot(tmp, out, *extra):
+    return _run("zeroshot", "--seen", tmp / "seen.json", "--universe", tmp / "universe.json",
+                "--pool", tmp / "remainder.json", "--seed", 3, *extra, "--out-dir", out)
+
+
+def test_zeroshot_with_no_satisfiable_candidate_writes_an_empty_split(workspace, capsys):
+    tmp, _ = workspace
+    _zeroshot_workspace(tmp, [[1]] * 2 + [[6]])
+    out = tmp / "zs_empty"
+    assert _zeroshot(tmp, out, "--per-class", 10) == 0
+    assert capsys.readouterr().out == f"zeroshot: 0 classes x 10 = 0 instances -> {out}\n"
+    meta = ('  "meta": {\n    "config_hash": "b926026a6b11e251",\n    "seed": 3,\n'
+            '    "toolkit_version": "0.1.0"\n  },\n')
+    assert (out / "zeroshot.json").read_text() == (
+        '{\n  "images": [],\n' + meta + '  "vocabulary_ref": ""\n}\n')
+    assert (out / "zeroshot_report.json").read_text() == (
+        '{\n  "excluded_insufficient_supply": {\n    "1": 2,\n    "6": 1\n  },\n'
+        '  "excluded_over_budget": [],\n  "images": 0,\n  "instances": 0,\n' + meta
+        + '  "removed_annotations": 0,\n  "selected_classes": [],\n  "trimmed_images": 0\n}\n')
+
+
+def test_zeroshot_class_budget_zero_exits_3(workspace, capsys):
+    tmp, _ = workspace
+    _zeroshot_workspace(tmp, [[1]] * 2 + [[6]])
+    assert _zeroshot(tmp, tmp / "zs0", "--classes", 0) == 3
+    assert capsys.readouterr().err == (
+        '{"error": {"message": "class_budget must be >= 1", "type": "DataError"}}\n')
+    assert not (tmp / "zs0").exists()
+
+
+def test_balance_augmented_without_deficits_audits_no_fill(workspace, capsys):
+    tmp, vocab = workspace
+    save_split(Dataset([], vocab), tmp / "aug.json")
+    out = tmp / "bal_nofill"
+    code = _run("balance", "--pool", tmp / "pool.json", "--vocab", tmp / "vocab.json",
+                "--top-k", 4, "--l-test", 1, "--l-train", 2, "--epochs", 5,
+                "--seed", 7, "--augmented", tmp / "aug.json", "--out-dir", out)
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "balance: test 4 images / 4 instances, train 8 images / 8 instances, "
+        f"0 deficit classes -> {out}\n")
+
+    def side(images, fill=""):
+        return ('    "deficits": {},\n' + fill + f'    "images": {images},\n'
+                f'    "instances": {images},\n    "removed_annotations": 0,\n'
+                '    "trimmed_images": 0\n')
+
+    assert (out / "audit.json").read_text() == (
+        '{\n  "meta": {\n    "config_hash": "e6217864425968fe",\n    "seed": 7,\n'
+        '    "toolkit_version": "0.1.0"\n  },\n  "out_of_scope_annotations": 0,\n'
+        '  "test": {\n' + side(4) + '  },\n'
+        '  "train": {\n' + side(8, '    "filled_from_augmented": {},\n') + '  }\n}\n')
+
+
 def test_augment_command_feeds_balance_fill(workspace):
     tmp, vocab = workspace
     save_split(make_dataset([[c] for c in vocab.class_ids()], vocab, prefix="ref"),
