@@ -19,7 +19,6 @@ from bright_kit import (
     HoiInstance,
     ImageRecord,
     Vocabulary,
-    ZeroShotPlan,
     build_zeroshot_split,
     enumerate_candidates,
 )
@@ -66,12 +65,7 @@ def main():
     for c in candidates:
         print(f"  supply for class {c.class_id}: {pool.count(c.class_id)}")
 
-    plan = ZeroShotPlan(
-        candidate_classes=tuple(candidates),
-        source_pool=pool,
-        class_budget=107,
-    )
-    result = build_zeroshot_split(plan, BalanceConfig(4, epochs=10, seed=9))
+    result = build_zeroshot_split(candidates, pool, BalanceConfig(4, epochs=10, seed=9), 107)
     print(f"\n  selected classes: {list(result.selected_class_ids)}")
     print(f"  excluded (insufficient supply): {result.excluded or 'none'}")
     print(f"  split: {len(result.dataset)} images, "

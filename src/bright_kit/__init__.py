@@ -59,7 +59,6 @@ from .stats import (
     top_k,
 )
 from .zeroshot import (
-    ZeroShotPlan,
     ZeroShotResult,
     build_zeroshot_split,
     enumerate_candidates,

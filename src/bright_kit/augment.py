@@ -353,12 +353,13 @@ class HttpServicePorts:
         POST /paraphrase    {"prompt"}                        -> {"prompt"}
 
     Any transport or HTTP error, and any response of the wrong shape (not a
-    JSON object, ``accepted`` not a JSON bool, ``text``, ``image_ref`` or
-    ``prompt`` not a JSON string, an empty ``image_ref`` or ``prompt``, box
-    lists not arrays), raises :class:`PortError`, which aborts one attempt,
-    not the run.  Detected boxes go through :func:`~bright_kit.model.parse_box`
-    without an image size; a box it rejects is a ``PortError`` of the
-    ``detect`` endpoint.
+    JSON object, ``accepted`` not a JSON bool, ``text``, ``image_ref``,
+    ``prompt`` or a present ``description`` not a JSON string, an empty
+    ``image_ref`` or ``prompt``, box lists not arrays), raises
+    :class:`PortError`, which aborts one attempt, not the run.  A missing
+    ``description`` reads as ``""``.  Detected boxes go through
+    :func:`~bright_kit.model.parse_box` without an image size; a box it
+    rejects is a ``PortError`` of the ``detect`` endpoint.
     """
 
     def __init__(self, base_url: str, timeout: float = 60.0, session=None):
@@ -432,7 +433,8 @@ class HttpServicePorts:
         )
         return RegionVerdict(
             accepted=self._field("verify_region", out, "accepted", bool),
-            description=str(out.get("description", "")),
+            description=self._field("verify_region", out, "description", str)
+            if "description" in out else "",
         )
 
     def verify_text(self, description: str, cls: HoiClass) -> bool:
@@ -567,7 +569,8 @@ def generate_valid_images(
     seeded reference image, by each next attempt until the describer
     answers.  A rejected image paraphrases the active prompt before the next
     attempt; a port failure, the describer's and the paraphraser's included,
-    aborts only that attempt and keeps the same prompt.  Stops as soon as
+    and a describer or paraphraser answer without the template prefix abort
+    only that attempt and keep the same prompt.  Stops as soon as
     ``budget.target_valid`` images are valid or the attempt budget is spent.
     """
     ports.require(
@@ -604,7 +607,7 @@ def generate_valid_images(
                     cls, prompt.reference_image_id, new_text, prompt.paraphrase_generation + 1
                 )
                 rec.paraphrased_after = True
-        except PortError as exc:
+        except (PortError, TemplateViolationError) as exc:
             rec.error = str(exc)
             logger.warning("attempt %d for class %d aborted: %s", rec.attempt, cls.class_id, exc)
 

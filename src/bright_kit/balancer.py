@@ -77,6 +77,14 @@ class BalanceResult:
     remainder: Dataset
     trimmed_images: int = 0
 
+    def report(self, written: Dataset | None = None) -> dict:
+        """Size and trim counters of the pass as the artifacts give them;
+        ``written`` is the split as written when it is not ``balanced``."""
+        split = self.balanced if written is None else written
+        return {"images": len(split), "instances": split.total_instances,
+                "removed_annotations": self.removed_annotations,
+                "trimmed_images": self.trimmed_images}
+
 
 def balance(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) -> BalanceResult:
     """Select a subset of ``pool`` where every class in ``classes`` has exactly
@@ -178,6 +186,19 @@ def balance(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) -> BalanceRe
     )
 
 
+def require_real(pool: Dataset) -> None:
+    """Raise :class:`DataError` naming the first image of ``pool`` that holds
+    a generated or crawled instance; balanced splits come from real images."""
+    provenance = pool._column(pool._cols.prov)
+    if any(provenance):
+        j = next(j for j, code in enumerate(provenance) if code)
+        image_id = pool.image_ids()[bisect_right(pool._first, j) - 1]
+        raise DataError(
+            f"image {image_id}: a balanced split requires a real-only pool, "
+            f"found provenance {PROVENANCES[provenance[j]]!r}"
+        )
+
+
 def _by_key(counts: dict[int, int]) -> dict[str, int]:
     return {str(k): v for k, v in sorted(counts.items())}
 
@@ -196,27 +217,18 @@ class SplitResult:
     train: BalanceResult
     out_of_scope_annotations: int
 
-    def audit(self, train: Dataset | None = None, filled: dict[int, int] | None = None) -> dict:
+    def audit(self, filled: Dataset | None = None) -> dict:
         """The body of ``audit.json``.
 
-        ``train`` is the train split as written, when :func:`fill_deficits`
-        topped it up, and ``filled`` the per-class instance counts taken from
-        augmented data; the deficits stay those of the balancing pass.
+        ``filled`` is the train split as written when :func:`fill_deficits`
+        topped it up, which covers every deficit of the train pass or raises;
+        those deficits are then the counts taken from augmented data.
         """
-        train = self.train.balanced if train is None else train
-
-        def side(result: BalanceResult, split: Dataset) -> dict:
-            return {
-                "images": len(split),
-                "instances": split.total_instances,
-                "removed_annotations": result.removed_annotations,
-                "trimmed_images": result.trimmed_images,
-                "deficits": _by_key(result.deficits),
-            }
-
+        fills = {} if filled is None else self.train.deficits
         return {
-            "test": side(self.test, self.test.balanced),
-            "train": {**side(self.train, train), "filled_from_augmented": _by_key(filled or {})},
+            "test": {**self.test.report(), "deficits": _by_key(self.test.deficits)},
+            "train": {**self.train.report(filled), "deficits": _by_key(self.train.deficits),
+                      "filled_from_augmented": _by_key(fills)},
             "out_of_scope_annotations": self.out_of_scope_annotations,
         }
 
@@ -233,17 +245,10 @@ def build_splits(
     built purely from real images, then balances a train set from what is
     left.  The pool is restricted to the selected classes up front so split
     instance totals come out exact; annotations dropped by that restriction
-    are counted apart from balancing removals.
+    are counted apart from balancing removals.  A pool holding a generated or
+    crawled instance is rejected (:func:`require_real`).
     """
-    provenance = total._column(total._cols.prov)
-    if any(provenance):
-        j = next(j for j, code in enumerate(provenance) if code)
-        image_id = total.image_ids()[bisect_right(total._first, j) - 1]
-        raise DataError(
-            f"image {image_id}: test-first construction requires a real-only pool, "
-            f"found provenance {PROVENANCES[provenance[j]]!r}"
-        )
-
+    require_real(total)
     scoped = restrict(total, classes.class_ids(), drop_empty_images=True)
     test_result = balance(scoped, classes, test_cfg)
     return SplitResult(

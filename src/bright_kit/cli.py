@@ -53,8 +53,7 @@ from .model import (
     save_split,
 )
 from .stats import ClassDistribution, distribution, ratio_report, sort_classes, top_k
-from .zeroshot import (DEFAULT_CLASS_BUDGET, ZeroShotPlan, build_zeroshot_split,
-                       enumerate_candidates)
+from .zeroshot import DEFAULT_CLASS_BUDGET, build_zeroshot_split, enumerate_candidates
 
 
 # The scoring commands' names come from bright_kit.evaluator, which imports
@@ -217,17 +216,15 @@ def _cmd_balance(p):
     result = build_splits(pool, classes, test_cfg, train_cfg)
 
     test, train, deficits = result.test.balanced, result.train.balanced, result.train.deficits
-    filled: dict[int, int] = {}
+    filled = None
     if p.augmented and deficits:
-        augmented = load_dataset(p.augmented, vocab)
-        train = fill_deficits(train, deficits, augmented)
-        filled = deficits
+        filled = train = fill_deficits(train, deficits, load_dataset(p.augmented, vocab))
 
     return {
         "test.json": test,
         "train.json": train,
         "deficits.json": {str(c): n for c, n in sorted(deficits.items())},
-        "audit.json": {"meta": p.meta, **result.audit(train, filled)},
+        "audit.json": {"meta": p.meta, **result.audit(filled)},
     }, (
         f"balance: test {len(test)} images / {test.total_instances} "
         f"instances, train {len(train)} images / {train.total_instances} instances, "
@@ -239,13 +236,9 @@ def _cmd_zeroshot(p):
     seen = load_vocabulary(p.seen)
     universe = load_vocabulary(p.universe)
     pool = load_dataset(p.pool, universe)
-    candidates = enumerate_candidates(seen, universe)
-    plan = ZeroShotPlan(
-        candidate_classes=tuple(candidates), source_pool=pool, class_budget=p.classes
-    )
-    result = build_zeroshot_split(
-        plan, BalanceConfig(p.per_class, epochs=p.epochs, seed=p.seed)
-    )
+    result = build_zeroshot_split(enumerate_candidates(seen, universe), pool,
+                                  BalanceConfig(p.per_class, epochs=p.epochs, seed=p.seed),
+                                  p.classes)
 
     return {
         "zeroshot.json": result.dataset,

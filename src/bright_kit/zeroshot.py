@@ -9,9 +9,10 @@ machinery as the main splits, over real leftover images only.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
-from .balancer import BalanceConfig, balance
+from .balancer import BalanceConfig, BalanceResult, _by_key, balance, require_real
 from .errors import DataError, VocabularyMismatchError
 from .model import Dataset, HoiClass, Vocabulary, restrict
 
@@ -20,53 +21,27 @@ logger = logging.getLogger("bright_kit")
 DEFAULT_CLASS_BUDGET = 107
 
 
-@dataclass(frozen=True)
-class ZeroShotPlan:
-    """Inputs for zero-shot split construction.
-
-    ``source_pool`` must hold real images unused by the train and test splits
-    (the caller guarantees disjointness); ``class_budget`` caps how many
-    candidate classes are kept when more are satisfiable.  The per-class
-    instance target is the balancing config's ``target_per_class``.
-    """
-
-    candidate_classes: tuple[HoiClass, ...]
-    source_pool: Dataset
-    class_budget: int = DEFAULT_CLASS_BUDGET
-
-    def __post_init__(self):
-        if self.class_budget < 1:
-            raise DataError("class_budget must be >= 1")
-        pool_ids = set(self.source_pool.vocabulary.class_ids())
-        for cls in self.candidate_classes:
-            if cls.class_id not in pool_ids:
-                raise DataError(
-                    f"candidate class {cls.class_id} missing from the pool vocabulary"
-                )
-
-
 @dataclass
 class ZeroShotResult:
-    """The balanced zero-shot dataset plus the selection/warning report."""
+    """The balancing pass over the selected candidate classes plus the
+    selection report: ``excluded`` maps each candidate short of the target to
+    its supply, ``over_budget`` lists satisfiable candidates the budget cut."""
 
-    dataset: Dataset
+    split: BalanceResult
     selected_class_ids: tuple[int, ...]
-    excluded: dict[int, int] = field(default_factory=dict)  # class_id -> available supply
-    over_budget: tuple[int, ...] = ()
-    removed_annotations: int = 0
-    trimmed_images: int = 0
+    excluded: dict[int, int]
+    over_budget: tuple[int, ...]
+
+    @property
+    def dataset(self) -> Dataset:
+        return self.split.balanced
 
     def to_report_dict(self) -> dict:
         return {
+            **self.split.report(),
             "selected_classes": list(self.selected_class_ids),
-            "instances": self.dataset.total_instances,
-            "images": len(self.dataset),
-            "excluded_insufficient_supply": {
-                str(k): v for k, v in sorted(self.excluded.items())
-            },
+            "excluded_insufficient_supply": _by_key(self.excluded),
             "excluded_over_budget": list(self.over_budget),
-            "removed_annotations": self.removed_annotations,
-            "trimmed_images": self.trimmed_images,
         }
 
 
@@ -92,50 +67,45 @@ def enumerate_candidates(seen: Vocabulary, universe: Vocabulary) -> list[HoiClas
     return out
 
 
-def build_zeroshot_split(plan: ZeroShotPlan, cfg: BalanceConfig) -> ZeroShotResult:
-    """Balance the source pool down to exactly ``cfg.target_per_class``
-    instances of each selected candidate class.
+def build_zeroshot_split(candidates: Sequence[HoiClass], pool: Dataset, cfg: BalanceConfig,
+                         class_budget: int = DEFAULT_CLASS_BUDGET) -> ZeroShotResult:
+    """Balance ``pool`` down to exactly ``cfg.target_per_class`` instances of
+    each selected candidate class.
 
-    Candidates whose pool supply is below the per-class target are excluded
-    with a warning, not an error.  When more candidates are satisfiable than
-    the class budget allows, the ones with the largest supply win, ties by
-    ascending class_id.
+    ``pool`` must hold real images only, unused by the train and test splits
+    (the caller guarantees disjointness).  Candidates whose pool supply is
+    below the per-class target are excluded with a warning, not an error.
+    When more candidates are satisfiable than ``class_budget`` allows, the
+    ones with the largest supply win, ties by ascending class_id.
     """
+    if class_budget < 1:
+        raise DataError("class_budget must be >= 1")
+    pool_ids = set(pool.vocabulary.class_ids())
+    for cls in candidates:
+        if cls.class_id not in pool_ids:
+            raise DataError(f"candidate class {cls.class_id} missing from the pool vocabulary")
+    require_real(pool)
+
     target = cfg.target_per_class
-    candidate_ids = [c.class_id for c in plan.candidate_classes]
-    supply = {cid: plan.source_pool.count(cid) for cid in candidate_ids}
+    candidate_ids = [c.class_id for c in candidates]
+    supply = {cid: pool.count(cid) for cid in candidate_ids}
     satisfiable = [cid for cid in candidate_ids if supply[cid] >= target]
-    excluded = {cid: supply[cid] for cid in candidate_ids if cid not in set(satisfiable)}
+    excluded = {cid: supply[cid] for cid in candidate_ids if supply[cid] < target}
     for cid, avail in sorted(excluded.items()):
         logger.warning(
             "zero-shot candidate %d has %d instances, needs %d; excluded",
             cid, avail, target,
         )
-    if len(satisfiable) < plan.class_budget:
+    if len(satisfiable) < class_budget:
         logger.warning(
             "only %d zero-shot classes satisfiable out of a budget of %d",
-            len(satisfiable), plan.class_budget,
+            len(satisfiable), class_budget,
         )
 
     ranked = sorted(satisfiable, key=lambda c: (-supply[c], c))
-    chosen = sorted(ranked[: plan.class_budget])
-    over_budget = tuple(sorted(ranked[plan.class_budget :]))
-
-    if not chosen:
-        empty = Dataset([], plan.source_pool.vocabulary, plan.source_pool.vocabulary_ref)
-        return ZeroShotResult(empty, (), excluded, over_budget)
-
-    scoped = restrict(plan.source_pool, chosen, drop_empty_images=True)
-    chosen_vocab = plan.source_pool.vocabulary.subset(chosen)
-    result = balance(scoped, chosen_vocab, cfg)
+    chosen = sorted(ranked[:class_budget])
+    scoped = restrict(pool, chosen, drop_empty_images=True)
+    result = balance(scoped, pool.vocabulary.subset(chosen), cfg)
     if result.deficits:  # supply >= target for every chosen class rules this out
         raise AssertionError(f"unexpected zero-shot deficits: {result.deficits}")
-
-    return ZeroShotResult(
-        dataset=result.balanced,
-        selected_class_ids=tuple(chosen),
-        excluded=excluded,
-        over_budget=over_budget,
-        removed_annotations=result.removed_annotations,
-        trimmed_images=result.trimmed_images,
-    )
+    return ZeroShotResult(result, tuple(chosen), excluded, tuple(sorted(ranked[class_budget:])))

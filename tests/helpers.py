@@ -64,12 +64,17 @@ def make_image(
 
 
 def make_dataset(
-    class_lists: list[list[int]], vocab: Vocabulary, seed: int = 0, prefix: str = "img"
+    class_lists: list[list[int]],
+    vocab: Vocabulary,
+    seed: int = 0,
+    prefix: str = "img",
+    provenance: str = "real",
 ) -> Dataset:
     """One image per entry; entry i carries the listed class ids as instances."""
     rng = random.Random(seed)
     images = [
-        make_image(f"{prefix}{i:04d}", class_ids, rng) for i, class_ids in enumerate(class_lists)
+        make_image(f"{prefix}{i:04d}", class_ids, rng, provenance)
+        for i, class_ids in enumerate(class_lists)
     ]
     return Dataset(images, vocab)
 

@@ -22,7 +22,6 @@ from bright_kit import (
     MatchConfig,
     Prediction,
     Vocabulary,
-    ZeroShotPlan,
     build_splits,
     build_zeroshot_split,
     class_ap,
@@ -164,12 +163,7 @@ def test_criterion_2_hicodet_scale_reproduction():
     assert len(candidates) >= 107
     used = set(test_split.image_ids()) | set(filled.image_ids())
     remainder = subtract(total, used)
-    plan = ZeroShotPlan(
-        candidate_classes=tuple(candidates),
-        source_pool=remainder,
-        class_budget=107,
-    )
-    zs = build_zeroshot_split(plan, BalanceConfig(10, epochs=20, seed=2))
+    zs = build_zeroshot_split(candidates, remainder, BalanceConfig(10, epochs=20, seed=2), 107)
     assert len(zs.selected_class_ids) == 107
     assert zs.dataset.total_instances == 1070
     assert not set(zs.dataset.image_ids()) & used
@@ -224,12 +218,7 @@ def test_criterion_3_zeroshot_split():
         supply = 12 if j < 110 else 9  # 110 satisfiable, 10 under-supplied
         lists.extend([[cls.class_id]] * supply)
     pool = make_dataset(lists, big_universe)
-    plan = ZeroShotPlan(
-        candidate_classes=tuple(candidates),
-        source_pool=pool,
-        class_budget=107,
-    )
-    result = build_zeroshot_split(plan, BalanceConfig(10, epochs=20, seed=4))
+    result = build_zeroshot_split(candidates, pool, BalanceConfig(10, epochs=20, seed=4), 107)
 
     assert len(result.selected_class_ids) == 107
     assert result.dataset.total_instances == 1070

@@ -315,6 +315,43 @@ def test_paraphraser_failure_aborts_attempt_not_run():
     assert gen.paraphrase_events == 0
 
 
+def test_template_violation_aborts_attempt_not_run():
+    vocab = make_vocab(1)
+    prefix = prompt_prefix(vocab.get(1))
+
+    class DroppingParaphraser:
+        def paraphrase(self, prompt):
+            return "reworded: " + prompt
+
+    ports = mock_ports(verdicts=(False,))
+    ports.paraphraser = DroppingParaphraser()
+    gen = generate_valid_images(
+        vocab.get(1), GenerationBudget(3, 1), ports, _ref_pool(vocab), seed=0
+    )
+    assert gen.status == "budget_exhausted"
+    assert all(a.error.startswith("prompt does not start with template prefix")
+               for a in gen.attempts)
+    assert {(a.prompt_text, a.paraphrase_generation) for a in gen.attempts} == {
+        (gen.attempts[0].prompt_text, 0)}  # the failed paraphrase keeps the prompt
+    assert gen.paraphrase_events == 0
+
+    class OffTemplateDescriber:  # misses the template twice in each of its first two attempts
+        calls = 0
+
+        def describe(self, image_ref, cls):
+            self.calls += 1
+            return f"{prefix} recovered." if self.calls > 4 else "off-template text"
+
+    ports = mock_ports()
+    ports.describer = OffTemplateDescriber()
+    gen = generate_valid_images(
+        vocab.get(1), GenerationBudget(5, 1), ports, _ref_pool(vocab), seed=0
+    )
+    assert gen.status == "target_reached"
+    assert [a.prompt_text for a in gen.attempts] == [None, None, f"{prefix} recovered."]
+    assert [a.error is not None for a in gen.attempts] == [True, True, False]
+
+
 def test_unconfigured_ports_rejected():
     vocab = make_vocab(1)
     with pytest.raises(PortConfigurationError):

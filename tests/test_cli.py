@@ -240,37 +240,28 @@ def test_balance_with_augmented_fill(workspace):
     assert audit["train"]["filled_from_augmented"] == {"4": 1}
 
 
-def test_zeroshot_command(workspace):
-    tmp, _ = workspace
-    universe = make_vocab(6)
-    save_vocabulary(universe, tmp / "universe.json")
-    save_vocabulary(universe.subset([2, 3, 5, 6]), tmp / "seen.json")
-    # class 1 (verb1/object1 both appear in seen? make_vocab gives distinct verbs;
-    # object1 shared) -- candidates need seen verb+object, so craft the pool over
-    # a vocabulary where candidates exist: reuse classes 1 and 4
-    pool = make_dataset([[1]] * 12 + [[4]] * 11, universe)
-    save_split(pool, tmp / "remainder.json")
-    out = tmp / "zs"
-    code = _run("zeroshot", "--seen", tmp / "seen.json", "--universe", tmp / "universe.json",
-                "--pool", tmp / "remainder.json", "--per-class", 10, "--classes", 107,
-                "--seed", 3, "--out-dir", out)
-    assert code == 0
-    report = json.loads((out / "zeroshot_report.json").read_text())
-    zs = load_dataset(out / "zeroshot.json", universe)
-    assert zs.total_instances == 10 * len(report["selected_classes"])
-
-
-def _zeroshot_workspace(tmp, pool_lists):
+def _zeroshot_workspace(tmp, pool_lists, provenance="real"):
     """Universe of 3 verbs x 2 objects whose seen classes 2-5 leave 1 and 6 as candidates."""
     universe = make_vocab(6, verbs=3, objects=2)
     save_vocabulary(universe, tmp / "universe.json")
     save_vocabulary(universe.subset([2, 3, 4, 5]), tmp / "seen.json")
-    save_split(make_dataset(pool_lists, universe), tmp / "remainder.json")
+    save_split(make_dataset(pool_lists, universe, provenance=provenance), tmp / "remainder.json")
 
 
 def _zeroshot(tmp, out, *extra):
     return _run("zeroshot", "--seen", tmp / "seen.json", "--universe", tmp / "universe.json",
                 "--pool", tmp / "remainder.json", "--seed", 3, *extra, "--out-dir", out)
+
+
+def test_zeroshot_command(workspace):
+    tmp, _ = workspace
+    _zeroshot_workspace(tmp, [[1]] * 12 + [[6]] * 11)
+    out = tmp / "zs"
+    assert _zeroshot(tmp, out, "--per-class", 10, "--classes", 107) == 0
+    report = json.loads((out / "zeroshot_report.json").read_text())
+    assert report["selected_classes"] == [1, 6]
+    zs = load_dataset(out / "zeroshot.json", load_vocabulary(tmp / "universe.json"))
+    assert zs.total_instances == 20 and zs.count(1) == zs.count(6) == 10
 
 
 def test_zeroshot_with_no_satisfiable_candidate_writes_an_empty_split(workspace, capsys):
@@ -296,6 +287,17 @@ def test_zeroshot_class_budget_zero_exits_3(workspace, capsys):
     assert capsys.readouterr().err == (
         '{"error": {"message": "class_budget must be >= 1", "type": "DataError"}}\n')
     assert not (tmp / "zs0").exists()
+
+
+def test_zeroshot_rejects_a_pool_with_generated_images(workspace, capsys):
+    tmp, _ = workspace
+    _zeroshot_workspace(tmp, [[1]] * 2 + [[6]], provenance="generated")
+    assert _zeroshot(tmp, tmp / "zs_gen", "--per-class", 1) == 3
+    assert json.loads(capsys.readouterr().err) == {"error": {
+        "type": "DataError",
+        "message": "image img0000: a balanced split requires a real-only pool, "
+                   "found provenance 'generated'"}}
+    assert not (tmp / "zs_gen").exists()
 
 
 def test_balance_augmented_without_deficits_audits_no_fill(workspace, capsys):
@@ -343,6 +345,33 @@ def test_augment_command_feeds_balance_fill(workspace):
     assert len(lines) == 3  # accept-all mocks: one attempt per needed image
     report = json.loads((out / "augment_report.json").read_text())
     assert report["classes"]["2"]["status"] == "target_reached"
+
+
+def test_augment_survives_a_paraphraser_that_drops_the_prefix(workspace, monkeypatch):
+    tmp, vocab = workspace
+    save_split(make_dataset([[1]], vocab, prefix="ref"), tmp / "refs.json")
+    (tmp / "deficits.json").write_text(json.dumps({"1": 1}))
+
+    class DroppingParaphraser:
+        def paraphrase(self, prompt):
+            return "reworded: " + prompt
+
+    def rejecting_ports():
+        ports = mock_ports(verdicts=(False,))
+        ports.paraphraser = DroppingParaphraser()
+        return ports
+
+    monkeypatch.setattr("bright_kit.cli.mock_ports", rejecting_ports)
+    out = tmp / "aug_drop"
+    code = _run("augment", "--deficits", tmp / "deficits.json", "--refs", tmp / "refs.json",
+                "--vocab", tmp / "vocab.json", "--budget", 3, "--out-dir", out)
+    assert code == 0
+    rows = [json.loads(line) for line in (out / "attempts.jsonl").read_text().splitlines()]
+    assert len(rows) == 3
+    assert all(r["error"].startswith("prompt does not start with template prefix")
+               for r in rows)
+    report = json.loads((out / "augment_report.json").read_text())
+    assert report["classes"]["1"]["status"] == "budget_exhausted"
 
 
 def test_augment_http_requires_base_url(workspace, capsys):

@@ -109,6 +109,13 @@ def test_request_bodies_mirror_port_signatures(server):
     }
 
 
+def test_missing_region_description_reads_as_empty(server):
+    _Handler.bad_bodies = {"verify_region": {"accepted": True}}
+    client = HttpServicePorts(server)
+    verdict = client.verify_region("ref", BBox(1, 2, 3, 4), BBox(5, 6, 7, 8), CLS)
+    assert verdict.description == ""
+
+
 def test_http_error_raises_port_error(server):
     _Handler.fail_endpoints = {"generate"}
     client = HttpServicePorts(server)
@@ -169,6 +176,8 @@ def test_pipeline_survives_failing_detect(server):
         ("describe", {"text": {"k": 1}}),
         ("describe", {"text": 7}),
         ("describe", {"prompt": "A photo of a person verb1 a/an object1, x."}),  # text missing
+        ("verify_region", {"accepted": True, "description": {"k": 1}}),
+        ("verify_region", {"accepted": True, "description": None}),
     ],
 )
 def test_pipeline_survives_badly_typed_response(server, endpoint, body):

@@ -1,6 +1,9 @@
 """The construction commands (stats, balance, augment, balance --augmented,
-zeroshot) never import numpy; only scoring loads the evaluator."""
+zeroshot) never import numpy; only scoring loads the evaluator.  Every name
+the perfbench tracer wraps resolves on the package."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -9,6 +12,7 @@ from pathlib import Path
 import bright_kit
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden_build"
+SPANS = Path(__file__).parents[1] / "perfbench" / "spans.py"
 
 SCRIPT = """
 import sys
@@ -57,3 +61,16 @@ def test_unknown_attribute_still_raises():
         except AttributeError:
             continue
         raise AssertionError(f"{module.__name__}.no_such_name resolved")
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    # The tracer skips a name it cannot find, so a dropped import would only
+    # shrink the traced output; this makes it an error.
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
+    spec.loader.exec_module(spans)
+    points = [(module, attr) for module, attr, *_ in spans.WRAP_POINTS] + [("cli", "mock_ports")]
+    missing = [f"bright_kit.{module}.{attr}" for module, attr in points
+               if not hasattr(importlib.import_module(f"bright_kit.{module}"), attr)]
+    assert missing == []

@@ -2,10 +2,11 @@ import pytest
 
 from bright_kit import (
     BalanceConfig,
+    DataError,
     VocabularyMismatchError,
-    ZeroShotPlan,
     build_zeroshot_split,
     enumerate_candidates,
+    merge,
 )
 
 from helpers import grid_vocab, make_dataset, recount
@@ -65,22 +66,12 @@ def test_candidate_components_always_seen():
             assert cand.class_id not in set(seen.class_ids())
 
 
-def _plan(pool, candidates, budget=107):
-    return ZeroShotPlan(
-        candidate_classes=tuple(candidates),
-        source_pool=pool,
-        class_budget=budget,
-    )
-
-
 def test_single_candidate_with_exact_supply():
     universe = _grid_universe()
     seen = universe.subset([2, 3, 5, 6])
     pool = make_dataset([[1]] * 10 + [[6]] * 3, universe)
     candidates = [c for c in enumerate_candidates(seen, universe) if c.class_id == 1]
-    result = build_zeroshot_split(
-        _plan(pool, candidates), BalanceConfig(10, epochs=5, seed=0)
-    )
+    result = build_zeroshot_split(candidates, pool, BalanceConfig(10, epochs=5, seed=0))
     assert result.selected_class_ids == (1,)
     assert recount(result.dataset) == {1: 10}
     assert len(result.dataset) == 10
@@ -92,9 +83,7 @@ def test_undersupplied_candidate_excluded_with_warning(caplog):
     candidates = enumerate_candidates(seen, universe)  # classes 1 and 4
     pool = make_dataset([[1]] * 10 + [[4]] * 9, universe)
     with caplog.at_level("WARNING", logger="bright_kit"):
-        result = build_zeroshot_split(
-            _plan(pool, candidates), BalanceConfig(10, epochs=5, seed=0)
-        )
+        result = build_zeroshot_split(candidates, pool, BalanceConfig(10, epochs=5, seed=0))
     assert result.selected_class_ids == (1,)
     assert result.excluded == {4: 9}
     assert any("excluded" in r.message for r in caplog.records)
@@ -108,9 +97,7 @@ def test_output_restricted_to_selected_classes():
     # candidate images co-occur with seen classes; those annotations must not leak
     pool = make_dataset([[1, 2], [1, 3], [1], [1], [1, 6], [1], [1], [1], [1], [1]],
                         universe)
-    result = build_zeroshot_split(
-        _plan(pool, candidates), BalanceConfig(10, epochs=5, seed=1)
-    )
+    result = build_zeroshot_split(candidates, pool, BalanceConfig(10, epochs=5, seed=1))
     assert recount(result.dataset) == {1: 10}
     for rec in result.dataset.images:
         for inst in rec.instances:
@@ -123,17 +110,13 @@ def test_budget_keeps_largest_supply_ties_by_id():
     candidates = enumerate_candidates(seen, universe)  # 1 and 4
     # both satisfiable at L=2: class 1 supply 4, class 4 supply 2 -> budget 1 keeps class 1
     pool = make_dataset([[1]] * 4 + [[4]] * 2, universe)
-    result = build_zeroshot_split(
-        _plan(pool, candidates, budget=1), BalanceConfig(2, epochs=5, seed=0)
-    )
+    result = build_zeroshot_split(candidates, pool, BalanceConfig(2, epochs=5, seed=0), 1)
     assert result.selected_class_ids == (1,)
     assert result.over_budget == (4,)
 
     # equal supply: tie broken by ascending class_id
     pool = make_dataset([[1]] * 3 + [[4]] * 3, universe)
-    result = build_zeroshot_split(
-        _plan(pool, candidates, budget=1), BalanceConfig(2, epochs=5, seed=0)
-    )
+    result = build_zeroshot_split(candidates, pool, BalanceConfig(2, epochs=5, seed=0), 1)
     assert result.selected_class_ids == (1,)
 
 
@@ -144,9 +127,7 @@ def test_every_output_class_exactly_at_target():
     pool = make_dataset(
         [[1]] * 12 + [[4]] * 11 + [[1, 4]] * 2, universe
     )
-    result = build_zeroshot_split(
-        _plan(pool, candidates), BalanceConfig(10, epochs=20, seed=7)
-    )
+    result = build_zeroshot_split(candidates, pool, BalanceConfig(10, epochs=20, seed=7))
     assert set(result.selected_class_ids) == {1, 4}
     assert recount(result.dataset) == {1: 10, 4: 10}
 
@@ -157,9 +138,16 @@ def test_no_satisfiable_candidates_returns_empty_with_warning(caplog):
     candidates = enumerate_candidates(seen, universe)
     pool = make_dataset([[1]] * 2, universe)
     with caplog.at_level("WARNING", logger="bright_kit"):
-        result = build_zeroshot_split(
-            _plan(pool, candidates), BalanceConfig(10, epochs=5, seed=0)
-        )
+        result = build_zeroshot_split(candidates, pool, BalanceConfig(10, epochs=5, seed=0))
     assert result.selected_class_ids == ()
     assert len(result.dataset) == 0
     assert result.excluded == {1: 2, 4: 0}
+
+
+def test_pool_with_a_crawled_image_rejected():
+    universe = _grid_universe()
+    candidates = enumerate_candidates(universe.subset([2, 3, 5, 6]), universe)
+    crawled = make_dataset([[4]], universe, prefix="web", provenance="crawled")
+    pool = merge(make_dataset([[1], [4]], universe), crawled)
+    with pytest.raises(DataError, match="image web0000: .* found provenance 'crawled'"):
+        build_zeroshot_split(candidates, pool, BalanceConfig(1))
