@@ -23,9 +23,12 @@ up short and are reported as deficits, to be filled with augmented data.
 
 Determinism contract: a single seeded PRNG drives every random choice, and
 the stream order is fixed: epochs outer, classes in the documented
-head/tail order, candidate image lists in dataset order before shuffling,
-then trimming per class in head-to-tail order.  Identical (pool, classes,
-config) inputs therefore reproduce identical results bit for bit.
+head/tail order, ADD's unselected or REMOVE's selected images of a class in
+dataset order, drawn one per image taken by forward Fisher-Yates steps
+(Durstenfeld, CACM 1964), then trimming per class in head-to-tail order.
+Identical (pool, classes, config) inputs therefore reproduce identical results
+bit for bit.  :data:`BALANCER_VERSION` names the stream; version 1 shuffled
+whole candidate lists.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ from .errors import DataError, ResidualDeficitError, UnknownClassError
 from .model import PROVENANCES, Dataset, Vocabulary, merge, restrict
 
 DEFAULT_EPOCHS = 20
+# The PRNG stream of :func:`balance`; artifacts' config hashes cover it.
+BALANCER_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -86,6 +91,13 @@ class BalanceResult:
                 "trimmed_images": self.trimmed_images}
 
 
+def _draw(rng: random.Random, candidates: list[int], k: int) -> int:
+    """Fisher-Yates step ``k``: swap a uniform pick of ``candidates[k:]`` to ``k``, return it."""
+    j = rng.randrange(k, len(candidates))
+    candidates[k], candidates[j] = candidates[j], candidates[k]
+    return candidates[k]
+
+
 def balance(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) -> BalanceResult:
     """Select a subset of ``pool`` where every class in ``classes`` has exactly
     ``cfg.target_per_class`` instances, or as many as supply allows.
@@ -103,7 +115,7 @@ def balance(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) -> BalanceRe
     rng = random.Random(cfg.seed)
 
     # Images are handled by position in the pool and classes by position in
-    # its vocabulary.  Shuffles and samples draw from the PRNG by list length
+    # its vocabulary.  Draws depend on list lengths and positions in a list
     # only, so lists of positions reproduce the stream of the same lists of
     # ids.  Head to tail: descending pool count, ties by ascending class_id.
     ordered = sorted(target_ids, key=lambda c: (-pool.count(c), c))
@@ -130,10 +142,10 @@ def balance(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) -> BalanceRe
             if counts[cls] >= target:
                 continue
             candidates = [i for i in with_class[cls] if not selected[i]]
-            rng.shuffle(candidates)
-            for i in candidates:
+            for k in range(len(candidates)):
                 if counts[cls] >= target:
                     break
+                i = _draw(rng, candidates, k)
                 selected[i] = True
                 for c, n in image_counts[i]:
                     counts[c] += n
@@ -144,13 +156,11 @@ def balance(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) -> BalanceRe
             for cls in head_to_tail:
                 if counts[cls] <= target:
                     continue
-                candidates = with_class[cls].copy()
-                rng.shuffle(candidates)
-                for i in candidates:
+                candidates = [i for i in with_class[cls] if selected[i]]
+                for k in range(len(candidates)):
                     if counts[cls] <= target:
                         break
-                    if not selected[i]:
-                        continue
+                    i = _draw(rng, candidates, k)
                     selected[i] = False
                     for c, n in image_counts[i]:
                         counts[c] -= n
@@ -220,9 +230,9 @@ class SplitResult:
     def audit(self, filled: Dataset | None = None) -> dict:
         """The body of ``audit.json``.
 
-        ``filled`` is the train split as written when :func:`fill_deficits`
-        topped it up, which covers every deficit of the train pass or raises;
-        those deficits are then the counts taken from augmented data.
+        ``filled`` is the train split as written after :func:`fill_deficits`,
+        which covers every deficit of the train pass or raises; those
+        deficits are then the counts taken from augmented data.
         """
         fills = {} if filled is None else self.train.deficits
         return {

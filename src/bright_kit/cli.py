@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .augment import GenerationBudget, generate_valid_images, http_ports, mock_ports
-from .balancer import DEFAULT_EPOCHS, BalanceConfig, build_splits, fill_deficits
+from .balancer import BALANCER_VERSION, DEFAULT_EPOCHS, BalanceConfig, build_splits, fill_deficits
 from .errors import DataError
 from .jsonio import read_json, write_json, write_json_lines
 from .model import (
@@ -217,7 +217,7 @@ def _cmd_balance(p):
 
     test, train, deficits = result.test.balanced, result.train.balanced, result.train.deficits
     filled = None
-    if p.augmented and deficits:
+    if p.augmented:
         filled = train = fill_deficits(train, deficits, load_dataset(p.augmented, vocab))
 
     return {
@@ -516,6 +516,8 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
                 raise _UsageError(f"{_flag(param)} must be one of {', '.join(param.choices)}")
         setattr(resolved, param.key, value)
     hashed = {param.key: getattr(resolved, param.key) for param in params if param.hashed}
+    if args.command in ("balance", "zeroshot"):
+        hashed["balancer_version"] = BALANCER_VERSION
     resolved.meta = _make_meta(resolved.seed, {"command": args.command, **hashed})
     return resolved
 

@@ -7,6 +7,7 @@ sorted, indentation is fixed, and a single trailing newline is appended.
 
 from __future__ import annotations
 
+import gc
 import json
 from pathlib import Path
 
@@ -23,11 +24,17 @@ def write_json(path: str | Path, obj, encoded: bool = False) -> None:
 
 
 def read_json(path: str | Path):
+    """Decode a JSON file with the cyclic GC paused: a decoded tree holds no cycles."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         with open(path, "r", encoding="utf-8") as f:
             return json.load(f)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise AnnotationFormatError(f"{path}: malformed JSON ({exc})") from exc
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def write_json_lines(path: str | Path, rows) -> None:

@@ -5,7 +5,8 @@ arithmetic, their own greedy matcher, and a point-by-point precision-recall
 enumeration that never shares code with the evaluator under test.
 
 The construction references are the straightforward first versions of code
-that was later rewritten for speed: :func:`reference_balance` (the balancer),
+that was later rewritten for speed: :func:`reference_balance` (the balancer,
+with :func:`reference_balance_v1` keeping the PRNG stream it first drew),
 :func:`reference_load_dataset` (the annotation loader, one object per row,
 which ``load_dataset`` replaced with columns) and :func:`dataset_to_dict`
 (the split file's JSON object, which ``save_split`` now encodes from a
@@ -97,11 +98,19 @@ def oracle_class_ap(preds, gts, iou_threshold: float = 0.5) -> float:
     return oracle_ap_from_flags(flags, npos)
 
 
-def reference_balance(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) -> BalanceResult:
+def reference_balance(
+    pool: Dataset, classes: Vocabulary, cfg: BalanceConfig, version: int = 2
+) -> BalanceResult:
     """The balancer as first written: image ids in sets, ``image_counts``
     re-walking an image's instances on every ADD and REMOVE, and the trim
     rescanning the whole selection once per over-target class.  Argument
-    checks are left to the implementation under test."""
+    checks are left to the implementation under test.
+
+    ``version`` picks the PRNG stream of the ADD and REMOVE walks.  Version 1
+    shuffles each stage's whole candidate list (REMOVE: every image of the
+    class, selected or not) and walks it; version 2 lists ADD's unselected or
+    REMOVE's selected images and draws them one at a time, each draw a
+    uniform pick among those not yet drawn."""
     target = cfg.target_per_class
     target_ids = set(classes.class_ids())
     head_to_tail = sorted(classes.class_ids(), key=lambda c: (-pool.count(c), c))
@@ -118,6 +127,22 @@ def reference_balance(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) ->
                 per[inst.class_id] = per.get(inst.class_id, 0) + 1
         return per
 
+    def walk(candidates: list[str], done):
+        """Yield candidates in random order until ``done()`` holds."""
+        if version == 1:
+            rng.shuffle(candidates)
+            for iid in candidates:
+                if done():
+                    return
+                yield iid
+            return
+        drawn = 0
+        while drawn < len(candidates) and not done():
+            pick = rng.randrange(drawn, len(candidates))
+            candidates[drawn], candidates[pick] = candidates[pick], candidates[drawn]
+            yield candidates[drawn]
+            drawn += 1
+
     for epoch in range(1, cfg.epochs + 1):
         # ADD stage, tail to head.
         for cls_id in reversed(head_to_tail):
@@ -126,10 +151,7 @@ def reference_balance(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) ->
             candidates = [
                 iid for iid in pool.images_with_class(cls_id) if iid not in selected
             ]
-            rng.shuffle(candidates)
-            for iid in candidates:
-                if counts[cls_id] >= target:
-                    break
+            for iid in walk(candidates, lambda: counts[cls_id] >= target):
                 selected.add(iid)
                 for c, n in image_counts(iid).items():
                     counts[c] += n
@@ -140,11 +162,11 @@ def reference_balance(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) ->
             for cls_id in head_to_tail:
                 if counts[cls_id] <= target:
                     continue
-                candidates = list(pool.images_with_class(cls_id))
-                rng.shuffle(candidates)
-                for iid in candidates:
-                    if counts[cls_id] <= target:
-                        break
+                candidates = [
+                    iid for iid in pool.images_with_class(cls_id)
+                    if version == 1 or iid in selected
+                ]
+                for iid in walk(candidates, lambda: counts[cls_id] <= target):
                     if iid not in selected:
                         continue
                     selected.remove(iid)
@@ -194,6 +216,11 @@ def reference_balance(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) ->
         remainder=remainder,
         trimmed_images=len(drop),
     )
+
+
+def reference_balance_v1(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) -> BalanceResult:
+    """:func:`reference_balance` drawing the balancer's first PRNG stream."""
+    return reference_balance(pool, classes, cfg, version=1)
 
 
 def reference_load_dataset(path, vocab: Vocabulary, raw=None) -> Dataset:

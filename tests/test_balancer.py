@@ -1,5 +1,7 @@
 import json
 import random
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,9 +17,15 @@ from bright_kit import (
     fill_deficits,
     load_dataset,
 )
+from bright_kit import balancer
 from bright_kit.jsonio import canonical_dumps
 from helpers import fixed_box, make_dataset, make_image, make_vocab, random_pool, recount
-from oracles import dataset_to_dict, reference_balance, reference_load_dataset
+from oracles import (
+    dataset_to_dict,
+    reference_balance,
+    reference_balance_v1,
+    reference_load_dataset,
+)
 
 
 def _cfg(target, seed=0, epochs=20):
@@ -149,8 +157,8 @@ def _random_cases():
 
 
 def test_balance_matches_reference_on_random_pools():
-    # The indexed balancer reproduces the first implementation, PRNG stream
-    # included, on every field of the result.
+    # The indexed balancer reproduces the first implementation under the
+    # version 2 draw rule, PRNG stream included, on every field of the result.
     trims = deficits = 0
     for pool, classes, cfg in _random_cases():
         got, want = balance(pool, classes, cfg), reference_balance(pool, classes, cfg)
@@ -164,6 +172,50 @@ def test_balance_matches_reference_on_random_pools():
         deficits += bool(want.deficits)
     # the pools exercise both the trim and short supply, many times over
     assert trims >= 100 and deficits >= 25
+
+
+def test_v2_draws_sample_the_v1_selection_distribution():
+    # Stream v2 draws the prefix of a uniform permutation that v1 shuffled in
+    # full, so over many seeds each image is selected as often as under v1.
+    # 3,000 fixed seeds; the largest per-image gap is 0.035, and 0.05 is about
+    # four standard errors of a difference of two frequencies near 0.5.
+    vocab = make_vocab(5)
+    rng = random.Random(35)
+    weights = [1.0 / (rank + 1) for rank in range(5)]
+    lists = [rng.choices(list(vocab.class_ids()), weights, k=rng.randint(1, 3))
+             for _ in range(35)]
+    pool = make_dataset(lists, vocab)
+    v1, v2, seeds = Counter(), Counter(), 3000
+    for seed in range(seeds):
+        cfg = _cfg(4, seed=seed, epochs=4)
+        v1.update(reference_balance_v1(pool, vocab, cfg).balanced.image_ids())
+        v2.update(balance(pool, vocab, cfg).balanced.image_ids())
+    assert max(abs(v1[i] - v2[i]) for i in pool.image_ids()) / seeds <= 0.05
+    # the pool is not trivial: no image is always left out, some is always taken
+    assert min(v2[i] for i in pool.image_ids()) > 0 and max(v2.values()) == seeds
+
+
+class _CountingRandom(random.Random):
+    draws = 0
+
+    def _randbelow(self, n):
+        type(self).draws += 1
+        return super()._randbelow(n)
+
+
+@pytest.mark.parametrize("lists, target, walked", [
+    # no co-occurrence: each class takes 3 images, none is evicted
+    ([[1]] * 6 + [[2]] * 4, 3, 6),
+    # class 2's two ADD picks carry four class-1 instances; REMOVE evicts one
+    # of them, and the last ADD picks the one left: 3 selected, 1 evicted
+    ([[1]] * 10 + [[1, 1, 2]] * 3, 2, 4),
+])
+def test_walk_draws_once_per_selected_or_evicted_image(monkeypatch, lists, target, walked):
+    monkeypatch.setattr(balancer, "random", SimpleNamespace(Random=_CountingRandom))
+    monkeypatch.setattr(_CountingRandom, "draws", 0)
+    result = balance(make_dataset(lists, make_vocab(2)), make_vocab(2), _cfg(target, epochs=2))
+    # the trim's rng.sample draws once per removed annotation from a list this small
+    assert _CountingRandom.draws == walked + result.removed_annotations
 
 
 def test_loader_matches_reference_on_random_pools():

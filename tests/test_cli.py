@@ -270,7 +270,7 @@ def test_zeroshot_with_no_satisfiable_candidate_writes_an_empty_split(workspace,
     out = tmp / "zs_empty"
     assert _zeroshot(tmp, out, "--per-class", 10) == 0
     assert capsys.readouterr().out == f"zeroshot: 0 classes x 10 = 0 instances -> {out}\n"
-    meta = ('  "meta": {\n    "config_hash": "b926026a6b11e251",\n    "seed": 3,\n'
+    meta = ('  "meta": {\n    "config_hash": "c4d773e71bfe7a1b",\n    "seed": 3,\n'
             '    "toolkit_version": "0.1.0"\n  },\n')
     assert (out / "zeroshot.json").read_text() == (
         '{\n  "images": [],\n' + meta + '  "vocabulary_ref": ""\n}\n')
@@ -318,10 +318,28 @@ def test_balance_augmented_without_deficits_audits_no_fill(workspace, capsys):
                 '    "trimmed_images": 0\n')
 
     assert (out / "audit.json").read_text() == (
-        '{\n  "meta": {\n    "config_hash": "e6217864425968fe",\n    "seed": 7,\n'
+        '{\n  "meta": {\n    "config_hash": "0565f2cc2b099fe5",\n    "seed": 7,\n'
         '    "toolkit_version": "0.1.0"\n  },\n  "out_of_scope_annotations": 0,\n'
         '  "test": {\n' + side(4) + '  },\n'
         '  "train": {\n' + side(8, '    "filled_from_augmented": {},\n') + '  }\n}\n')
+
+
+@pytest.mark.parametrize("augmented, code, kind", [
+    ("missing.json", 4, "FileNotFoundError"),
+    ("vocab.json", 3, "AnnotationFormatError"),  # a vocabulary array, not annotations
+])
+def test_balance_loads_augmented_without_deficits(workspace, capsys, augmented, code, kind):
+    # The pass leaves no deficits, and the --augmented file is still read and checked.
+    tmp, _ = workspace
+    out = tmp / "bal_bad_aug"
+    assert _run("balance", "--pool", tmp / "pool.json", "--vocab", tmp / "vocab.json",
+                "--top-k", 4, "--l-test", 1, "--l-train", 2, "--epochs", 5, "--seed", 7,
+                "--augmented", tmp / augmented, "--out-dir", out) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert json.loads(line)["error"]["type"] == kind
+    assert not out.exists()
 
 
 def test_augment_command_feeds_balance_fill(workspace):

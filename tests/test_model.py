@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import random
 import sys
@@ -27,6 +28,7 @@ from bright_kit import (
     subtract,
 )
 from bright_kit.errors import AnnotationFormatError
+from bright_kit.jsonio import read_json
 
 from helpers import fixed_box, make_dataset, make_image, make_vocab, random_pool, recount
 from oracles import reference_load_dataset
@@ -210,6 +212,25 @@ def test_load_rejects_malformed(tmp_path, vocab5):
     _write(path, {"images": [{"image_id": "a"}]})
     with pytest.raises(AnnotationFormatError):
         load_dataset(path, vocab5)
+
+
+@pytest.mark.parametrize("malformed", [False, True])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_read_json_leaves_the_collector_as_it_found_it(tmp_path, malformed, enabled):
+    # read_json pauses the cyclic collector while it decodes
+    path = tmp_path / "f.json"
+    path.write_text("{not json" if malformed else '{"images": []}')
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if malformed:
+            with pytest.raises(AnnotationFormatError):
+                read_json(path)
+        else:
+            assert read_json(path) == {"images": []}
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_load_rejects_unknown_class(tmp_path, vocab5):
