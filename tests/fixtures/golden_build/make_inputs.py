@@ -19,10 +19,11 @@ construction commands (``stats``, ``balance``, ``augment``,
   double quote, a backslash, non-ASCII letters and U+2028
 
 The ``expected/`` files next to the inputs are the CLI's artifacts for these
-inputs, written once by the toolkit before the balancer and the split writer
-were rewritten for speed.  ``tests/test_golden_build.py`` asserts that the CLI
-still reproduces them byte for byte; they are never regenerated to make that
-test pass.
+inputs, written by the toolkit before the balancer and the split writer were
+rewritten for speed and regenerated once, on their own, when the balancer's
+PRNG stream became version 2.  ``tests/test_golden_build.py`` asserts that the
+CLI still reproduces them byte for byte; they are never regenerated to make
+that test pass.
 """
 
 import json
