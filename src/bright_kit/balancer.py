@@ -27,8 +27,7 @@ head/tail order, ADD's unselected or REMOVE's selected images of a class in
 dataset order, drawn one per image taken by forward Fisher-Yates steps
 (Durstenfeld, CACM 1964), then trimming per class in head-to-tail order.
 Identical (pool, classes, config) inputs therefore reproduce identical results
-bit for bit.  :data:`BALANCER_VERSION` names the stream; version 1 shuffled
-whole candidate lists.
+bit for bit.  :data:`BALANCER_VERSION` names the stream.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gc
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import AnnotationFormatError
@@ -23,18 +24,26 @@ def write_json(path: str | Path, obj, encoded: bool = False) -> None:
     Path(path).write_text(obj if encoded else canonical_dumps(obj), encoding="utf-8")
 
 
-def read_json(path: str | Path):
-    """Decode a JSON file with the cyclic GC paused: a decoded tree holds no cycles."""
+@contextmanager
+def paused_gc():
+    """Pause the cyclic GC, then restore its state: decoded JSON holds no cycles,
+    so collections while a tree is decoded or turned into other objects free nothing."""
     enabled = gc.isenabled()
     gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@paused_gc()
+def read_json(path: str | Path):
     try:
         with open(path, "r", encoding="utf-8") as f:
             return json.load(f)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise AnnotationFormatError(f"{path}: malformed JSON ({exc})") from exc
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def write_json_lines(path: str | Path, rows) -> None:

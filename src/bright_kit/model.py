@@ -37,7 +37,7 @@ from .errors import (
     UnknownClassError,
     VocabularyMismatchError,
 )
-from .jsonio import canonical_dumps, read_json, write_json
+from .jsonio import canonical_dumps, paused_gc, read_json, write_json
 
 logger = logging.getLogger("bright_kit")
 _MAX = math.nextafter(math.inf, 0)  # the largest finite float
@@ -514,6 +514,7 @@ def _instance_row(inst, where: str, vocab: Vocabulary, width: int, height: int) 
     )
 
 
+@paused_gc()  # the decoded tree is dropped before the collector runs again
 def load_dataset(path: str | Path, vocab: Vocabulary, raw=None) -> Dataset:
     """Read an annotation file into a Dataset, validating against ``vocab``.
 

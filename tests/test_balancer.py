@@ -199,7 +199,7 @@ class _CountingRandom(random.Random):
     draws = 0
 
     def _randbelow(self, n):
-        type(self).draws += 1
+        self.draws += 1
         return super()._randbelow(n)
 
 
@@ -207,15 +207,21 @@ class _CountingRandom(random.Random):
     # no co-occurrence: each class takes 3 images, none is evicted
     ([[1]] * 6 + [[2]] * 4, 3, 6),
     # class 2's two ADD picks carry four class-1 instances; REMOVE evicts one
-    # of them, and the last ADD picks the one left: 3 selected, 1 evicted
+    # of them, and the next ADD picks one of the two left: 3 selected, 1 evicted
     ([[1]] * 10 + [[1, 1, 2]] * 3, 2, 4),
 ])
 def test_walk_draws_once_per_selected_or_evicted_image(monkeypatch, lists, target, walked):
-    monkeypatch.setattr(balancer, "random", SimpleNamespace(Random=_CountingRandom))
-    monkeypatch.setattr(_CountingRandom, "draws", 0)
+    made: list[_CountingRandom] = []
+
+    def counting_random(seed):
+        made.append(_CountingRandom(seed))
+        return made[-1]
+
+    monkeypatch.setattr(balancer, "random", SimpleNamespace(Random=counting_random))
     result = balance(make_dataset(lists, make_vocab(2)), make_vocab(2), _cfg(target, epochs=2))
     # the trim's rng.sample draws once per removed annotation from a list this small
-    assert _CountingRandom.draws == walked + result.removed_annotations
+    [rng] = made
+    assert rng.draws == walked + result.removed_annotations
 
 
 def test_loader_matches_reference_on_random_pools():

@@ -27,6 +27,7 @@ from bright_kit import (
     save_vocabulary,
     subtract,
 )
+from bright_kit import model
 from bright_kit.errors import AnnotationFormatError
 from bright_kit.jsonio import read_json
 
@@ -214,10 +215,12 @@ def test_load_rejects_malformed(tmp_path, vocab5):
         load_dataset(path, vocab5)
 
 
+@pytest.mark.parametrize("load", [read_json, lambda path: load_dataset(path, make_vocab(1))],
+                         ids=["read_json", "load_dataset"])
 @pytest.mark.parametrize("malformed", [False, True])
 @pytest.mark.parametrize("enabled", [True, False])
-def test_read_json_leaves_the_collector_as_it_found_it(tmp_path, malformed, enabled):
-    # read_json pauses the cyclic collector while it decodes
+def test_loaders_leave_the_collector_as_they_found_it(tmp_path, load, malformed, enabled):
+    # both pause the cyclic collector while they decode and build
     path = tmp_path / "f.json"
     path.write_text("{not json" if malformed else '{"images": []}')
     was = gc.isenabled()
@@ -225,12 +228,32 @@ def test_read_json_leaves_the_collector_as_it_found_it(tmp_path, malformed, enab
     try:
         if malformed:
             with pytest.raises(AnnotationFormatError):
-                read_json(path)
+                load(path)
         else:
-            assert read_json(path) == {"images": []}
+            load(path)
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+def test_load_dataset_decodes_and_builds_with_the_collector_paused(tmp_path, monkeypatch, vocab5):
+    states = []
+    decode, header = json.load, model.annotation_header
+
+    def recording_decode(f):
+        states.append(("decode", gc.isenabled()))
+        return decode(f)
+
+    def recording_header(raw, path):
+        states.append(("build", gc.isenabled()))
+        return header(raw, path)
+
+    monkeypatch.setattr(json, "load", recording_decode)
+    monkeypatch.setattr(model, "annotation_header", recording_header)
+    save_split(make_dataset([[1]], vocab5), tmp_path / "d.json")
+    assert gc.isenabled()
+    assert len(load_dataset(tmp_path / "d.json", vocab5)) == 1
+    assert states == [("decode", False), ("build", False)] and gc.isenabled()
 
 
 def test_load_rejects_unknown_class(tmp_path, vocab5):
