@@ -27,7 +27,6 @@ from .errors import (
     DataError,
     DegenerateBoxError,
     DuplicateImageError,
-    PortConfigurationError,
     PortError,
     ResidualDeficitError,
     TemplateViolationError,

@@ -22,12 +22,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
-from .errors import (
-    DataError,
-    PortConfigurationError,
-    PortError,
-    TemplateViolationError,
-)
+from .errors import DataError, PortError, TemplateViolationError
 from .model import BBox, Dataset, HoiClass, HoiInstance, parse_box
 
 logger = logging.getLogger("bright_kit")
@@ -210,17 +205,12 @@ class Paraphraser(Protocol):
 class ServicePorts:
     """Bundle of the external-model interfaces the pipeline depends on."""
 
-    describer: Describer | None = None
-    generator: Generator | None = None
-    detector: Detector | None = None
-    region_verifier: RegionVerifier | None = None
-    text_verifier: TextVerifier | None = None
-    paraphraser: Paraphraser | None = None
-
-    def require(self, *names: str) -> None:
-        missing = [n for n in names if getattr(self, n) is None]
-        if missing:
-            raise PortConfigurationError(f"ports not configured: {', '.join(missing)}")
+    describer: Describer
+    generator: Generator
+    detector: Detector
+    region_verifier: RegionVerifier
+    text_verifier: TextVerifier
+    paraphraser: Paraphraser
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +468,6 @@ def build_prompt(
     The describer gets one retry if its output violates the template prefix;
     a second violation raises :class:`TemplateViolationError`.
     """
-    ports.require("describer")
     refs = reference_pool.images_with_class(cls.class_id)
     if not refs:
         raise DataError(
@@ -573,10 +562,6 @@ def generate_valid_images(
     only that attempt and keep the same prompt.  Stops as soon as
     ``budget.target_valid`` images are valid or the attempt budget is spent.
     """
-    ports.require(
-        "describer", "generator", "detector",
-        "region_verifier", "text_verifier", "paraphraser",
-    )
     prompt: PromptRecord | None = None
     attempts: list[AttemptRecord] = []
     valid = 0
@@ -625,7 +610,6 @@ def pseudo_label(
     """Annotate one image by asking the region verifier about every person-object pair."""
     if provenance not in ("generated", "crawled"):
         raise DataError(f"pseudo-labels must be generated or crawled, got {provenance!r}")
-    ports.require("region_verifier")
     if not detections.person_boxes:
         logger.warning("pseudo_label(%s): no person detected", image_ref)
         return []

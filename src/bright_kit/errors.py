@@ -49,9 +49,5 @@ class TemplateViolationError(DataError):
     """Describer or paraphraser output does not start with the prompt template."""
 
 
-class PortConfigurationError(DataError):
-    """A required service port is missing from the port bundle."""
-
-
 class PortError(BrightKitError):
     """A service port call failed; aborts one attempt, not the run."""

@@ -433,24 +433,13 @@ class RankingRow:
     delta: int  # rank_a - rank_b; positive means the model improved on b
 
 
-def _as_map(value) -> float:
-    if isinstance(value, EvalReport):
-        return value.mean_ap
-    return float(value)
-
-
-def ranking_shift(reports_a: Mapping[str, object], reports_b: Mapping[str, object]) -> list[RankingRow]:
+def ranking_shift(map_a: Mapping[str, float], map_b: Mapping[str, float]) -> list[RankingRow]:
     """Rank models by mAP on two benchmarks and report per-model rank shifts.
 
-    Accepts either :class:`EvalReport` values or bare mAP numbers.  Ranks are
-    1-based by descending mAP, ties broken by model name.
+    Ranks are 1-based by descending mAP, ties broken by model name.
     """
-    if set(reports_a) != set(reports_b):
-        raise DataError(
-            f"model sets differ: {sorted(set(reports_a) ^ set(reports_b))}"
-        )
-    map_a = {m: _as_map(v) for m, v in reports_a.items()}
-    map_b = {m: _as_map(v) for m, v in reports_b.items()}
+    if set(map_a) != set(map_b):
+        raise DataError(f"model sets differ: {sorted(set(map_a) ^ set(map_b))}")
     rank_a = {m: i + 1 for i, m in enumerate(sorted(map_a, key=lambda m: (-map_a[m], m)))}
     rank_b = {m: i + 1 for i, m in enumerate(sorted(map_b, key=lambda m: (-map_b[m], m)))}
     rows = [

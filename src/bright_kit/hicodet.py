@@ -79,20 +79,14 @@ def _canvas_size(entry: dict, boxes: list[tuple[float, ...]], where: str) -> tup
     return max(1, math.ceil(max_x)), max(1, math.ceil(max_y))
 
 
-def convert_hicodet_json(
-    path: str | Path, vocab: Vocabulary, on_unknown: str = "error"
-) -> Dataset:
+def convert_hicodet_json(path: str | Path, vocab: Vocabulary) -> Dataset:
     """Convert a community-format HICO-DET dump into a canonical Dataset.
 
-    ``on_unknown`` decides what happens to interactions whose
-    ``hoi_category_id`` is outside ``vocab``: ``"error"`` rejects the file,
-    ``"skip"`` drops them (useful when importing directly against a class
-    subset).  All imported instances carry ``real`` provenance.  Every box an
+    An interaction whose ``hoi_category_id`` is outside ``vocab`` rejects the
+    file.  All imported instances carry ``real`` provenance.  Every box an
     interaction references goes through :func:`~bright_kit.model.parse_box`
     with the image size; boxes no interaction uses are only shape-checked.
     """
-    if on_unknown not in ("error", "skip"):
-        raise AnnotationFormatError(f"on_unknown must be 'error' or 'skip', got {on_unknown!r}")
     raw = read_json(path)
     if not isinstance(raw, list):
         raise AnnotationFormatError(f"{path}: expected a JSON array of image records")
@@ -133,8 +127,6 @@ def convert_hicodet_json(
             if not (0 <= subject_id < len(boxes)) or not (0 <= object_id < len(boxes)):
                 raise AnnotationFormatError(f"{hwhere}: box index out of range")
             if class_id not in vocab:
-                if on_unknown == "skip":
-                    continue
                 raise UnknownClassError(f"{hwhere}: unknown hoi_category_id {class_id}")
             instances.append(
                 HoiInstance(

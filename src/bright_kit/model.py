@@ -231,11 +231,6 @@ class ImageRecord:
                 f"{self.width}x{self.height}"
             )
 
-    def with_instances(self, instances: Sequence[HoiInstance]) -> "ImageRecord":
-        return ImageRecord(
-            self.image_id, self.file_name, self.width, self.height, tuple(instances)
-        )
-
 
 class _Columns:
     """The annotations Datasets select from, filled while the first one is built.
@@ -244,7 +239,7 @@ class _Columns:
     ``first`` the position of its first instance (one more entry closes the
     last image).  Per instance: ``cls``, its class's position in ``vocabulary``;
     ``box``, human then object box, 8 coordinates; ``prov``, its position in
-    :data:`PROVENANCES`.  ``records`` caches each image read whole as a record.
+    :data:`PROVENANCES`.
     """
 
     def __init__(self, vocabulary: Vocabulary):
@@ -252,7 +247,6 @@ class _Columns:
         self.image_id, self.file_name, self.width, self.height = [], [], [], []
         self.first, self.cls, self.box = array("q", [0]), array("q"), array("d")
         self.prov = array("b")
-        self.records: dict[int, ImageRecord] = {}
 
     def add_image(self, image_id: str, file_name: str, width: int, height: int) -> None:
         """Close the image whose instances were appended since the last call."""
@@ -361,12 +355,8 @@ class Dataset:
     def _record(self, p: int) -> ImageRecord:
         cols, r = self._cols, self._rows[p]
         a, b = self._first[p], self._first[p + 1]
-        whole = b - a == cols.first[r + 1] - cols.first[r]
-        if whole and r in cols.records:
-            return cols.records[r]
-        rec = ImageRecord(cols.image_id[r], cols.file_name[r], cols.width[r], cols.height[r],
-                          tuple(map(cols.instance, self._inst[a:b])))
-        return cols.records.setdefault(r, rec) if whole else rec
+        return ImageRecord(cols.image_id[r], cols.file_name[r], cols.width[r], cols.height[r],
+                           tuple(map(cols.instance, self._inst[a:b])))
 
     @property
     def vocabulary(self) -> Vocabulary:
@@ -687,10 +677,7 @@ def merge(a: Dataset, b: Dataset) -> Dataset:
 
 
 def restrict(d: Dataset, class_ids: Iterable[int], drop_empty_images: bool = True) -> Dataset:
-    """Keep only instances of ``class_ids``; optionally drop images left empty.
-
-    An image that loses no instance keeps its record (see ``Dataset.images``).
-    """
+    """Keep only instances of ``class_ids``; optionally drop images left empty."""
     wanted = set(class_ids)
     unknown = wanted - set(d.vocabulary.class_ids())
     if unknown:

@@ -16,6 +16,7 @@ template).  The rewrites must agree with them exactly.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from bright_kit import (
     BalanceConfig,
@@ -199,7 +200,7 @@ def reference_balance(
             kept = tuple(
                 inst for k, inst in enumerate(rec.instances) if k not in drop[iid]
             )
-            rec = rec.with_instances(kept)
+            rec = replace(rec, instances=kept)
         balanced_records.append(rec)
 
     balanced = Dataset(balanced_records, pool.vocabulary, pool.vocabulary_ref)

@@ -1,10 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
 from bright_kit import (
     BBox,
     DataError,
     HoiClass,
-    PortConfigurationError,
     PortError,
     TemplateViolationError,
 )
@@ -15,7 +16,6 @@ from bright_kit.augment import (
     MockParaphraser,
     PromptRecord,
     RegionVerdict,
-    ServicePorts,
     build_prompt,
     crawl_query,
     describe_query,
@@ -124,7 +124,7 @@ def test_prompt_record_enforces_template():
 def test_build_prompt_with_mock_describer():
     vocab = make_vocab(2)
     pool = _ref_pool(vocab)
-    ports = ServicePorts(describer=MockDescriber("a fixed description"))
+    ports = replace(mock_ports(), describer=MockDescriber("a fixed description"))
     cls = vocab.get(1)
     rec = build_prompt(cls, pool, ports, seed=0)
     assert rec.text == f"{prompt_prefix(cls)} a fixed description."
@@ -135,7 +135,7 @@ def test_build_prompt_with_mock_describer():
 def test_build_prompt_empty_reference_subset():
     vocab = make_vocab(2)
     pool = _ref_pool(vocab, class_id=1)
-    ports = ServicePorts(describer=MockDescriber())
+    ports = replace(mock_ports(), describer=MockDescriber())
     with pytest.raises(DataError):
         build_prompt(vocab.get(2), pool, ports, seed=0)
 
@@ -154,23 +154,17 @@ def test_build_prompt_retries_once_then_errors():
                 return "completely off-template text"
             return prompt_prefix(cls) + " recovered."
 
-    rec = build_prompt(vocab.get(1), pool, ServicePorts(describer=FlakyDescriber(1)), seed=0)
+    rec = build_prompt(vocab.get(1), pool, replace(mock_ports(), describer=FlakyDescriber(1)), seed=0)
     assert rec.text.endswith("recovered.")
 
     with pytest.raises(TemplateViolationError):
-        build_prompt(vocab.get(1), pool, ServicePorts(describer=FlakyDescriber(2)), seed=0)
-
-
-def test_build_prompt_requires_describer():
-    vocab = make_vocab(1)
-    with pytest.raises(PortConfigurationError):
-        build_prompt(vocab.get(1), _ref_pool(vocab), ServicePorts(), seed=0)
+        build_prompt(vocab.get(1), pool, replace(mock_ports(), describer=FlakyDescriber(2)), seed=0)
 
 
 def test_build_prompt_reference_sampling_is_seeded():
     vocab = make_vocab(1)
     pool = make_dataset([[1]] * 10, vocab)
-    ports = ServicePorts(describer=MockDescriber())
+    ports = replace(mock_ports(), describer=MockDescriber())
     picks = {build_prompt(vocab.get(1), pool, ports, seed=s).reference_image_id for s in range(8)}
     assert len(picks) > 1
     again = build_prompt(vocab.get(1), pool, ports, seed=3)
@@ -352,14 +346,6 @@ def test_template_violation_aborts_attempt_not_run():
     assert [a.error is not None for a in gen.attempts] == [True, True, False]
 
 
-def test_unconfigured_ports_rejected():
-    vocab = make_vocab(1)
-    with pytest.raises(PortConfigurationError):
-        generate_valid_images(
-            vocab.get(1), GenerationBudget(5, 1), ServicePorts(), _ref_pool(vocab), seed=0
-        )
-
-
 def test_text_verifier_gate():
     vocab = make_vocab(1)
     ports = mock_ports(verdicts=[True])
@@ -399,7 +385,7 @@ def test_pseudo_label_diagonal_acceptance():
             j = round((object_box.x1 - 40) / 10)
             return RegionVerdict(accepted=(i == j), description="d")
 
-    ports = ServicePorts(region_verifier=DiagonalVerifier())
+    ports = replace(mock_ports(), region_verifier=DiagonalVerifier())
     dets = Detections(_boxes(2), _boxes(2, offset=30))
     out = pseudo_label("img", dets, RIDE_HORSE, ports, provenance="crawled")
     # oracle: enumerate all four candidates, keep the accepted ones

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -224,9 +225,8 @@ def test_balance_with_augmented_fill(workspace):
     assert deficits == {"4": 1}
 
     aug = make_dataset([[4]], vocab, prefix="aug")
-    aug_records = [r.with_instances(
-        tuple(i.__class__(i.human_box, i.object_box, i.class_id, "generated") for i in r.instances)
-    ) for r in aug.images]
+    aug_records = [replace(r, instances=tuple(replace(i, provenance="generated") for i in r.instances))
+                   for r in aug.images]
     save_split(Dataset(aug_records, vocab), tmp / "aug.json")
 
     out2 = tmp / "bal2"

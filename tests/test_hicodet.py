@@ -119,8 +119,6 @@ def test_convert_unknown_class_error_or_skip(tmp_path):
     dump.write_text(json.dumps([entry]))
     with pytest.raises(UnknownClassError):
         convert_hicodet_json(dump, vocab)
-    d = convert_hicodet_json(dump, vocab, on_unknown="skip")
-    assert [i.class_id for i in d.images[0].instances] == [1]
 
 
 def test_convert_rejects_bad_indices(tmp_path):

@@ -4,6 +4,7 @@ import json
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 
@@ -401,9 +402,8 @@ def test_loader_reads_null_vocabulary_ref_as_empty(vocab5):
 
 
 def test_concurrent_first_reads_agree(vocab5):
-    # Counts, indexes and records are computed on first use; threads racing
-    # to do so must all see the values a single reader sees, and one record
-    # object per image.
+    # Counts and indexes are computed on first use; threads racing to do so
+    # must all see the values a single reader sees.
     rng = random.Random(3)
     pool = random_pool(rng, vocab5, n_images=300)
     want = (pool.class_counts(), [pool.images_with_class(c) for c in vocab5.class_ids()],
@@ -421,7 +421,6 @@ def test_concurrent_first_reads_agree(vocab5):
                 results = [f.result(timeout=60) for f in futures]
             for counts, by_class, records in results:
                 assert (counts, by_class, records) == want
-                assert all(a is b for a, b in zip(records, results[0][2]))
     finally:
         sys.setswitchinterval(interval)
 
@@ -429,7 +428,7 @@ def test_concurrent_first_reads_agree(vocab5):
 def test_images_view_is_a_read_only_sequence(vocab5):
     d = make_dataset([[1, 2], [3], [4]], vocab5)
     assert len(d.images) == 3
-    assert d.images[-1] is d.images[2]
+    assert d.images[-1] == d.images[2]
     assert d.images[1:] == (d.images[1], d.images[2])
     assert list(d) == list(d.images)
     with pytest.raises(IndexError):
@@ -484,10 +483,9 @@ def test_restrict_drops_other_classes(vocab5):
 def test_restrict_keeps_untouched_records(vocab5):
     d = make_dataset([[1, 3], [1, 2], [3], [2]], vocab5)
     r = restrict(d, [1, 3])
-    assert r.images[0] is d.images[0]
-    assert r.images[2] is d.images[2]
-    assert r.images[1] is not d.images[1]
-    assert r.images[1] == d.images[1].with_instances(d.images[1].instances[:1])
+    assert r.images[0] == d.images[0]
+    assert r.images[2] == d.images[2]
+    assert r.images[1] == replace(d.images[1], instances=d.images[1].instances[:1])
 
 
 def test_subtract_removes_named_images(vocab5):
