@@ -344,10 +344,10 @@ class HttpServicePorts:
 
     Any transport or HTTP error, and any response of the wrong shape (not a
     JSON object, ``accepted`` not a JSON bool, ``text``, ``image_ref``,
-    ``prompt`` or a present ``description`` not a JSON string, an empty
-    ``image_ref`` or ``prompt``, box lists not arrays), raises
-    :class:`PortError`, which aborts one attempt, not the run.  A missing
-    ``description`` reads as ``""``.  Detected boxes go through
+    ``prompt`` or a present ``description`` not a JSON string or one UTF-8
+    cannot encode, an empty ``image_ref`` or ``prompt``, box lists not arrays),
+    raises :class:`PortError`, which aborts one attempt, not the run.  A
+    missing ``description`` reads as ``""``.  Detected boxes go through
     :func:`~bright_kit.model.parse_box` without an image size; a box it
     rejects is a ``PortError`` of the ``detect`` endpoint.
     """
@@ -383,6 +383,11 @@ class HttpServicePorts:
         if not isinstance(value, kind) or (nonempty and not value):
             what = ("non-empty " if nonempty else "") + kind.__name__
             raise PortError(f"{endpoint}: response field {key!r} must be a {what}")
+        if kind is str:
+            try:  # a JSON escape can spell a lone surrogate, which no artifact can hold
+                value.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise PortError(f"{endpoint}: response field {key!r} is not UTF-8 text") from exc
         return value
 
     def describe(self, image_ref: str, cls: HoiClass) -> str:

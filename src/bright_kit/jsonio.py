@@ -39,11 +39,12 @@ def paused_gc():
 
 @paused_gc()
 def read_json(path: str | Path):
-    try:
-        with open(path, "r", encoding="utf-8") as f:
+    """Decode a JSON file; any text the decoder rejects is an :class:`AnnotationFormatError`."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
             return json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise AnnotationFormatError(f"{path}: malformed JSON ({exc})") from exc
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise AnnotationFormatError(f"{path}: malformed JSON ({exc})") from exc
 
 
 def write_json_lines(path: str | Path, rows) -> None:
@@ -56,7 +57,8 @@ def write_json_lines(path: str | Path, rows) -> None:
 def read_json_lines(path: str | Path):
     """Yield ``(line number, decoded row)`` for each non-blank line of a JSON-lines file.
 
-    Line numbers count every line, blank ones included, from 1.
+    Line numbers count every line, blank ones included, from 1.  A line that
+    :func:`read_json` would reject is an :class:`AnnotationFormatError`.
     """
     with open(path, "r", encoding="utf-8") as f:
         try:
@@ -66,7 +68,7 @@ def read_json_lines(path: str | Path):
                     continue
                 try:
                     row = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except (ValueError, RecursionError) as exc:
                     raise AnnotationFormatError(
                         f"{path}:{lineno}: malformed JSON line ({exc})"
                     ) from exc

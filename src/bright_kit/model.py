@@ -429,6 +429,16 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 
+def _require_utf8(path, texts: Iterable[str]) -> None:
+    """Reject text no artifact can be written with: a JSON escape can spell a
+    lone surrogate, which decodes to a ``str`` that UTF-8 cannot encode."""
+    try:
+        "".join(texts).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        bad = exc.object[exc.start : exc.end]
+        raise AnnotationFormatError(f"{path}: text not encodable as UTF-8 ({bad!r})") from exc
+
+
 def load_vocabulary(path: str | Path) -> Vocabulary:
     """Read a vocabulary file: a JSON array of class rows."""
     raw = read_json(path)
@@ -448,6 +458,7 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise AnnotationFormatError(f"{path}: bad vocabulary row {i} ({exc})") from exc
+    _require_utf8(path, [name for c in classes for name in (c.verb_name, c.object_name)])
     return Vocabulary(classes)
 
 
@@ -558,6 +569,7 @@ def load_dataset(path: str | Path, vocab: Vocabulary, raw=None) -> Dataset:
         if not (width > 0 and height > 0):
             ImageRecord(image_id, file_name, width, height)  # raises the size error
         cols.add_image(image_id, file_name, width, height)
+    _require_utf8(path, [*cols.image_id, *cols.file_name, vocabulary_ref])
 
     seen: set[str] = set()
     for image_id in cols.image_id:

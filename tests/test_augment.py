@@ -16,11 +16,13 @@ from bright_kit.augment import (
     MockParaphraser,
     PromptRecord,
     RegionVerdict,
+    ServicePorts,
     build_prompt,
     crawl_query,
     describe_query,
     generate_valid_images,
     gerund,
+    http_ports,
     mock_ports,
     prompt_prefix,
     pseudo_label,
@@ -114,6 +116,21 @@ def test_prompt_record_enforces_template():
         PromptRecord(RIDE_HORSE, "r1", "a horse being ridden", 0)
     ok = PromptRecord(RIDE_HORSE, "r1", prompt_prefix(RIDE_HORSE) + " at dawn.", 0)
     assert ok.paraphrase_generation == 0
+
+
+# ---------------------------------------------------------------------------
+# Port bundles
+# ---------------------------------------------------------------------------
+
+
+def test_port_bundles_hold_exactly_the_six_ports():
+    # perfbench's traced run wraps every attribute of the bundle mock_ports returns.
+    names = {"describer", "generator", "detector", "region_verifier", "text_verifier",
+             "paraphraser"}
+    assert set(vars(mock_ports())) == names
+    assert set(vars(http_ports("http://127.0.0.1:1"))) == names
+    with pytest.raises(TypeError):  # a bundle without every port cannot be built
+        ServicePorts(describer=MockDescriber())
 
 
 # ---------------------------------------------------------------------------

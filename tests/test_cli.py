@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import replace
 
 import pytest
@@ -618,6 +619,49 @@ def test_non_utf8_prediction_dump_exits_3(workspace, capsys):
     (tmp / "preds.jsonl").write_bytes(b'{"image_id": "gt0000"}\n\xff\n')
     code = _run("evaluate", "--gt", tmp / "gt.json", "--preds", tmp / "preds.jsonl",
                 "--vocab", tmp / "vocab.json", "--out-dir", tmp / "out")
+    _assert_data_error(code, capsys, "AnnotationFormatError")
+    assert not (tmp / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["deep_array", "long_int_pool", "long_int_class_id"])
+def test_json_the_decoder_cannot_build_exits_3(workspace, capsys, case):
+    # Nesting beyond the decoder's recursion limit raises RecursionError, and an
+    # integer literal longer than the int conversion limit raises ValueError.
+    tmp, vocab = workspace
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    pool = (tmp / "pool.json").read_text()
+    assert '"width": 100' in pool
+    if case == "deep_array":
+        (tmp / "bad.json").write_text("[" * 200_000 + "]" * 200_000)
+    else:
+        (tmp / "bad.json").write_text(pool.replace('"width": 100', f'"width": {digits}', 1))
+    argv = ["stats", "--pool", tmp / "bad.json"]
+    if case == "long_int_class_id":
+        save_split(make_dataset([[1]], vocab, prefix="gt"), tmp / "gt.json")
+        (tmp / "preds.jsonl").write_text(
+            '{"image_id": "gt0000", "human_box": [0, 0, 5, 5], "object_box": [0, 0, 5, 5], '
+            f'"class_id": {digits}, "score": 0.5}}\n'
+        )
+        argv = ["evaluate", "--gt", tmp / "gt.json", "--preds", tmp / "preds.jsonl"]
+    code = _run(*argv, "--vocab", tmp / "vocab.json", "--out-dir", tmp / "out")
+    _assert_data_error(code, capsys, "AnnotationFormatError")
+    assert not (tmp / "out").exists()
+
+
+@pytest.mark.parametrize("file,old,new", [
+    ("pool.json", '"image_id": "img0000"', '"image_id": "img0000\\ud800"'),
+    ("pool.json", '"file_name": "img0000.jpg"', '"file_name": "img0000\\ud800.jpg"'),
+    ("pool.json", '"vocabulary_ref": ""', '"vocabulary_ref": "v\\ud800.json"'),
+    ("vocab.json", '"verb": "verb1"', '"verb": "verb1\\udc00"'),
+    ("vocab.json", '"object": "object1"', '"object": "\\ud800object1"'),
+], ids=["image_id", "file_name", "vocabulary_ref", "verb", "object"])
+def test_balance_rejects_a_lone_surrogate_when_it_loads(workspace, capsys, file, old, new):
+    # The escape decodes to a str that UTF-8 cannot encode, so no split could hold it.
+    tmp, _ = workspace
+    text = (tmp / file).read_text()
+    assert old in text
+    (tmp / file).write_text(text.replace(old, new))
+    code = _balance(tmp, tmp / "pool.json", tmp / "out")
     _assert_data_error(code, capsys, "AnnotationFormatError")
     assert not (tmp / "out").exists()
 

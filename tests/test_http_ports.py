@@ -178,6 +178,10 @@ def test_pipeline_survives_failing_detect(server):
         ("describe", {"prompt": "A photo of a person verb1 a/an object1, x."}),  # text missing
         ("verify_region", {"accepted": True, "description": {"k": 1}}),
         ("verify_region", {"accepted": True, "description": None}),
+        # a lone surrogate decodes to a str that no artifact can hold
+        ("describe", {"text": "A photo of a person verb1 a/an object1, \ud800."}),
+        ("generate", {"image_ref": "http://images/\ud800.png"}),
+        ("verify_region", {"accepted": True, "description": "\udc00"}),
     ],
 )
 def test_pipeline_survives_badly_typed_response(server, endpoint, body):
@@ -196,7 +200,8 @@ def test_pipeline_survives_badly_typed_response(server, endpoint, body):
     assert not gen.valid_images
 
 
-@pytest.mark.parametrize("body", [{"prompt": 7}, {"prompt": {"k": 1}}, {"prompt": ""}, {"x": 1}])
+@pytest.mark.parametrize("body", [{"prompt": 7}, {"prompt": {"k": 1}}, {"prompt": ""}, {"x": 1},
+                                  {"prompt": "A photo of a person verb1 a/an object1, \ud800"}])
 def test_pipeline_survives_badly_typed_paraphrase(server, body):
     # Every image is rejected, so every attempt asks for a paraphrase, which fails.
     _Handler.bad_bodies = {"verify_region": {"accepted": False, "description": "no"},

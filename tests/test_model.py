@@ -485,6 +485,7 @@ def test_restrict_keeps_untouched_records(vocab5):
     r = restrict(d, [1, 3])
     assert r.images[0] == d.images[0]
     assert r.images[2] == d.images[2]
+    assert r.images[1] != d.images[1]
     assert r.images[1] == replace(d.images[1], instances=d.images[1].instances[:1])
 
 
