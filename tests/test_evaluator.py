@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import re
 from pathlib import Path
@@ -547,6 +548,42 @@ def test_malformed_json_line_is_reported_before_any_bad_row(tmp_path, vocab5):
     path.write_text("\n".join([_row(score=1.5), GOOD, "{not json"]) + "\n")
     with pytest.raises(AnnotationFormatError, match=f"^{re.escape(str(path))}:3: malformed"):
         load_predictions(path, vocab5)
+
+
+_LINE = GOOD.encode()
+_DEEP = b"[" * 200_000 + b"]" * 200_000
+
+
+@pytest.mark.parametrize("data,line,cause,detail", [
+    (b"\xef\xbb\xbf" + _LINE + b"\n", 1, json.JSONDecodeError,
+     "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    (_LINE + b"\n" + _LINE + b" " + _LINE + b"\n", 2, json.JSONDecodeError,
+     f"Extra data: line 1 column {len(_LINE) + 2} (char {len(_LINE) + 1})"),
+    (_LINE + b"\n\n" + _DEEP + b"\n", 3, RecursionError,
+     "maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
+    (_LINE + b"\r\n  \r\n{not json\r\n", 3, json.JSONDecodeError,
+     "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    (_LINE + b'\n{"image_id": "\xff"}\n', None, UnicodeDecodeError,
+     f"'utf-8' codec can't decode byte 0xff in position {len(_LINE) + 15}: invalid start byte"),
+], ids=["bom", "extra_data", "too_deep", "not_json", "not_utf8"])
+def test_loader_reports_undecodable_lines_with_the_decoder_message(
+    tmp_path, vocab5, data, line, cause, detail
+):
+    path = tmp_path / "preds.jsonl"
+    path.write_bytes(data)
+    with pytest.raises(AnnotationFormatError) as got:
+        load_predictions(path, vocab5)
+    want = f"{path}: not UTF-8 text" if line is None else f"{path}:{line}: malformed JSON line"
+    assert str(got.value) == f"{want} ({detail})"
+    assert type(got.value.__cause__) is cause
+
+
+def test_json_lines_take_non_finite_literals_and_count_every_line(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'[NaN, Infinity, -Infinity]\r\n \t\r\n\r\n{"a": 1}\r\n')
+    (n1, row), (n2, obj) = read_json_lines(path)
+    assert (n1, n2, obj) == (1, 4, {"a": 1})
+    assert math.isnan(row[0]) and row[1:] == [math.inf, -math.inf]
 
 
 def test_loader_logs_clamp_warnings_in_row_order_up_to_the_error(tmp_path, vocab5, caplog):
