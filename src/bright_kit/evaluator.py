@@ -12,10 +12,11 @@ evaluators.
 
 Predictions are scored as numpy columns (:class:`PredictionTable`).  Pair IoU
 is computed elementwise in float64 with the operations of
-:meth:`~bright_kit.model.BBox.iou` in the same order, and the AP sums run
-sequentially in Python, so every result is bit-identical to scoring one
-:class:`Prediction` object at a time and compares exactly against a
-brute-force oracle.
+:meth:`~bright_kit.model.BBox.iou` in the same order; the object IoU only for
+pairs whose human IoU reaches the threshold, since no other pair can qualify.
+The AP sums run sequentially in Python, so every result is bit-identical to
+scoring one :class:`Prediction` object at a time and compares exactly against
+a brute-force oracle.
 """
 
 from __future__ import annotations
@@ -181,21 +182,20 @@ class ClassApResult:
     matched: list[MatchedTP]
 
 
-def _pair_min_iou(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    """min(IoU_human, IoU_object) of each pair ``pred[..., i]``, ``truth[..., i]``.
+def _pair_iou(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """IoU of each box pair ``pred[:, i]``, ``truth[:, i]``.
 
-    Both are ``(2, 4, n)``: (human, object) box, coordinate, pair.  Elementwise
-    float64 in :meth:`BBox.iou`'s order of operations with the prediction as
-    ``self``, so every value equals the scalar computation.
+    Both are ``(4, n)``: coordinate, pair.  Elementwise float64 in
+    :meth:`BBox.iou`'s order of operations with the prediction as ``self``,
+    so every value equals the scalar computation.
     """
-    px1, py1, px2, py2 = pred.swapaxes(0, 1)
-    tx1, ty1, tx2, ty2 = truth.swapaxes(0, 1)
+    px1, py1, px2, py2 = pred
+    tx1, ty1, tx2, ty2 = truth
     iw = np.minimum(px2, tx2) - np.maximum(px1, tx1)
     ih = np.minimum(py2, ty2) - np.maximum(py1, ty1)
     # Disjoint boxes get 0 / union = 0.0, BBox.iou's early return.
     inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
-    human, obj = inter / ((px2 - px1) * (py2 - py1) + (tx2 - tx1) * (ty2 - ty1) - inter)
-    return np.minimum(human, obj)
+    return inter / ((px2 - px1) * (py2 - py1) + (tx2 - tx1) * (ty2 - ty1) - inter)
 
 
 def _truth_columns(gt: Dataset, preds: PredictionTable, codes: np.ndarray):
@@ -223,7 +223,8 @@ def _truth_columns(gt: Dataset, preds: PredictionTable, codes: np.ndarray):
 
 
 def _by_pair(boxes: np.ndarray) -> np.ndarray:
-    """``(n, 2, 4)`` boxes laid out as ``(2, 4, n)``, the layout :func:`_pair_min_iou` reads."""
+    """``(n, 2, 4)`` boxes laid out as ``(2, 4, n)``: (human, object) box,
+    coordinate, box; ``[0]`` and ``[1]`` are the layout :func:`_pair_iou` reads."""
     return np.ascontiguousarray(np.moveaxis(boxes, 0, -1))
 
 
@@ -231,8 +232,9 @@ def _qualifying_pairs(pred, truth, first, size, threshold) -> Iterator[tuple]:
     """``(i, t, iou)`` for each pair of prediction ``i`` and one of its
     ``size[i]`` candidate ground truths ``t`` from ``first[i]`` on whose pair
     IoU reaches ``threshold``, by ``i`` and then ``t``.  Boxes are laid out as
-    :func:`_by_pair` makes them; IoU is computed for about
-    :data:`_PAIR_CHUNK` pairs at a time.
+    :func:`_by_pair` makes them.  The human IoU is computed for about
+    :data:`_PAIR_CHUNK` pairs at a time, and the object IoU only for the pairs
+    whose human IoU reaches ``threshold``: below it, the pair minimum cannot.
     """
     end = np.cumsum(size)
     lo = 0
@@ -242,7 +244,10 @@ def _qualifying_pairs(pred, truth, first, size, threshold) -> Iterator[tuple]:
         n = size[lo:hi]
         i = np.repeat(np.arange(lo, hi), n)
         t = np.repeat(first[lo:hi] - (end[lo:hi] - n), n) + np.arange(done, end[hi - 1])
-        iou = _pair_min_iou(pred[..., i], truth[..., t])
+        iou = _pair_iou(pred[0][:, i], truth[0][:, t])
+        keep = np.flatnonzero(iou >= threshold)
+        i, t = i[keep], t[keep]
+        iou = np.minimum(iou[keep], _pair_iou(pred[1][:, i], truth[1][:, t]))
         ok = iou >= threshold
         yield from zip(i[ok].tolist(), t[ok].tolist(), iou[ok].tolist())
         lo = hi
@@ -542,19 +547,23 @@ def load_predictions(path: str | Path, vocab: Vocabulary | None = None) -> Predi
     image, class_id, lineno = array("q"), array("q"), array("q")
     score, coords = array("d"), array("d")
     recheck: dict[int, object] = {}  # row number -> raw row
+    add_line, add_coords, add_score = lineno.append, coords.extend, score.append
+    add_class, add_image, image_of = class_id.append, image.append, image_ids.setdefault
     for line, row in read_json_lines(path):
         n = len(lineno)
-        lineno.append(line)
+        add_line(line)
         try:
-            hx1, hy1, hx2, hy2 = row["human_box"]
-            ox1, oy1, ox2, oy2 = row["object_box"]
+            human, obj = row["human_box"], row["object_box"]
+            if len(human) != 4 or len(obj) != 4:
+                raise ValueError("a box has four coordinates")
             # array("d") and array("q") take exactly the JSON values (numbers
             # and booleans) that float() and int() read to the same number
-            coords.extend((hx1, hy1, hx2, hy2, ox1, oy1, ox2, oy2))
-            score.append(row["score"])
-            class_id.append(row["class_id"])
-            image.append(image_ids.setdefault(str(row["image_id"]), len(image_ids)))
-            if hx1 < 0 or hy1 < 0 or ox1 < 0 or oy1 < 0:
+            add_coords(human)
+            add_coords(obj)
+            add_score(row["score"])
+            add_class(row["class_id"])
+            add_image(image_of(str(row["image_id"]), len(image_ids)))
+            if human[0] < 0 or human[1] < 0 or obj[0] < 0 or obj[1] < 0:
                 recheck[n] = row
         except (KeyError, TypeError, ValueError, OverflowError):
             recheck[n] = row

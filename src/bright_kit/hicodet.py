@@ -31,6 +31,7 @@ from .model import (
     HoiInstance,
     ImageRecord,
     Vocabulary,
+    _require_utf8,
     box_coords,
     parse_box,
 )
@@ -83,9 +84,10 @@ def convert_hicodet_json(path: str | Path, vocab: Vocabulary) -> Dataset:
     """Convert a community-format HICO-DET dump into a canonical Dataset.
 
     An interaction whose ``hoi_category_id`` is outside ``vocab`` rejects the
-    file.  All imported instances carry ``real`` provenance.  Every box an
-    interaction references goes through :func:`~bright_kit.model.parse_box`
-    with the image size; boxes no interaction uses are only shape-checked.
+    file, and so does a ``file_name`` UTF-8 cannot encode.  All imported
+    instances carry ``real`` provenance.  Every box an interaction references
+    goes through :func:`~bright_kit.model.parse_box` with the image size;
+    boxes no interaction uses are only shape-checked.
     """
     raw = read_json(path)
     if not isinstance(raw, list):
@@ -139,4 +141,5 @@ def convert_hicodet_json(path: str | Path, vocab: Vocabulary) -> Dataset:
         image_id = Path(file_name).stem
         records.append(ImageRecord(image_id, file_name, width, height, tuple(instances)))
 
+    _require_utf8(path, [r.file_name for r in records])  # image ids are parts of them
     return Dataset(records, vocab, vocabulary_ref=str(path))

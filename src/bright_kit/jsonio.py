@@ -20,8 +20,10 @@ def canonical_dumps(obj) -> str:
 
 
 def write_json(path: str | Path, obj, encoded: bool = False) -> None:
-    """Write ``canonical_dumps(obj)``, or ``obj`` itself when it is that text already."""
-    Path(path).write_text(obj if encoded else canonical_dumps(obj), encoding="utf-8")
+    """Write ``canonical_dumps(obj)``, or ``obj`` itself when it is that text
+    already.  The text is encoded before the file is opened, so text UTF-8
+    cannot encode leaves an existing file as it was."""
+    Path(path).write_bytes((obj if encoded else canonical_dumps(obj)).encode("utf-8"))
 
 
 @contextmanager
@@ -60,18 +62,26 @@ def read_json_lines(path: str | Path):
     Line numbers count every line, blank ones included, from 1.  A line that
     :func:`read_json` would reject is an :class:`AnnotationFormatError`.
     """
+    decode = json.JSONDecoder().raw_decode
     with open(path, "r", encoding="utf-8") as f:
         try:
             for lineno, line in enumerate(f, start=1):
                 line = line.strip()
                 if not line:
                     continue
+                # The stripped line has no whitespace for json.loads to skip,
+                # so it holds one value iff raw_decode ends at its end.
                 try:
-                    row = json.loads(line)
-                except (ValueError, RecursionError) as exc:
-                    raise AnnotationFormatError(
-                        f"{path}:{lineno}: malformed JSON line ({exc})"
-                    ) from exc
+                    row, end = decode(line)
+                except (ValueError, RecursionError):
+                    end = -1
+                if end != len(line):
+                    try:  # json.loads raises the error (and message) of this line
+                        row = json.loads(line)
+                    except (ValueError, RecursionError) as exc:
+                        raise AnnotationFormatError(
+                            f"{path}:{lineno}: malformed JSON line ({exc})"
+                        ) from exc
                 yield lineno, row
         except UnicodeDecodeError as exc:
             raise AnnotationFormatError(f"{path}: not UTF-8 text ({exc})") from exc

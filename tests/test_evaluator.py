@@ -34,7 +34,7 @@ from bright_kit.evaluator import _read_row
 from bright_kit.jsonio import read_json_lines
 
 from helpers import pred
-from oracles import oracle_ap_from_flags, oracle_class_ap
+from oracles import oracle_ap_from_flags, oracle_class_ap, oracle_match_flags
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CFG = MatchConfig()
@@ -160,10 +160,11 @@ def _random_scenario(rng, n_preds_max=20, n_gt_max=10):
     return preds, gts
 
 
-def _scenario_to_dataset(gts, vocab):
+def _truth_dataset(truth, vocab) -> Dataset:
+    """``truth``: (image_id, human box, object box) of class 1, in dataset order."""
     by_image: dict[str, list] = {}
-    for img, slot in gts:
-        by_image.setdefault(img, []).append(HoiInstance(_slot(slot), _slot(slot + 1), 1))
+    for img, h, o in truth:
+        by_image.setdefault(img, []).append(HoiInstance(h, o, 1))
     return Dataset(
         [
             ImageRecord(img, f"{img}.jpg", 10_000, 100, tuple(insts))
@@ -173,21 +174,91 @@ def _scenario_to_dataset(gts, vocab):
     )
 
 
+def _slot_truth(gts):
+    return [(img, _slot(s), _slot(s + 1)) for img, s in gts]
+
+
+def _scenario_to_dataset(gts, vocab):
+    return _truth_dataset(_slot_truth(gts), vocab)
+
+
+def _oracle_args(preds, truth):
+    """``preds`` and ``truth`` as the oracles take them, boxes as 4-tuples."""
+    def coords(b):
+        return (b.x1, b.y1, b.x2, b.y2)
+
+    return (
+        [(p.image_id, coords(p.human_box), coords(p.object_box), p.score) for p in preds],
+        [(img, coords(h), coords(o)) for img, h, o in truth],
+    )
+
+
 def test_class_ap_equals_brute_force_oracle_randomized(vocab5):
     rng = random.Random(1234)
     for _ in range(200):
         preds, gts = _random_scenario(rng)
         gt = _scenario_to_dataset(gts, vocab5)
         got = class_ap(preds, gt, 1, CFG).ap
-        want = oracle_class_ap(
-            [(p.image_id, (p.human_box.x1, p.human_box.y1, p.human_box.x2, p.human_box.y2),
-              (p.object_box.x1, p.object_box.y1, p.object_box.x2, p.object_box.y2), p.score)
-             for p in preds],
-            [(img, (50.0 * s + 10.0, 10.0, 50.0 * s + 30.0, 30.0),
-              (50.0 * (s + 1) + 10.0, 10.0, 50.0 * (s + 1) + 30.0, 30.0)) for img, s in gts],
-            CFG.iou_threshold,
-        )
+        want = oracle_class_ap(*_oracle_args(preds, _slot_truth(gts)), CFG.iou_threshold)
         assert got == want  # exact float equality, not approximate
+
+
+def _shifted(box: BBox, dx: float) -> BBox:
+    return BBox(box.x1 + dx, box.y1, box.x2 + dx, box.y2)
+
+
+def _box_near(rng, slot: int) -> BBox:
+    """A box for slot ``slot``: jittered, exactly one half of the slot box
+    (IoU 0.5 with it, the threshold), or far away."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        x = 50.0 * slot + rng.choice((10.0, 20.0))
+        return BBox(x, 10.0, x + 10.0, 30.0)
+    if kind == 1:
+        return _slot(slot + 100)
+    return _shifted(_slot(slot), rng.uniform(-8, 8))
+
+
+def _independent_scenario(rng, n_preds_max=30, n_gt_max=12):
+    """:func:`_random_scenario` with each box drawn on its own: a
+    prediction's human and object box are jittered independently, so either
+    can qualify alone, and a ground-truth box sits on its slot or 4 units to
+    the right of it, so one prediction can qualify for several ground truths
+    with different pair IoUs.  Returns predictions and truth triples."""
+    image_ids = ["i0", "i1"]
+    truth = []
+    for _ in range(rng.randint(1, n_gt_max)):
+        slot = rng.randint(0, 4)
+        h, o = (_shifted(_slot(k), rng.choice((0.0, 4.0))) for k in (slot, slot + 1))
+        truth.append((rng.choice(image_ids), h, o))
+    preds = []
+    for _ in range(rng.randint(0, n_preds_max)):
+        slot = rng.randint(0, 4)
+        h, o = _box_near(rng, slot), _box_near(rng, slot + 1)
+        preds.append(Prediction(rng.choice(image_ids), h, o, 1, round(rng.random(), 3)))
+    return preds, truth
+
+
+@pytest.mark.parametrize("chunk", [evaluator._PAIR_CHUNK, 1, 2, 5])
+def test_one_box_qualifying_alone_matches_the_oracle_exactly(vocab5, monkeypatch, chunk):
+    rng = random.Random(2468)
+    cases = [_independent_scenario(rng) for _ in range(150)]
+    monkeypatch.setattr(evaluator, "_PAIR_CHUNK", chunk)
+    human_only = object_only = at_threshold = 0
+    for preds, truth in cases:
+        for p in preds:
+            for img, h, o in truth:
+                if img == p.image_id:
+                    hi, oi = p.human_box.iou(h), p.object_box.iou(o)
+                    human_only += hi >= 0.5 > oi
+                    object_only += oi >= 0.5 > hi
+                    at_threshold += min(hi, oi) == 0.5
+        res = class_ap(preds, _truth_dataset(truth, vocab5), 1, CFG)
+        p_args, t_args = _oracle_args(preds, truth)
+        assert res.labels == oracle_match_flags(p_args, t_args, CFG.iou_threshold)[0]
+        assert res.ap == oracle_class_ap(p_args, t_args, CFG.iou_threshold)
+    # both one-box cases occur, and pairs qualifying at exactly the threshold
+    assert min(human_only, object_only, at_threshold) >= 50
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 5])

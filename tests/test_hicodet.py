@@ -121,6 +121,18 @@ def test_convert_unknown_class_error_or_skip(tmp_path):
         convert_hicodet_json(dump, vocab)
 
 
+def test_convert_rejects_a_file_name_utf8_cannot_encode(tmp_path):
+    # a JSON escape can spell a lone surrogate, which no artifact can hold
+    list_path = tmp_path / "hico_list_hoi.txt"
+    list_path.write_text("  1   airplane       board\n")
+    vocab = vocabulary_from_hico_list(list_path)
+    dump = tmp_path / "trainval.json"
+    dump.write_text(json.dumps([_dump_entry(file_name="x\ud800.jpg")]))
+    assert "\\ud800" in dump.read_text()
+    with pytest.raises(AnnotationFormatError, match="text not encodable as UTF-8"):
+        convert_hicodet_json(dump, vocab)
+
+
 def test_convert_rejects_bad_indices(tmp_path):
     vocab_path = tmp_path / "list.txt"
     vocab_path.write_text(HOI_LIST)

@@ -102,3 +102,14 @@ def test_split_goes_through_write_json(tmp_path, monkeypatch):
     monkeypatch.setattr(model, "write_json", lambda *a, **k: calls.append(a[0]) or real(*a, **k))
     save_split(Dataset([], make_vocab(1)), tmp_path / "s.json")
     assert calls == [tmp_path / "s.json"]
+
+
+def test_unencodable_text_leaves_an_existing_split_as_it_was(tmp_path):
+    # load_dataset rejects such text; a Dataset built in Python can still hold it
+    vocab = make_vocab(1)
+    rec = ImageRecord("x", "x\ud800.jpg", 100, 100, (HoiInstance(BBox(0, 0, 5, 5), BBox(1, 1, 6, 6), 1),))
+    path = tmp_path / "split.json"
+    path.write_bytes(b"earlier bytes\n")
+    with pytest.raises(UnicodeEncodeError):
+        save_split(Dataset([rec], vocab), path)
+    assert path.read_bytes() == b"earlier bytes\n"
