@@ -107,7 +107,8 @@ def test_split_goes_through_write_json(tmp_path, monkeypatch):
 def test_unencodable_text_leaves_an_existing_split_as_it_was(tmp_path):
     # load_dataset rejects such text; a Dataset built in Python can still hold it
     vocab = make_vocab(1)
-    rec = ImageRecord("x", "x\ud800.jpg", 100, 100, (HoiInstance(BBox(0, 0, 5, 5), BBox(1, 1, 6, 6), 1),))
+    inst = HoiInstance(BBox(0, 0, 5, 5), BBox(1, 1, 6, 6), 1)
+    rec = ImageRecord("x", "x\ud800.jpg", 100, 100, (inst,))
     path = tmp_path / "split.json"
     path.write_bytes(b"earlier bytes\n")
     with pytest.raises(UnicodeEncodeError):
