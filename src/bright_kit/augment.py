@@ -3,8 +3,12 @@
 The pipeline talks to external models (image describer, text-to-image
 generator, open-world detector, region verifier, text verifier, paraphraser)
 only through the small port interfaces below.  Real backends live out of
-process behind :class:`HttpServicePorts`; the shipped mock ports are
-deterministic, so the whole loop is testable on a desk.
+process behind :class:`HttpServicePorts`, one object serving all six ports.
+The shipped mocks are likewise one :class:`MockPorts` object: one fixed
+person box and one fixed object box, region verdicts cycling through
+``verdicts``, a text verifier that accepts everything and a paraphrase suffix
+of ``" (reworded)"``; ``verdicts`` and ``description`` are its only settings.
+It is deterministic, so the whole loop is testable on a desk.
 
 Flow per class: retrieve a reference image annotated with the class, have the
 describer produce a template-anchored prompt, generate an image, detect
@@ -218,100 +222,66 @@ class ServicePorts:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MockDescriber:
-    """Echoes a fixed description inside the class template."""
+_MOCK_IMAGE_PREFIX = "mock://image/"
+_MOCK_DETECTIONS = Detections(
+    person_boxes=(BBox(10.0, 10.0, 200.0, 400.0),),
+    object_boxes=(BBox(180.0, 120.0, 420.0, 380.0),),
+)
+_MOCK_PARAPHRASE_SUFFIX = " (reworded)"
 
-    description: str = "a plain everyday scene"
+
+class MockPorts:
+    """All six ports as deterministic mocks, like :class:`HttpServicePorts`.
+
+    The describer echoes ``description`` inside the class template.  The
+    generator hashes its call number and the prompt into the image ref, so
+    repeated generations from one prompt stay distinct, and region verdicts
+    cycle through ``verdicts`` by call number (``[False, True]`` rejects, then
+    accepts).  Call order is part of the pipeline's determinism contract, so
+    every answer is reproducible for a fixed call sequence.
+    """
+
+    def __init__(
+        self, verdicts: Sequence[bool] = (True,), description: str = "a plain everyday scene"
+    ):
+        if not verdicts:
+            raise DataError("verdict cycle must be non-empty")
+        self.verdicts = tuple(verdicts)
+        self.description = description
+        self._generate_calls = 0
+        self._region_calls = 0
 
     def describe(self, image_ref: str, cls: HoiClass) -> str:
         return f"{prompt_prefix(cls)} {self.description}."
 
-
-@dataclass
-class MockGenerator:
-    """Returns an opaque image ref derived from the prompt and call number.
-
-    The counter keeps repeated generations from one prompt distinct while the
-    full call sequence stays reproducible run to run.
-    """
-
-    prefix: str = "mock://image/"
-    calls: int = 0
-
     def generate(self, prompt: str) -> str:
-        self.calls += 1
-        digest = hashlib.sha1(f"{self.calls}:{prompt}".encode("utf-8")).hexdigest()[:12]
-        return f"{self.prefix}{digest}"
-
-
-@dataclass
-class MockDetector:
-    """Returns a fixed set of detections regardless of the image."""
-
-    detections: Detections = Detections(
-        person_boxes=(BBox(10.0, 10.0, 200.0, 400.0),),
-        object_boxes=(BBox(180.0, 120.0, 420.0, 380.0),),
-    )
+        self._generate_calls += 1
+        key = f"{self._generate_calls}:{prompt}".encode("utf-8")
+        return _MOCK_IMAGE_PREFIX + hashlib.sha1(key).hexdigest()[:12]
 
     def detect(self, image_ref: str) -> Detections:
-        return self.detections
-
-
-class MockRegionVerifier:
-    """Emits verdicts from a fixed cycle; ``[False, True]`` rejects then accepts.
-
-    Call order is part of the pipeline's determinism contract, so a cycling
-    counter is reproducible for a fixed input sequence.
-    """
-
-    def __init__(self, verdicts: Sequence[bool] = (True,)):
-        if not verdicts:
-            raise DataError("verdict cycle must be non-empty")
-        self.verdicts = tuple(verdicts)
-        self.calls = 0
+        return _MOCK_DETECTIONS
 
     def verify_region(
         self, image_ref: str, human_box: BBox, object_box: BBox, cls: HoiClass
     ) -> RegionVerdict:
-        accepted = self.verdicts[self.calls % len(self.verdicts)]
-        self.calls += 1
-        description = (
-            f"a person {_verb_text(cls)} a/an {cls.object_name} in {image_ref}"
-        )
+        accepted = self.verdicts[self._region_calls % len(self.verdicts)]
+        self._region_calls += 1
+        description = f"a person {_verb_text(cls)} a/an {cls.object_name} in {image_ref}"
         return RegionVerdict(accepted=accepted, description=description)
 
-
-@dataclass
-class MockTextVerifier:
-    accept: bool = True
-
     def verify_text(self, description: str, cls: HoiClass) -> bool:
-        return self.accept
-
-
-@dataclass
-class MockParaphraser:
-    """Appends a marker so the template prefix survives rephrasing."""
-
-    suffix: str = " (reworded)"
+        return True
 
     def paraphrase(self, prompt: str) -> str:
-        return prompt + self.suffix
+        return prompt + _MOCK_PARAPHRASE_SUFFIX
 
 
 def mock_ports(
     verdicts: Sequence[bool] = (True,), description: str = "a plain everyday scene"
 ) -> ServicePorts:
     """A complete all-mock port bundle, deterministic for a fixed call sequence."""
-    return ServicePorts(
-        describer=MockDescriber(description),
-        generator=MockGenerator(),
-        detector=MockDetector(),
-        region_verifier=MockRegionVerifier(verdicts),
-        text_verifier=MockTextVerifier(),
-        paraphraser=MockParaphraser(),
-    )
+    return ServicePorts(*[MockPorts(verdicts, description)] * 6)
 
 
 # ---------------------------------------------------------------------------
@@ -449,15 +419,7 @@ class HttpServicePorts:
 
 
 def http_ports(base_url: str, timeout: float = 60.0) -> ServicePorts:
-    client = HttpServicePorts(base_url, timeout=timeout)
-    return ServicePorts(
-        describer=client,
-        generator=client,
-        detector=client,
-        region_verifier=client,
-        text_verifier=client,
-        paraphraser=client,
-    )
+    return ServicePorts(*[HttpServicePorts(base_url, timeout=timeout)] * 6)
 
 
 # ---------------------------------------------------------------------------
@@ -496,13 +458,8 @@ class PairVerdictRecord:
     accepted: bool
 
     def to_dict(self) -> dict:
-        return {
-            "human_box": self.human_box.as_list(),
-            "object_box": self.object_box.as_list(),
-            "region_accepted": self.region_accepted,
-            "text_accepted": self.text_accepted,
-            "accepted": self.accepted,
-        }
+        return {**vars(self), "human_box": self.human_box.as_list(),
+                "object_box": self.object_box.as_list()}
 
 
 @dataclass
@@ -517,21 +474,11 @@ class AttemptRecord:
     paraphrased_after: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "attempt": self.attempt,
-            "prompt_text": self.prompt_text,
-            "paraphrase_generation": self.paraphrase_generation,
-            "image_ref": self.image_ref,
-            "pairs": [p.to_dict() for p in self.pairs],
-            "valid": self.valid,
-            "error": self.error,
-            "paraphrased_after": self.paraphrased_after,
-        }
+        return {**vars(self), "pairs": [p.to_dict() for p in self.pairs]}
 
 
 @dataclass
 class GenerationResult:
-    hoi_class: HoiClass
     attempts: list[AttemptRecord]
     status: str  # "target_reached" | "budget_exhausted"
 
@@ -602,7 +549,7 @@ def generate_valid_images(
             logger.warning("attempt %d for class %d aborted: %s", rec.attempt, cls.class_id, exc)
 
     status = "target_reached" if valid >= budget.target_valid else "budget_exhausted"
-    return GenerationResult(hoi_class=cls, attempts=attempts, status=status)
+    return GenerationResult(attempts=attempts, status=status)
 
 
 def pseudo_label(

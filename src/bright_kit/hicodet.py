@@ -142,4 +142,5 @@ def convert_hicodet_json(path: str | Path, vocab: Vocabulary) -> Dataset:
         records.append(ImageRecord(image_id, file_name, width, height, tuple(instances)))
 
     _require_utf8(path, [r.file_name for r in records])  # image ids are parts of them
-    return Dataset(records, vocab, vocabulary_ref=str(path))
+    # The vocabulary came from hico_list_hoi.txt, which --vocab cannot read: name none.
+    return Dataset(records, vocab)

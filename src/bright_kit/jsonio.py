@@ -50,10 +50,10 @@ def read_json(path: str | Path):
 
 
 def write_json_lines(path: str | Path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for row in rows:
-            f.write(json.dumps(row, sort_keys=True, ensure_ascii=False))
-            f.write("\n")
+    """Write each row as one compact, key-sorted JSON line.  As in :func:`write_json`,
+    the text is encoded before the file is opened."""
+    text = "".join(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n" for row in rows)
+    Path(path).write_bytes(text.encode("utf-8"))
 
 
 def read_json_lines(path: str | Path):

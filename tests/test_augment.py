@@ -12,8 +12,8 @@ from bright_kit import (
 from bright_kit.augment import (
     Detections,
     GenerationBudget,
-    MockDescriber,
-    MockParaphraser,
+    HttpServicePorts,
+    MockPorts,
     PromptRecord,
     RegionVerdict,
     ServicePorts,
@@ -127,10 +127,14 @@ def test_port_bundles_hold_exactly_the_six_ports():
     # perfbench's traced run wraps every attribute of the bundle mock_ports returns.
     names = {"describer", "generator", "detector", "region_verifier", "text_verifier",
              "paraphraser"}
-    assert set(vars(mock_ports())) == names
-    assert set(vars(http_ports("http://127.0.0.1:1"))) == names
+    # Each bundle is one backend object serving all six ports.
+    for ports, kind in ((mock_ports(), MockPorts),
+                        (http_ports("http://127.0.0.1:1"), HttpServicePorts)):
+        assert set(vars(ports)) == names
+        assert len({id(port) for port in vars(ports).values()}) == 1
+        assert isinstance(ports.describer, kind)
     with pytest.raises(TypeError):  # a bundle without every port cannot be built
-        ServicePorts(describer=MockDescriber())
+        ServicePorts(describer=mock_ports().describer)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +145,7 @@ def test_port_bundles_hold_exactly_the_six_ports():
 def test_build_prompt_with_mock_describer():
     vocab = make_vocab(2)
     pool = _ref_pool(vocab)
-    ports = replace(mock_ports(), describer=MockDescriber("a fixed description"))
+    ports = mock_ports(description="a fixed description")
     cls = vocab.get(1)
     rec = build_prompt(cls, pool, ports, seed=0)
     assert rec.text == f"{prompt_prefix(cls)} a fixed description."
@@ -152,7 +156,7 @@ def test_build_prompt_with_mock_describer():
 def test_build_prompt_empty_reference_subset():
     vocab = make_vocab(2)
     pool = _ref_pool(vocab, class_id=1)
-    ports = replace(mock_ports(), describer=MockDescriber())
+    ports = mock_ports()
     with pytest.raises(DataError):
         build_prompt(vocab.get(2), pool, ports, seed=0)
 
@@ -181,7 +185,7 @@ def test_build_prompt_retries_once_then_errors():
 def test_build_prompt_reference_sampling_is_seeded():
     vocab = make_vocab(1)
     pool = make_dataset([[1]] * 10, vocab)
-    ports = replace(mock_ports(), describer=MockDescriber())
+    ports = mock_ports()
     picks = {build_prompt(vocab.get(1), pool, ports, seed=s).reference_image_id for s in range(8)}
     assert len(picks) > 1
     again = build_prompt(vocab.get(1), pool, ports, seed=3)
@@ -365,8 +369,13 @@ def test_template_violation_aborts_attempt_not_run():
 
 def test_text_verifier_gate():
     vocab = make_vocab(1)
-    ports = mock_ports(verdicts=[True])
-    ports.text_verifier.accept = False  # region passes, text check vetoes
+
+    class RejectingTextVerifier:
+        def verify_text(self, description, cls):
+            return False
+
+    # region passes, text check vetoes
+    ports = replace(mock_ports(verdicts=[True]), text_verifier=RejectingTextVerifier())
     gen = generate_valid_images(
         vocab.get(1), GenerationBudget(3, 1), ports, _ref_pool(vocab), seed=0
     )
@@ -436,6 +445,6 @@ def test_pseudo_label_rejects_real_provenance():
 
 def test_mock_paraphraser_preserves_prefix():
     text = prompt_prefix(RIDE_HORSE) + " something."
-    out = MockParaphraser().paraphrase(text)
+    out = mock_ports().paraphraser.paraphrase(text)
     assert out.startswith(prompt_prefix(RIDE_HORSE))
     assert out != text

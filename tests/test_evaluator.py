@@ -531,6 +531,14 @@ def test_prediction_dump_round_trip(tmp_path, vocab5):
     assert load_predictions(path, vocab5) == preds
 
 
+def test_prediction_dump_unencodable_row_leaves_file_as_it_was(tmp_path):
+    path = tmp_path / "preds.jsonl"
+    path.write_bytes(b"old bytes")
+    with pytest.raises(UnicodeEncodeError):
+        save_predictions([_hit("a", 1, 0, 0.9), _hit("b\ud800", 2, 1, 0.5)], path)
+    assert path.read_bytes() == b"old bytes"
+
+
 def test_prediction_load_validates(tmp_path, vocab5):
     path = tmp_path / "preds.jsonl"
     path.write_text(json.dumps({

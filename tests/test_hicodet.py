@@ -4,7 +4,9 @@ import pytest
 
 from bright_kit import UnknownClassError
 from bright_kit.errors import AnnotationFormatError
+from bright_kit.cli import main
 from bright_kit.hicodet import convert_hicodet_json, vocabulary_from_hico_list
+from bright_kit.model import save_split
 
 HOI_LIST = """\
  id   object         verb
@@ -67,6 +69,22 @@ def test_convert_basic(tmp_path):
     assert inst.provenance == "real"
     assert inst.human_box.as_list() == [10, 10, 100, 200]
     assert inst.object_box.as_list() == [80, 50, 300, 250]
+
+
+def test_saved_conversion_names_no_vocabulary_file(tmp_path, capsys):
+    # The vocabulary came from hico_list_hoi.txt, which no --vocab can read, so
+    # a saved conversion must not point at the dump as its vocabulary.
+    vocab_path = tmp_path / "hico_list_hoi.txt"
+    vocab_path.write_text(HOI_LIST)
+    dump = tmp_path / "trainval.json"
+    dump.write_text(json.dumps([_dump_entry()]))
+    d = convert_hicodet_json(dump, vocabulary_from_hico_list(vocab_path))
+    assert d.vocabulary_ref == ""
+    save_split(d, tmp_path / "total.json")
+    code = main(["stats", "--pool", str(tmp_path / "total.json"), "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err == {"type": "UsageError", "message": "missing required parameter --vocab"}
 
 
 def test_convert_infers_canvas_when_size_missing(tmp_path):

@@ -1,6 +1,6 @@
 """The construction commands (stats, balance, augment, balance --augmented,
-zeroshot) never import numpy; only scoring loads the evaluator.  Every name
-the perfbench tracer wraps resolves on the package."""
+zeroshot) never import numpy, nor requests with mock ports; only scoring loads
+the evaluator.  Every name the perfbench tracer wraps resolves on the package."""
 
 import importlib
 import importlib.util
@@ -34,6 +34,7 @@ assert bright_kit.cli.main(["zeroshot", "--seen", "seen.json", "--universe", "un
                             "--pool", "pool.json", "--per-class", "3", "--classes", "3",
                             "--epochs", "2", "--seed", "11", "--out-dir", out + "/zeroshot"]) == 0
 assert "numpy" not in sys.modules, "construction commands"
+assert "requests" not in sys.modules, "mock ports"
 assert "bright_kit.evaluator" not in sys.modules
 from bright_kit import MatchConfig, PredictionTable, evaluate
 assert evaluate is sys.modules["bright_kit.evaluator"].evaluate
