@@ -116,9 +116,10 @@ _dir = _scalar(Path, str)
 
 
 def _target(value) -> str:
-    """'per-deficit' or an integer, kept as the string the config hash covers."""
-    if value != "per-deficit":
-        _int(value)
+    """'per-deficit' or an integer of at least 1, kept as the string the config
+    hash covers."""
+    if value != "per-deficit" and _int(value) < 1:
+        raise ValueError("the target must be at least 1")
     return str(value)
 
 
@@ -259,6 +260,10 @@ def _cmd_augment(p):
         deficits = {_int(c): _int(n) for c, n in raw_deficits.items()}
     except (TypeError, ValueError):
         raise DataError(f"{p.deficits}: deficit class ids and counts must be integers") from None
+    negative = [c for c, n in sorted(deficits.items()) if n < 0]
+    if negative:
+        raise DataError(f"{p.deficits}: class {negative[0]} has a negative deficit count "
+                        f"{deficits[negative[0]]}")
     # Resolve every class before the first port call.
     classes = [vocab.get(class_id) for class_id in sorted(deficits)]
 

@@ -541,15 +541,23 @@ def load_predictions(path: str | Path, vocab: Vocabulary | None = None) -> Predi
     missing key, a value of an unexpected type) and the first row the checks
     reject go through the scalar rule again, in file order, so warnings and
     the first error (its type, message and line number) are those of a
-    row-by-row read.
+    row-by-row read.  The load goes through the load cache
+    (:mod:`bright_kit.cache`): a dump loaded before with no row taking the
+    scalar rule is not decoded again.
     """
+    from .cache import Slot  # not at the top: ``--version`` imports none of it
+
+    slot = Slot(path, "predictions", vocab)
+    if slot.entry is not None:
+        (image, class_id, score, coords), image_ids = slot.entry
+        return PredictionTable(image_ids, image, class_id, score, coords)
     image_ids: dict[str, int] = {}
     image, class_id, lineno = array("q"), array("q"), array("q")
     score, coords = array("d"), array("d")
     recheck: dict[int, object] = {}  # row number -> raw row
     add_line, add_coords, add_score = lineno.append, coords.extend, score.append
     add_class, add_image, image_of = class_id.append, image.append, image_ids.setdefault
-    for line, row in read_json_lines(path):
+    for line, row in read_json_lines(path, slot.data):
         n = len(lineno)
         add_line(line)
         try:
@@ -581,15 +589,17 @@ def load_predictions(path: str | Path, vocab: Vocabulary | None = None) -> Predi
     ok &= (0.0 <= scores) & (scores <= 1.0)
     if vocab is not None:
         ok &= np.isin(classes, _vocab_ids(vocab))
-    for n in sorted(recheck.keys() | set(np.flatnonzero(~ok).tolist())):
+    rule_rows = sorted(recheck.keys() | set(np.flatnonzero(~ok).tolist()))
+    for n in rule_rows:
         where = f"{path}:{lineno[n]}"
         row = recheck[n] if n in recheck else next(
-            r for line, r in read_json_lines(path) if line == lineno[n]
+            r for line, r in read_json_lines(path, slot.data) if line == lineno[n]
         )
         pred = _read_row(row, where, vocab)
         boxes[n] = (pred.human_box.as_list(), pred.object_box.as_list())
         scores[n], classes[n] = pred.score, pred.class_id
         images[n] = image_ids.setdefault(pred.image_id, len(image_ids))
+    slot.store([image, class_id, score, coords], list(image_ids), bool(rule_rows))
     return PredictionTable(image_ids, images, classes, scores, boxes)
 
 

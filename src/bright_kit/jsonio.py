@@ -8,6 +8,7 @@ sorted, indentation is fixed, and a single trailing newline is appended.
 from __future__ import annotations
 
 import gc
+import io
 import json
 from contextlib import contextmanager
 from pathlib import Path
@@ -39,10 +40,19 @@ def paused_gc():
             gc.enable()
 
 
+def _text(path: str | Path, data: bytes | None):
+    """``path`` opened as UTF-8 text, or ``data``, its bytes read already, read
+    through the same text layer, so both give the same text and errors."""
+    if data is None:
+        return open(path, "r", encoding="utf-8")
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
 @paused_gc()
-def read_json(path: str | Path):
-    """Decode a JSON file; any text the decoder rejects is an :class:`AnnotationFormatError`."""
-    with open(path, "r", encoding="utf-8") as f:
+def read_json(path: str | Path, data: bytes | None = None):
+    """Decode a JSON file, or ``data``, its bytes, with ``path`` naming it in
+    messages; any text the decoder rejects is an :class:`AnnotationFormatError`."""
+    with _text(path, data) as f:
         try:
             return json.load(f)
         except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
@@ -56,14 +66,15 @@ def write_json_lines(path: str | Path, rows) -> None:
     Path(path).write_bytes(text.encode("utf-8"))
 
 
-def read_json_lines(path: str | Path):
-    """Yield ``(line number, decoded row)`` for each non-blank line of a JSON-lines file.
+def read_json_lines(path: str | Path, data: bytes | None = None):
+    """Yield ``(line number, decoded row)`` for each non-blank line of a JSON-lines
+    file, or of ``data``, its bytes, as in :func:`read_json`.
 
     Line numbers count every line, blank ones included, from 1.  A line that
     :func:`read_json` would reject is an :class:`AnnotationFormatError`.
     """
     decode = json.JSONDecoder().raw_decode
-    with open(path, "r", encoding="utf-8") as f:
+    with _text(path, data) as f:
         try:
             for lineno, line in enumerate(f, start=1):
                 line = line.strip()

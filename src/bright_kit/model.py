@@ -529,13 +529,24 @@ def load_dataset(path: str | Path, vocab: Vocabulary, raw=None) -> Dataset:
     provenance and two boxes of 4 numbers inside the image.  Every other row
     takes the field-by-field rule (``_instance_row``) at its place in the
     file, so warnings and the first error are those of a row-by-row read.
+
+    When it reads the file itself, the load goes through the load cache
+    (:mod:`bright_kit.cache`): a file loaded before with no row taking that
+    rule is not decoded again.
     """
+    slot = None
     if raw is None:
-        raw = read_json(path)
+        from .cache import Slot  # not at the top: ``--version`` imports none of it
+
+        slot = Slot(path, "dataset", vocab)
+        if slot.entry is not None:
+            return _cached_dataset(vocab, *slot.entry)
+        raw = read_json(path, slot.data)
     images, vocabulary_ref = annotation_header(raw, path)
     cols = _Columns(vocab)
     cls, box, prov = cols.cls, cols.box, cols.prov
     index, prov_code = vocab._index, _PROVENANCE_CODE
+    row_rule = False
     for i, img in enumerate(images):
         try:
             image_id = str(img["image_id"])
@@ -566,6 +577,7 @@ def load_dataset(path: str | Path, vocab: Vocabulary, raw=None) -> Dataset:
                 pass
             where = f"{path}: images[{i}].instances[{j}]"
             cols.add_instance(_instance_row(inst, where, vocab, width, height))
+            row_rule = True
         if not (width > 0 and height > 0):
             ImageRecord(image_id, file_name, width, height)  # raises the size error
         cols.add_image(image_id, file_name, width, height)
@@ -576,6 +588,18 @@ def load_dataset(path: str | Path, vocab: Vocabulary, raw=None) -> Dataset:
         if image_id in seen:
             raise DuplicateImageError(f"duplicate image_id {image_id!r}")
         seen.add(image_id)
+    if slot is not None:
+        slot.store([cols.first, cols.cls, cols.box, cols.prov],
+                   [cols.image_id, cols.file_name, cols.width, cols.height, vocabulary_ref],
+                   row_rule)
+    return Dataset.__new__(Dataset)._bind(cols, vocabulary_ref)
+
+
+def _cached_dataset(vocab: Vocabulary, arrays, values) -> Dataset:
+    """The Dataset of the columns :func:`load_dataset` stored for ``vocab``."""
+    cols = _Columns(vocab)
+    cols.first, cols.cls, cols.box, cols.prov = arrays
+    cols.image_id, cols.file_name, cols.width, cols.height, vocabulary_ref = values
     return Dataset.__new__(Dataset)._bind(cols, vocabulary_ref)
 
 

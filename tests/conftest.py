@@ -8,6 +8,13 @@ sys.path.insert(0, str(Path(__file__).parent))
 from helpers import make_vocab  # noqa: E402
 
 
+@pytest.fixture(autouse=True)
+def _load_cache_dir(tmp_path_factory, monkeypatch):
+    """Each test gets an empty load cache of its own (subprocesses inherit it),
+    so no test reads or fills a user's cache."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+
+
 @pytest.fixture
 def vocab5():
     return make_vocab(5)

@@ -16,9 +16,10 @@ from bright_kit import (
     build_splits,
     fill_deficits,
     load_dataset,
+    save_split,
 )
-from bright_kit import balancer
-from bright_kit.jsonio import canonical_dumps
+from bright_kit import balancer, model
+from bright_kit.jsonio import canonical_dumps, read_json
 from helpers import fixed_box, make_dataset, make_image, make_vocab, random_pool, recount
 from oracles import (
     dataset_to_dict,
@@ -224,14 +225,26 @@ def test_walk_draws_once_per_selected_or_evicted_image(monkeypatch, lists, targe
     assert rng.draws == walked + result.removed_annotations
 
 
-def test_loader_matches_reference_on_random_pools():
+def test_loader_matches_reference_on_random_pools(tmp_path, monkeypatch):
     # The columnar loader and the row-by-row one read each pool's split file
-    # into equal datasets, equal to the pool itself.
-    for pool, _, _ in _random_cases():
+    # into equal datasets, equal to the pool itself.  Read from the file twice,
+    # the second load comes from the load cache, decoding nothing, and is equal too.
+    decoded = []
+    monkeypatch.setattr(model, "read_json", lambda path, data=None: decoded.append(path)
+                        or read_json(path, data))
+    path = tmp_path / "pool.json"
+    for n, (pool, _, _) in enumerate(_random_cases(), start=1):
         raw = json.loads(canonical_dumps(dataset_to_dict(pool)))
+        want = reference_load_dataset("pool.json", pool.vocabulary, raw=raw)
         got = load_dataset("pool.json", pool.vocabulary, raw=raw)
-        assert got == reference_load_dataset("pool.json", pool.vocabulary, raw=raw) == pool
+        assert got == want == pool
         assert got.images == pool.images
+        save_split(pool, path)
+        for _ in range(2):
+            got = load_dataset(path, pool.vocabulary)
+            assert got == want and got.images == pool.images
+            assert got.vocabulary_ref == want.vocabulary_ref
+        assert len(decoded) == n
 
 
 def test_balance_requires_subset_vocab():

@@ -537,6 +537,8 @@ _BAD_VALUES = [
     ("zeroshot", "epochs", ""),
     ("augment", "budget", "lots"),
     ("augment", "target", "all"),
+    ("augment", "target", "0"),
+    ("augment", "target", "-3"),
     ("augment", "ports", "grpc"),
     ("evaluate", "iou", "high"),
     ("evaluate", "ap_method", "median"),
@@ -764,8 +766,11 @@ def test_augment_checks_deficits_before_any_port_call(workspace, capsys, monkeyp
 
     _assert_data_error(augment({"x": 1}, tmp / "bad_key"), capsys)
     _assert_data_error(augment({"1": 1, "99": 1}, tmp / "unknown"), capsys, "UnknownClassError")
+    assert augment({"1": 1, "2": -5}, tmp / "negative") == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "DataError" and "class 2 has a negative deficit count -5" in err["message"]
     assert calls == []
-    assert not (tmp / "bad_key").exists() and not (tmp / "unknown").exists()
+    assert not any((tmp / out).exists() for out in ("bad_key", "unknown", "negative"))
 
     assert augment({"1": 1}, tmp / "ok") == 0
     assert calls  # the counting ports are the ones the command uses

@@ -524,11 +524,20 @@ def test_flip_without_tp_errors(vocab5):
 # ---------------------------------------------------------------------------
 
 
-def test_prediction_dump_round_trip(tmp_path, vocab5):
-    preds = [_hit("a", 1, 0, 0.9), _miss("b", 2, 1, 0.25)]
+def test_prediction_dump_round_trip(tmp_path, vocab5, monkeypatch):
+    # the second load comes from the load cache, decoding nothing
+    decoded = []
+    monkeypatch.setattr(evaluator, "read_json_lines", lambda path, data=None: decoded.append(path)
+                        or read_json_lines(path, data))
+    preds = [_hit("a", 1, 0, 0.9), _miss("b", 2, 1, 0.25), _hit("c", 3, 2, 0.5)]
     path = tmp_path / "preds.jsonl"
     save_predictions(preds, path)
-    assert load_predictions(path, vocab5) == preds
+    for _ in range(2):
+        table = load_predictions(path, vocab5)
+        assert table == preds and table.image_ids == ("a", "b", "c")
+        with pytest.raises(ValueError):
+            table.boxes[0, 0, 0] = 1.0
+    assert len(decoded) == 1
 
 
 def test_prediction_dump_unencodable_row_leaves_file_as_it_was(tmp_path):
