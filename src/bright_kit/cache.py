@@ -1,21 +1,12 @@
-"""Load cache: the finished columns of annotation files and prediction dumps,
-keyed by content.
+"""Load cache: the finished columns of successful loads, keyed by file content.
 
-The construction commands read one pool again and again, and re-scoring reads
-one ground truth against many dumps.  A load that succeeds without any row
-taking the field-by-field rule (no clamp, no converted value) stores its
-columns under ``$XDG_CACHE_HOME/bright-kit/`` (default ``~/.cache/bright-kit/``),
-and a later load of the same bytes returns them without decoding the file.
-
-The key is a sha256 over the file's bytes, the vocabulary's class rows in
-order, the bytes of this package's ``*.py`` files and the native byte order.
-An entry is one header line (a version, the sha256 of the rest, the typecode
-and byte length of each ``array`` column), the raw bytes of those columns and
-one JSON array of the other values; no pickle.  It is written under a unique
-temporary name and renamed into place.  After a store, the least recently
-used entries (by mtime; a hit refreshes it) are deleted until the directory
-holds at most :data:`MAX_BYTES`.  Any ``OSError`` and any entry that does not
-parse is a miss: the cache changes no result, message or exit code.
+Entries live in ``$XDG_CACHE_HOME/bright-kit/`` (default ``~/.cache/bright-kit/``),
+named by a sha256 over the file's bytes, the vocabulary's class rows, this
+package's ``*.py`` files and the native byte order.  An entry is a header line
+(a version, the sha256 of the rest, the typecode and size of each ``array``
+column), the columns' raw bytes and a JSON array of the other values; no
+pickle.  Any ``OSError`` and any malformed entry is a miss: the cache changes
+no result, message or exit code.  README, "Load cache", has the policy.
 """
 
 from __future__ import annotations
@@ -69,13 +60,11 @@ def _read(path: Path):
         version, digest, *columns = head.decode("ascii").split(" ")
         if version != _VERSION or hashlib.sha256(body).hexdigest() != digest:
             return None
-        arrays, at, body = [], 0, memoryview(body)
-        for column in columns:
-            typecode, size = column.split(":")
-            arrays.append(array(typecode))
-            arrays[-1].frombytes(body[at : at + int(size)])
+        arrays, at = [], 0
+        for typecode, size in (column.split(":") for column in columns):
+            arrays.append(array(typecode, body[at : at + int(size)]))
             at += int(size)
-        values = json.loads(body[at:].tobytes())
+        values = json.loads(body[at:])
         os.utime(path)  # a hit counts as a use for eviction
     except (OSError, ValueError, TypeError):
         return None
@@ -83,17 +72,14 @@ def _read(path: Path):
 
 
 def _write(path: Path, arrays, values) -> None:
-    text = json.dumps(values, separators=(",", ":")).encode()
-    h = hashlib.sha256()
-    for part in (*arrays, text):
-        h.update(part)
-    head = [_VERSION, h.hexdigest(), *(f"{a.typecode}:{len(a) * a.itemsize}" for a in arrays)]
+    """Write an entry under a unique temporary name, then rename it into place."""
+    body = b"".join([*map(bytes, arrays), json.dumps(values, separators=(",", ":")).encode()])
+    sizes = [f"{a.typecode}:{len(a) * a.itemsize}" for a in arrays]
+    head = " ".join([_VERSION, hashlib.sha256(body).hexdigest(), *sizes]).encode()
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}")
     try:
         with open(tmp, "xb") as f:
-            f.write(" ".join(head).encode() + b"\n")
-            for part in (*arrays, text):
-                f.write(part)
+            f.write(head + b"\n" + body)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -132,18 +118,18 @@ class Slot:
             self._log("hit")
 
     def store(self, arrays, values, row_rule: bool) -> None:
-        """Store a finished load's columns, unless a row took the row rule."""
+        """Store a finished load's columns, unless a row took the row rule;
+        then evict down to :data:`MAX_BYTES`."""
         if row_rule:
-            return self._log("not stored", "a row took the row rule")
+            return self._log("not stored (a row took the row rule)")
         root = directory()
         try:
             root.mkdir(mode=0o700, parents=True, exist_ok=True)
             _write(root / self.key, arrays, values)
         except OSError as exc:
-            return self._log("not stored", exc)
+            return self._log(f"not stored ({exc})")
         _evict(root)
         self._log("stored")
 
-    def _log(self, outcome: str, reason=None) -> None:
-        why = "" if reason is None else f" ({reason})"
-        logger.info("load cache %s%s: %s [key %s]", outcome, why, self.path, self.key[:12])
+    def _log(self, outcome: str) -> None:
+        logger.info("load cache %s: %s [key %s]", outcome, self.path, self.key[:12])

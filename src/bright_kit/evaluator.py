@@ -542,8 +542,8 @@ def load_predictions(path: str | Path, vocab: Vocabulary | None = None) -> Predi
     reject go through the scalar rule again, in file order, so warnings and
     the first error (its type, message and line number) are those of a
     row-by-row read.  The load goes through the load cache
-    (:mod:`bright_kit.cache`): a dump loaded before with no row taking the
-    scalar rule is not decoded again.
+    (:mod:`bright_kit.cache`): once loaded with no row taking the scalar
+    rule, a dump is not decoded again.
     """
     from .cache import Slot  # not at the top: ``--version`` imports none of it
 

@@ -529,10 +529,8 @@ def load_dataset(path: str | Path, vocab: Vocabulary, raw=None) -> Dataset:
     provenance and two boxes of 4 numbers inside the image.  Every other row
     takes the field-by-field rule (``_instance_row``) at its place in the
     file, so warnings and the first error are those of a row-by-row read.
-
-    When it reads the file itself, the load goes through the load cache
-    (:mod:`bright_kit.cache`): a file loaded before with no row taking that
-    rule is not decoded again.
+    A file read here goes through the load cache (:mod:`bright_kit.cache`):
+    once loaded with no row taking that rule, it is not decoded again.
     """
     slot = None
     if raw is None:
@@ -540,7 +538,10 @@ def load_dataset(path: str | Path, vocab: Vocabulary, raw=None) -> Dataset:
 
         slot = Slot(path, "dataset", vocab)
         if slot.entry is not None:
-            return _cached_dataset(vocab, *slot.entry)
+            cols = _Columns(vocab)
+            cols.first, cols.cls, cols.box, cols.prov = slot.entry[0]
+            cols.image_id, cols.file_name, cols.width, cols.height, ref = slot.entry[1]
+            return Dataset.__new__(Dataset)._bind(cols, ref)
         raw = read_json(path, slot.data)
     images, vocabulary_ref = annotation_header(raw, path)
     cols = _Columns(vocab)
@@ -592,14 +593,6 @@ def load_dataset(path: str | Path, vocab: Vocabulary, raw=None) -> Dataset:
         slot.store([cols.first, cols.cls, cols.box, cols.prov],
                    [cols.image_id, cols.file_name, cols.width, cols.height, vocabulary_ref],
                    row_rule)
-    return Dataset.__new__(Dataset)._bind(cols, vocabulary_ref)
-
-
-def _cached_dataset(vocab: Vocabulary, arrays, values) -> Dataset:
-    """The Dataset of the columns :func:`load_dataset` stored for ``vocab``."""
-    cols = _Columns(vocab)
-    cols.first, cols.cls, cols.box, cols.prov = arrays
-    cols.image_id, cols.file_name, cols.width, cols.height, vocabulary_ref = values
     return Dataset.__new__(Dataset)._bind(cols, vocabulary_ref)
 
 
