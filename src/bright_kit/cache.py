@@ -27,7 +27,8 @@ _VERSION = "bright-kit-cache-1"
 
 
 def directory() -> Path:
-    return Path(os.environ.get("XDG_CACHE_HOME") or "~/.cache").expanduser() / "bright-kit"
+    """The cache directory; ``RuntimeError`` when there is no home directory to hold it."""
+    return Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "bright-kit"
 
 
 @functools.cache
@@ -50,10 +51,11 @@ def _key(data: bytes, kind: str, vocab) -> str:
     return h.hexdigest()
 
 
-def _read(path: Path):
-    """``(arrays, values)`` of the entry at ``path``, or None if it is missing
-    or does not parse."""
+def _read(key: str):
+    """``(arrays, values)`` of the entry ``key``, or None if it is missing or
+    does not parse."""
     try:
+        path = directory() / key
         with open(path, "rb") as f:
             blob = f.read()
         head, _, body = blob.partition(b"\n")
@@ -66,7 +68,7 @@ def _read(path: Path):
             at += int(size)
         values = json.loads(body[at:])
         os.utime(path)  # a hit counts as a use for eviction
-    except (OSError, ValueError, TypeError):
+    except (OSError, RuntimeError, ValueError, TypeError):
         return None
     return arrays, values
 
@@ -113,7 +115,7 @@ class Slot:
         with open(path, "rb") as f:
             self.data = f.read()
         self.key = _key(self.data, kind, vocab)
-        self.entry = _read(directory() / self.key)
+        self.entry = _read(self.key)
         if self.entry is not None:
             self._log("hit")
 
@@ -122,11 +124,11 @@ class Slot:
         then evict down to :data:`MAX_BYTES`."""
         if row_rule:
             return self._log("not stored (a row took the row rule)")
-        root = directory()
         try:
+            root = directory()
             root.mkdir(mode=0o700, parents=True, exist_ok=True)
             _write(root / self.key, arrays, values)
-        except OSError as exc:
+        except (OSError, RuntimeError) as exc:
             return self._log(f"not stored ({exc})")
         _evict(root)
         self._log("stored")

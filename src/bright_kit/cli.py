@@ -260,10 +260,9 @@ def _cmd_augment(p):
         deficits = {_int(c): _int(n) for c, n in raw_deficits.items()}
     except (TypeError, ValueError):
         raise DataError(f"{p.deficits}: deficit class ids and counts must be integers") from None
-    negative = [c for c, n in sorted(deficits.items()) if n < 0]
-    if negative:
-        raise DataError(f"{p.deficits}: class {negative[0]} has a negative deficit count "
-                        f"{deficits[negative[0]]}")
+    for class_id, n in sorted(deficits.items()):
+        if n < 0:
+            raise DataError(f"{p.deficits}: class {class_id} has a negative deficit count {n}")
     # Resolve every class before the first port call.
     classes = [vocab.get(class_id) for class_id in sorted(deficits)]
 

@@ -91,7 +91,12 @@ def test_a_garbled_entry_is_a_miss_and_is_rewritten(tmp_path, decoded, garble):
     assert entry.read_bytes() == good
 
 
-def test_an_unwritable_cache_dir_keeps_exit_codes_and_bytes(tmp_path, monkeypatch, capsys):
+def _no_home():
+    raise RuntimeError("Could not determine home directory.")
+
+
+@pytest.mark.parametrize("where", ["not_a_dir", "no_home"])
+def test_an_unwritable_cache_dir_keeps_exit_codes_and_bytes(tmp_path, monkeypatch, capsys, where):
     path, _, _ = _pool(tmp_path)
     save_vocabulary(make_vocab(4), tmp_path / "vocab.json")
     (tmp_path / "bad.json").write_text('{"images": [{"image_id": "x"}]}')
@@ -103,8 +108,12 @@ def test_an_unwritable_cache_dir_keeps_exit_codes_and_bytes(tmp_path, monkeypatc
 
     want = [stats(path, "ok"), stats(tmp_path / "bad.json", "bad")]
     assert [code for code, _ in want] == [0, 3] and _entries()
-    (tmp_path / "not_a_dir").write_text("")
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "not_a_dir"))  # mkdir fails
+    if where == "not_a_dir":  # mkdir fails
+        (tmp_path / "not_a_dir").write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "not_a_dir"))
+    else:
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        monkeypatch.setattr(Path, "home", _no_home)
     assert [stats(path, "ok2"), stats(tmp_path / "bad.json", "bad2")] == want
     for name in ("stats.json", "per_class.csv"):
         assert (tmp_path / "ok2" / name).read_bytes() == (tmp_path / "ok" / name).read_bytes()
