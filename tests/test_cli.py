@@ -768,7 +768,8 @@ def test_augment_checks_deficits_before_any_port_call(workspace, capsys, monkeyp
     _assert_data_error(augment({"1": 1, "99": 1}, tmp / "unknown"), capsys, "UnknownClassError")
     assert augment({"1": 1, "2": -5}, tmp / "negative") == 3
     err = json.loads(capsys.readouterr().err)["error"]
-    assert err["type"] == "DataError" and "class 2 has a negative deficit count -5" in err["message"]
+    assert err["type"] == "DataError"
+    assert "class 2 has a negative deficit count -5" in err["message"]
     assert calls == []
     assert not any((tmp / out).exists() for out in ("bad_key", "unknown", "negative"))
 

@@ -59,28 +59,21 @@ def run_steps(root: Path, capsys) -> None:
         assert capsys.readouterr().out.replace(str(out), "<out>") == STDOUT[step], step
 
 
-def assert_golden(root: Path) -> None:
+def test_cli_reproduces_golden_construction_artifacts(tmp_path, monkeypatch, capsys, caplog):
+    # Run twice against one load cache: the warm run loads augmented.json from
+    # the entry the cold run stored (the pool needs clamps, so it is never
+    # stored), and both write the committed bytes.
+    monkeypatch.chdir(GOLDEN)
     expected = GOLDEN / "expected"
-    produced = sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
-    assert produced == sorted(p.relative_to(expected) for p in expected.rglob("*") if p.is_file())
-    for rel in produced:
-        assert (root / rel).read_bytes() == (expected / rel).read_bytes(), rel
-
-
-def test_cli_reproduces_golden_construction_artifacts(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(GOLDEN)
-    run_steps(tmp_path, capsys)
-    assert_golden(tmp_path)
-
-
-def test_cold_and_warm_load_cache_give_the_golden_bytes(tmp_path, monkeypatch, capsys, caplog):
-    # The warm run loads augmented.json from the entry the cold run stored
-    # (the pool needs clamps, so it is never stored); both write the same bytes.
-    monkeypatch.chdir(GOLDEN)
     for run in ("cold", "warm"):
+        root = tmp_path / run
         caplog.clear()
         with caplog.at_level("INFO", logger="bright_kit"):
-            run_steps(tmp_path / run, capsys)
-        assert_golden(tmp_path / run)
+            run_steps(root, capsys)
         hits = [r for r in caplog.records if r.getMessage().startswith("load cache hit")]
         assert len(hits) == (run == "warm")
+        produced = sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+        assert produced == sorted(p.relative_to(expected)
+                                  for p in expected.rglob("*") if p.is_file())
+        for rel in produced:
+            assert (root / rel).read_bytes() == (expected / rel).read_bytes(), rel
