@@ -90,11 +90,18 @@ def _write(path: Path, arrays, values) -> None:
 def _evict(root: Path) -> None:
     """Delete the least recently used files of ``root`` until it holds at most
     :data:`MAX_BYTES`."""
+    files = []
     try:
-        files = sorted((st.st_mtime, st.st_size, e.path)
-                       for e in os.scandir(root) for st in [e.stat()])
+        with os.scandir(root) as entries:
+            for e in entries:
+                try:
+                    st = e.stat()
+                except OSError:  # deleted by another load meanwhile
+                    continue
+                files.append((st.st_mtime, st.st_size, e.path))
     except OSError:
         return
+    files.sort()
     total = sum(size for _, size, _ in files)
     for _, size, path in files:
         if total <= MAX_BYTES:

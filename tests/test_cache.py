@@ -4,6 +4,8 @@ import json
 import logging
 import os
 import random
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -169,3 +171,30 @@ def test_info_log_names_each_cached_load(tmp_path, caplog):
                          f"load cache hit: {path} [key {key}]"]
     assert len(lines) == 3 and lines[2].startswith(
         f"load cache not stored (a row took the row rule): {clamped} [key ")
+
+
+def test_concurrent_loads_with_eviction_races_return_equal_datasets(tmp_path, monkeypatch):
+    # Threads store, hit and evict each other's entries (the cap holds about
+    # one entry); every load must still equal its pool.
+    pools = [_pool(tmp_path, f"p{i}.json", prefix=f"im{i}") for i in range(3)]
+    monkeypatch.setattr(cache, "MAX_BYTES", 1500)
+    bad = []
+
+    def work(k):
+        for n in range(30):
+            path, vocab, pool = pools[(k + n) % 3]
+            if load_dataset(path, vocab) != pool:
+                bad.append(path)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
