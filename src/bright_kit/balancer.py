@@ -33,6 +33,7 @@ bit for bit.  :data:`BALANCER_VERSION` names the stream.
 from __future__ import annotations
 
 import random
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -103,11 +104,38 @@ def balance(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) -> BalanceRe
 
     Only instances of ``classes`` are counted; annotations of other classes
     ride along untouched.  Never raises for insufficient supply; short
-    classes are reported in ``deficits``.
+    classes are reported in ``deficits``.  A pool read from a file is walked
+    once per selection, classes and ``cfg``: the load cache keeps the result.
     """
     if not classes.is_subset_of(pool.vocabulary):
         raise UnknownClassError("balancing classes are not a subset of the pool vocabulary")
+    cols = pool._cols
+    if cols.key is None:  # columns built in memory: no file names them
+        return _walk(pool, classes, cfg)
+    from .cache import Slot  # not at the top: ``--version`` imports none of it
 
+    selection = _selection(pool)
+    slot = Slot(f"balance pass (seed {cfg.seed}) over {cols.key[:12]}", "balance",
+                [cols.key, sorted(set(classes.class_ids())), cfg.target_per_class, cfg.epochs,
+                 cfg.seed, BALANCER_VERSION, list(map(len, selection))],
+                b"".join(map(bytes, selection)))
+    if slot.entry is None:
+        result = _walk(pool, classes, cfg)
+        slot.store(_selection(result.balanced) + _selection(result.remainder), [
+            list(result.deficits.items()), result.removed_annotations, result.trimmed_images])
+        return result
+    arrays, (deficits, removed, trimmed) = slot.entry
+    balanced, remainder = (Dataset.__new__(Dataset)._bind(cols, pool.vocabulary_ref, *selected)
+                           for selected in (arrays[:3], arrays[3:]))
+    return BalanceResult(balanced, dict(deficits), removed, remainder, trimmed)
+
+
+def _selection(d: Dataset) -> list[array]:
+    return [array("q", s) for s in (d._rows, d._inst, d._first)]
+
+
+def _walk(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) -> BalanceResult:
+    """The seeded walk of :func:`balance`."""
     target = cfg.target_per_class
     target_ids = set(classes.class_ids())
     index = pool.vocabulary._index

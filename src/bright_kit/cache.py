@@ -1,8 +1,10 @@
-"""Load cache: the finished columns of successful loads, keyed by file content.
+"""Load cache: the finished columns of successful loads, keyed by file content,
+and the results of balancing passes over them.
 
 Entries live in ``$XDG_CACHE_HOME/bright-kit/`` (default ``~/.cache/bright-kit/``),
-named by a sha256 over the file's bytes, the vocabulary's class rows, this
-package's ``*.py`` files and the native byte order.  An entry is a header line
+named by a sha256 over this package's ``*.py`` files, the native byte order,
+a JSON header (for a load, the vocabulary's class rows) and the input bytes
+(for a load, the file's).  An entry is a header line
 (a version, the sha256 of the rest, the typecode and size of each ``array``
 column), the columns' raw bytes and a JSON array of the other values; no
 pickle.  Any ``OSError`` and any malformed entry is a miss: the cache changes
@@ -27,8 +29,10 @@ _VERSION = "bright-kit-cache-1"
 
 
 def directory() -> Path:
-    """The cache directory; ``RuntimeError`` when there is no home directory to hold it."""
-    return Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "bright-kit"
+    """The cache directory; ``RuntimeError`` when there is no home directory to hold it.
+    A relative ``XDG_CACHE_HOME`` is ignored, as the XDG Base Directory spec says."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    return (Path(base) if os.path.isabs(base) else Path.home() / ".cache") / "bright-kit"
 
 
 @functools.cache
@@ -41,12 +45,14 @@ def _source_digest() -> bytes:
     return h.digest()
 
 
-def _key(data: bytes, kind: str, vocab) -> str:
-    rows = None if vocab is None else [
-        [c.class_id, c.verb_id, c.object_id, c.verb_name, c.object_name] for c in vocab
-    ]
+def _rows(vocab) -> list:
+    return [[c.class_id, c.verb_id, c.object_id, c.verb_name, c.object_name] for c in vocab]
+
+
+def _key(data: bytes, kind: str, header) -> str:
+    """The entry name of ``data`` under a JSON ``header`` (a vocabulary reads as its rows)."""
     h = hashlib.sha256(_source_digest())
-    h.update(json.dumps([kind, sys.byteorder, rows]).encode() + b"\0")
+    h.update(json.dumps([kind, sys.byteorder, header], default=_rows).encode() + b"\0")
     h.update(data)
     return h.hexdigest()
 
@@ -114,20 +120,22 @@ def _evict(root: Path) -> None:
 
 
 class Slot:
-    """One load of ``path`` through the cache: its bytes (``data``) and, on a
-    hit, the stored ``(arrays, values)`` (``entry``; None on a miss)."""
+    """One result through the cache, named ``name`` in log lines: its input
+    bytes (``data``; by default the bytes of the file ``name``) and, on a hit,
+    the stored ``(arrays, values)`` (``entry``; None on a miss)."""
 
-    def __init__(self, path, kind: str, vocab):
-        self.path = path
-        with open(path, "rb") as f:
-            self.data = f.read()
-        self.key = _key(self.data, kind, vocab)
+    def __init__(self, name, kind: str, header, data: bytes | None = None):
+        self.name = name
+        if data is None:
+            with open(name, "rb") as f:
+                data = f.read()
+        self.data, self.key = data, _key(data, kind, header)
         self.entry = _read(self.key)
         if self.entry is not None:
             self._log("hit")
 
-    def store(self, arrays, values, row_rule: bool) -> None:
-        """Store a finished load's columns, unless a row took the row rule;
+    def store(self, arrays, values, row_rule: bool = False) -> None:
+        """Store a finished result, unless a row of its load took the row rule;
         then evict down to :data:`MAX_BYTES`."""
         if row_rule:
             return self._log("not stored (a row took the row rule)")
@@ -141,4 +149,4 @@ class Slot:
         self._log("stored")
 
     def _log(self, outcome: str) -> None:
-        logger.info("load cache %s: %s [key %s]", outcome, self.path, self.key[:12])
+        logger.info("load cache %s: %s [key %s]", outcome, self.name, self.key[:12])

@@ -239,11 +239,12 @@ class _Columns:
     ``first`` the position of its first instance (one more entry closes the
     last image).  Per instance: ``cls``, its class's position in ``vocabulary``;
     ``box``, human then object box, 8 coordinates; ``prov``, its position in
-    :data:`PROVENANCES`.
+    :data:`PROVENANCES`.  ``key`` is the load cache key of the file they were
+    read from, None for columns built in memory.
     """
 
-    def __init__(self, vocabulary: Vocabulary):
-        self.vocabulary = vocabulary
+    def __init__(self, vocabulary: Vocabulary, key: str | None = None):
+        self.vocabulary, self.key = vocabulary, key
         self.image_id, self.file_name, self.width, self.height = [], [], [], []
         self.first, self.cls, self.box = array("q", [0]), array("q"), array("d")
         self.prov = array("b")
@@ -530,7 +531,8 @@ def load_dataset(path: str | Path, vocab: Vocabulary, raw=None) -> Dataset:
     takes the field-by-field rule (``_instance_row``) at its place in the
     file, so warnings and the first error are those of a row-by-row read.
     A file read here goes through the load cache (:mod:`bright_kit.cache`):
-    once loaded with no row taking that rule, it is not decoded again.
+    once loaded with no row taking that rule, it is not decoded again.  Either
+    way its columns carry the file's cache key, for balancing passes over them.
     """
     slot = None
     if raw is None:
@@ -538,13 +540,13 @@ def load_dataset(path: str | Path, vocab: Vocabulary, raw=None) -> Dataset:
 
         slot = Slot(path, "dataset", vocab)
         if slot.entry is not None:
-            cols = _Columns(vocab)
+            cols = _Columns(vocab, slot.key)
             cols.first, cols.cls, cols.box, cols.prov = slot.entry[0]
             cols.image_id, cols.file_name, cols.width, cols.height, ref = slot.entry[1]
             return Dataset.__new__(Dataset)._bind(cols, ref)
         raw = read_json(path, slot.data)
     images, vocabulary_ref = annotation_header(raw, path)
-    cols = _Columns(vocab)
+    cols = _Columns(vocab, slot and slot.key)
     cls, box, prov = cols.cls, cols.box, cols.prov
     index, prov_code = vocab._index, _PROVENANCE_CODE
     row_rule = False

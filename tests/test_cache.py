@@ -6,16 +6,19 @@ import os
 import random
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from bright_kit import (cache, evaluator, load_dataset, load_predictions, model, save_split,
-                        save_vocabulary)
+from bright_kit import (BalanceConfig, HoiClass, Vocabulary, balance, balancer, cache, evaluator,
+                        load_dataset, load_predictions, merge, model, save_split, save_vocabulary)
 from bright_kit.cli import main
+from bright_kit.errors import UnknownClassError
 from bright_kit.jsonio import read_json, read_json_lines
 
 from helpers import make_dataset, make_vocab
+from oracles import reference_balance
 
 
 @pytest.fixture
@@ -34,6 +37,15 @@ def _pool(tmp_path, name="pool.json", seed=0, prefix="img"):
     pool = make_dataset([[1, 2], [3], [4, 4]], vocab, seed=seed, prefix=prefix)
     save_split(pool, tmp_path / name)
     return tmp_path / name, vocab, pool
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The pools the balancer walked, in order."""
+    pools, walk = [], balancer._walk
+    monkeypatch.setattr(balancer, "_walk", lambda pool, classes, cfg: pools.append(pool)
+                        or walk(pool, classes, cfg))
+    return pools
 
 
 def _entries() -> list[Path]:
@@ -173,18 +185,32 @@ def test_info_log_names_each_cached_load(tmp_path, caplog):
         f"load cache not stored (a row took the row rule): {clamped} [key ")
 
 
+def _same(got, want) -> bool:
+    """Two balancing results agree on every field, the deficits' order included."""
+    return (got.balanced == want.balanced and got.remainder == want.remainder
+            and list(got.deficits.items()) == list(want.deficits.items())
+            and got.removed_annotations == want.removed_annotations
+            and got.trimmed_images == want.trimmed_images)
+
+
 def test_concurrent_loads_with_eviction_races_return_equal_datasets(tmp_path, monkeypatch):
-    # Threads store, hit and evict each other's entries (the cap holds about
-    # one entry); every load must still equal its pool.
+    # Threads store, hit and evict each other's entries, loads and balancing
+    # passes alike (the cap holds about one entry); every load must still
+    # equal its pool, and every pass the uncached walk over it.
     pools = [_pool(tmp_path, f"p{i}.json", prefix=f"im{i}") for i in range(3)]
+    cfgs = [BalanceConfig(1, epochs=3, seed=i) for i in range(3)]
+    walked = [balance(pool, vocab, cfg) for (_, vocab, pool), cfg in zip(pools, cfgs)]
     monkeypatch.setattr(cache, "MAX_BYTES", 1500)
     bad = []
 
     def work(k):
         for n in range(30):
             path, vocab, pool = pools[(k + n) % 3]
-            if load_dataset(path, vocab) != pool:
+            loaded = load_dataset(path, vocab)
+            if loaded != pool:
                 bad.append(path)
+            if not _same(balance(loaded, vocab, cfgs[(k + n) % 3]), walked[(k + n) % 3]):
+                bad.append(("balance", path))
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -198,3 +224,128 @@ def test_concurrent_loads_with_eviction_races_return_equal_datasets(tmp_path, mo
         sys.setswitchinterval(switch)
     assert not any(t.is_alive() for t in threads)
     assert bad == []
+
+
+# Balancing passes over a pool read from a file go through the same cache.
+
+def _skewed(tmp_path, name="skewed.json"):
+    """A saved pool whose passes both trim and fall short, its vocabulary and
+    the pool loaded from the file."""
+    vocab = make_vocab(4)
+    rng = random.Random(7)
+    lists = [rng.choices([1, 2, 3, 4], [8, 4, 2, 1], k=rng.randint(1, 4)) for _ in range(40)]
+    save_split(make_dataset(lists, vocab), tmp_path / name)
+    return tmp_path / name, vocab, load_dataset(tmp_path / name, vocab)
+
+
+def test_a_second_pass_walks_nothing_and_equals_the_reference(tmp_path, walks):
+    path, vocab, pool = _skewed(tmp_path)
+    cfg = BalanceConfig(12, epochs=4, seed=3)
+    first = balance(pool, vocab, cfg)
+    assert first.removed_annotations and first.deficits  # the counters are not all zero
+    again = balance(load_dataset(path, vocab), vocab, cfg)
+    assert walks == [pool]
+    assert _same(again, first) and _same(again, reference_balance(pool, vocab, cfg))
+    assert again.balanced._cols is not pool._cols and again.balanced.vocabulary_ref == ""
+
+
+@pytest.mark.parametrize("part", ["seed", "epochs", "target", "classes", "selection", "order",
+                                  "input"])
+def test_each_part_of_a_pass_key_is_a_miss(tmp_path, walks, part):
+    path, vocab, pool = _skewed(tmp_path)
+    cfg, classes = BalanceConfig(12, epochs=4, seed=3), vocab
+    first = balance(pool, classes, cfg)
+    if part in ("seed", "epochs", "target"):
+        cfg = replace(cfg, **{{"target": "target_per_class"}.get(part, part): 5})
+    elif part == "classes":
+        classes = vocab.subset([1, 2, 3])
+    elif part == "selection":  # the train pass, over the first pass's remainder
+        pool = first.remainder
+    elif part == "order":  # a selection of the same sizes: the images reversed
+        pool = pool._select(range(len(pool) - 1, -1, -1))
+    else:  # one byte of the file: the same pool but for one image id
+        path.write_text(path.read_text().replace('"img0000"', '"img000X"'))
+        pool = load_dataset(path, vocab)
+    got = balance(pool, classes, cfg)
+    assert len(walks) == 2 and walks[1] is pool
+    assert _same(got, reference_balance(pool, classes, cfg))
+
+
+@pytest.mark.parametrize("garble", [
+    lambda b: b[: len(b) // 2],
+    _flip_first_column_byte,
+    lambda b: random.Random(1).randbytes(len(b)),
+], ids=["truncated", "flipped_column_byte", "random"])
+def test_a_garbled_pass_entry_is_a_miss_and_is_rewritten(tmp_path, walks, garble):
+    _, vocab, pool = _skewed(tmp_path)
+    cfg = BalanceConfig(12, epochs=4, seed=3)
+    loads = set(_entries())
+    first = balance(pool, vocab, cfg)
+    (entry,) = set(_entries()) - loads
+    good = entry.read_bytes()
+    entry.write_bytes(garble(good))
+    assert _same(balance(pool, vocab, cfg), first)
+    assert len(walks) == 2
+    assert entry.read_bytes() == good
+
+
+def test_pools_built_in_memory_or_merged_store_no_pass(tmp_path, walks):
+    vocab = make_vocab(4)
+    built = make_dataset([[1, 2], [3], [4, 4], [1]], vocab)
+    a, b = (load_dataset(_pool(tmp_path, f"{p}.json", prefix=p)[0], vocab) for p in "ab")
+    merged = merge(a, b)
+    loads = _entries()
+    for pool in (built, built, merged, merged):
+        balance(pool, vocab, BalanceConfig(1, epochs=2))
+    assert walks == [built, built, merged, merged]
+    assert _entries() == loads
+
+
+def test_a_warm_pass_still_rejects_classes_outside_the_pool(tmp_path):
+    _, vocab, pool = _skewed(tmp_path)
+    cfg = BalanceConfig(12, epochs=4, seed=3)
+    balance(pool, vocab.subset([1]), cfg)
+    # the same class ids as the stored pass, with another verb name
+    renamed = Vocabulary([HoiClass(1, 1, 1, "other", "object1")])
+    for classes in (renamed, make_vocab(5)):
+        with pytest.raises(UnknownClassError) as err:
+            balance(pool, classes, cfg)
+        assert str(err.value) == "balancing classes are not a subset of the pool vocabulary"
+
+
+@pytest.mark.parametrize("where", ["not_a_dir", "no_home"])
+def test_an_unwritable_cache_dir_keeps_balance_exit_codes_and_bytes(tmp_path, monkeypatch,
+                                                                   capsys, where):
+    path, vocab, _ = _skewed(tmp_path)
+    save_vocabulary(vocab, tmp_path / "vocab.json")
+
+    def run(out, top_k="4"):  # a second run may find both passes stored
+        code = main(["balance", "--pool", str(path), "--vocab", str(tmp_path / "vocab.json"),
+                     "--top-k", top_k, "--l-test", "3", "--l-train", "9", "--epochs", "4",
+                     "--seed", "5", "--out-dir", str(tmp_path / out)])
+        std = capsys.readouterr()
+        return code, std.out.replace(str(tmp_path / out), "<out>"), std.err
+
+    want = [run("ok"), run("ok"), run("bad", top_k="0")]
+    assert [code for code, _, _ in want] == [0, 0, 3] and want[2][2]
+    if where == "not_a_dir":
+        (tmp_path / "not_a_dir").write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "not_a_dir"))
+    else:
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        monkeypatch.setattr(Path, "home", _no_home)
+    assert [run("ok2"), run("ok2"), run("bad2", top_k="0")] == want
+    for name in ("test.json", "train.json", "deficits.json", "audit.json"):
+        assert (tmp_path / "ok2" / name).read_bytes() == (tmp_path / "ok" / name).read_bytes()
+
+
+def test_a_relative_xdg_cache_home_is_ignored(tmp_path, monkeypatch):
+    # The XDG Base Directory spec: a relative path is invalid and ignored.
+    path, vocab, pool = _pool(tmp_path)
+    monkeypatch.setenv("XDG_CACHE_HOME", "rel")
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    (tmp_path / "work").mkdir()
+    monkeypatch.chdir(tmp_path / "work")
+    assert cache.directory() == tmp_path / "home" / ".cache" / "bright-kit"
+    assert load_dataset(path, vocab) == pool
+    assert list((tmp_path / "work").iterdir()) == [] and len(_entries()) == 1

@@ -17,8 +17,12 @@ here too, with its out-dir written as ``<out>``; it stays in this file
 because ``expected/`` is compared as a whole file set.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import bright_kit
 from bright_kit.cli import main
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden_build"
@@ -62,7 +66,9 @@ def run_steps(root: Path, capsys) -> None:
 def test_cli_reproduces_golden_construction_artifacts(tmp_path, monkeypatch, capsys, caplog):
     # Run twice against one load cache: the warm run loads augmented.json from
     # the entry the cold run stored (the pool needs clamps, so it is never
-    # stored), and both write the committed bytes.
+    # stored), and both write the committed bytes.  Balancing passes are kept
+    # all the same: the cold run's balance_fill reuses balance's two passes,
+    # and the warm run walks none of its five.
     monkeypatch.chdir(GOLDEN)
     expected = GOLDEN / "expected"
     for run in ("cold", "warm"):
@@ -70,10 +76,36 @@ def test_cli_reproduces_golden_construction_artifacts(tmp_path, monkeypatch, cap
         caplog.clear()
         with caplog.at_level("INFO", logger="bright_kit"):
             run_steps(root, capsys)
-        hits = [r for r in caplog.records if r.getMessage().startswith("load cache hit")]
-        assert len(hits) == (run == "warm")
+        hits = [r.getMessage() for r in caplog.records
+                if r.getMessage().startswith("load cache hit")]
+        passes = [m for m in hits if m.startswith("load cache hit: balance pass")]
+        assert len(hits) - len(passes) == (run == "warm")
+        assert len(passes) == (5 if run == "warm" else 2)
         produced = sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
         assert produced == sorted(p.relative_to(expected)
                                   for p in expected.rglob("*") if p.is_file())
         for rel in produced:
             assert (root / rel).read_bytes() == (expected / rel).read_bytes(), rel
+
+
+def test_balance_memo_covers_the_clamped_golden_pool(tmp_path):
+    # The pool's 37 clamped boxes keep its load out of the cache, yet its
+    # columns carry the file's key: a second `balance` walks neither pass.
+    # The clamp warnings still print on every run; the bytes do not move.
+    src = str(Path(bright_kit.__file__).resolve().parents[1])
+    env = {**os.environ, "BRIGHT_KIT_LOG": "INFO", "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    for run, outcome in (("cold", "stored"), ("warm", "hit")):
+        out = tmp_path / run
+        done = subprocess.run([sys.executable, "-m", "bright_kit", *BALANCE, "--out-dir", str(out)],
+                              cwd=GOLDEN, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        lines = done.stderr.splitlines()
+        assert sum(line.endswith("clamped to image bounds") for line in lines) == 37
+        cached = [line.split(" [key ")[0].split(" over ")[0] for line in lines
+                  if line.startswith("INFO:bright_kit:load cache ")]
+        assert [line.removeprefix("INFO:bright_kit:load cache ") for line in cached] == [
+            "not stored (a row took the row rule): pool.json",
+            f"{outcome}: balance pass (seed 11)", f"{outcome}: balance pass (seed 12)"]
+        for rel in (GOLDEN / "expected" / "balance").iterdir():
+            assert (out / rel.name).read_bytes() == rel.read_bytes(), rel.name
