@@ -116,7 +116,7 @@ def balance(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) -> BalanceRe
 
     selection = _selection(pool)
     slot = Slot(f"balance pass (seed {cfg.seed}) over {cols.key[:12]}", "balance",
-                [cols.key, sorted(set(classes.class_ids())), cfg.target_per_class, cfg.epochs,
+                [cols.key, sorted(classes.class_ids()), cfg.target_per_class, cfg.epochs,
                  cfg.seed, BALANCER_VERSION, list(map(len, selection))],
                 b"".join(map(bytes, selection)))
     if slot.entry is None:
