@@ -33,12 +33,11 @@ bit for bit.  :data:`BALANCER_VERSION` names the stream.
 from __future__ import annotations
 
 import random
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import DataError, ResidualDeficitError, UnknownClassError
-from .model import PROVENANCES, Dataset, Vocabulary, merge, restrict
+from .model import PROVENANCES, Dataset, Vocabulary, _memo, merge, restrict
 
 DEFAULT_EPOCHS = 20
 # The PRNG stream of :func:`balance`; artifacts' config hashes cover it.
@@ -109,29 +108,19 @@ def balance(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) -> BalanceRe
     """
     if not classes.is_subset_of(pool.vocabulary):
         raise UnknownClassError("balancing classes are not a subset of the pool vocabulary")
-    cols = pool._cols
-    if cols.key is None:  # columns built in memory: no file names them
+    slot = _memo(pool, f"balance pass (seed {cfg.seed})", "balance",
+                [sorted(classes.class_ids()), cfg.target_per_class, cfg.epochs, cfg.seed,
+                 BALANCER_VERSION])
+    if slot is None:  # columns built in memory: no file names them
         return _walk(pool, classes, cfg)
-    from .cache import Slot  # not at the top: ``--version`` imports none of it
-
-    selection = _selection(pool)
-    slot = Slot(f"balance pass (seed {cfg.seed}) over {cols.key[:12]}", "balance",
-                [cols.key, sorted(classes.class_ids()), cfg.target_per_class, cfg.epochs,
-                 cfg.seed, BALANCER_VERSION, list(map(len, selection))],
-                b"".join(map(bytes, selection)))
     if slot.entry is None:
         result = _walk(pool, classes, cfg)
-        slot.store(_selection(result.balanced) + _selection(result.remainder), [
+        slot.store(result.balanced._selection() + result.remainder._selection(), [
             list(result.deficits.items()), result.removed_annotations, result.trimmed_images])
         return result
     arrays, (deficits, removed, trimmed) = slot.entry
-    balanced, remainder = (Dataset.__new__(Dataset)._bind(cols, pool.vocabulary_ref, *selected)
-                           for selected in (arrays[:3], arrays[3:]))
-    return BalanceResult(balanced, dict(deficits), removed, remainder, trimmed)
-
-
-def _selection(d: Dataset) -> list[array]:
-    return [array("q", s) for s in (d._rows, d._inst, d._first)]
+    return BalanceResult(pool._selected(*arrays[:3]), dict(deficits), removed,
+                         pool._selected(*arrays[3:]), trimmed)
 
 
 def _walk(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) -> BalanceResult:

@@ -1,5 +1,5 @@
 """Load cache: the finished columns of successful loads, keyed by file content,
-and the results of balancing passes over them.
+and the results of restrictions of and balancing passes over them.
 
 Entries live in ``$XDG_CACHE_HOME/bright-kit/`` (default ``~/.cache/bright-kit/``),
 named by a sha256 over this package's ``*.py`` files, the native byte order,
@@ -26,6 +26,7 @@ logger = logging.getLogger("bright_kit")
 
 MAX_BYTES = 512 << 20  # the directory's size after a store's eviction
 _VERSION = "bright-kit-cache-1"
+_CHUNK = 256 << 10  # the read size when a file is hashed
 
 
 def directory() -> Path:
@@ -49,11 +50,29 @@ def _rows(vocab) -> list:
     return [[c.class_id, c.verb_id, c.object_id, c.verb_name, c.object_name] for c in vocab]
 
 
-def _key(data: bytes, kind: str, header) -> str:
-    """The entry name of ``data`` under a JSON ``header`` (a vocabulary reads as its rows)."""
+def _hasher(kind: str, header):
+    """A sha256 fed with everything an entry name covers but the input bytes."""
     h = hashlib.sha256(_source_digest())
     h.update(json.dumps([kind, sys.byteorder, header], default=_rows).encode() + b"\0")
+    return h
+
+
+def _key(data: bytes, kind: str, header) -> str:
+    """The entry name of ``data`` under a JSON ``header`` (a vocabulary reads as its rows)."""
+    h = _hasher(kind, header)
     h.update(data)
+    return h.hexdigest()
+
+
+def _file_key(path, kind: str, header) -> str:
+    """:func:`_key` of the bytes of the file ``path``, read in :data:`_CHUNK` pieces
+    into one buffer, not held whole.  No ``mmap``: a file truncated by another
+    process while mapped ends this one with SIGBUS, not with an ``OSError``."""
+    h = _hasher(kind, header)
+    buf = bytearray(_CHUNK)
+    with open(path, "rb", buffering=0) as f, memoryview(buf) as view:
+        while n := f.readinto(buf):
+            h.update(view[:n])
     return h.hexdigest()
 
 
@@ -64,15 +83,18 @@ def _read(key: str):
         path = directory() / key
         with open(path, "rb") as f:
             blob = f.read()
-        head, _, body = blob.partition(b"\n")
-        version, digest, *columns = head.decode("ascii").split(" ")
+        end = blob.index(b"\n")
+        version, digest, *columns = blob[:end].decode("ascii").split(" ")
+        body = memoryview(blob)[end + 1 :]  # slices of it copy nothing
         if version != _VERSION or hashlib.sha256(body).hexdigest() != digest:
             return None
         arrays, at = [], 0
         for typecode, size in (column.split(":") for column in columns):
-            arrays.append(array(typecode, body[at : at + int(size)]))
+            column = array(typecode)
+            column.frombytes(body[at : at + int(size)])
+            arrays.append(column)
             at += int(size)
-        values = json.loads(body[at:])
+        values = json.loads(str(body[at:], "utf-8"))
         os.utime(path)  # a hit counts as a use for eviction
     except (OSError, RuntimeError, ValueError, TypeError):
         return None
@@ -121,18 +143,30 @@ def _evict(root: Path) -> None:
 
 class Slot:
     """One result through the cache, named ``name`` in log lines: its input
-    bytes (``data``; by default the bytes of the file ``name``) and, on a hit,
-    the stored ``(arrays, values)`` (``entry``; None on a miss)."""
+    bytes (``data``; by default the bytes of the file ``name``, which a hit
+    only hashes) and, on a hit, the stored ``(arrays, values)`` (``entry``;
+    None on a miss)."""
 
     def __init__(self, name, kind: str, header, data: bytes | None = None):
-        self.name = name
+        self.name, self._kind, self._header = name, kind, header
         if data is None:
-            with open(name, "rb") as f:
-                data = f.read()
-        self.data, self.key = data, _key(data, kind, header)
+            self.key = _file_key(name, kind, header)
+        else:
+            self.key = _key(data, kind, header)
+        self.data = data
         self.entry = _read(self.key)
         if self.entry is not None:
             self._log("hit")
+
+    def read(self) -> bytes:
+        """The input bytes, for a miss to decode.  A file is read whole here,
+        and the entry is then keyed by these bytes, the ones the result is
+        made from, even if the file changed since it was hashed."""
+        if self.data is None:
+            with open(self.name, "rb") as f:
+                self.data = f.read()
+            self.key = _key(self.data, self._kind, self._header)
+        return self.data
 
     def store(self, arrays, values, row_rule: bool = False) -> None:
         """Store a finished result, unless a row of its load took the row rule;

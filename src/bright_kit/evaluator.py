@@ -557,7 +557,7 @@ def load_predictions(path: str | Path, vocab: Vocabulary | None = None) -> Predi
     recheck: dict[int, object] = {}  # row number -> raw row
     add_line, add_coords, add_score = lineno.append, coords.extend, score.append
     add_class, add_image, image_of = class_id.append, image.append, image_ids.setdefault
-    for line, row in read_json_lines(path, slot.data):
+    for line, row in read_json_lines(path, slot.read()):
         n = len(lineno)
         add_line(line)
         try:
@@ -593,7 +593,7 @@ def load_predictions(path: str | Path, vocab: Vocabulary | None = None) -> Predi
     for n in rule_rows:
         where = f"{path}:{lineno[n]}"
         row = recheck[n] if n in recheck else next(
-            r for line, r in read_json_lines(path, slot.data) if line == lineno[n]
+            r for line, r in read_json_lines(path, slot.read()) if line == lineno[n]
         )
         pred = _read_row(row, where, vocab)
         boxes[n] = (pred.human_box.as_list(), pred.object_box.as_list())

@@ -62,7 +62,8 @@ def read_json(path: str | Path, data: bytes | None = None):
 def write_json_lines(path: str | Path, rows) -> None:
     """Write each row as one compact, key-sorted JSON line.  As in :func:`write_json`,
     the text is encoded before the file is opened."""
-    text = "".join(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n" for row in rows)
+    encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode  # json.dumps's, once
+    text = "".join([encode(row) + "\n" for row in rows])
     Path(path).write_bytes(text.encode("utf-8"))
 
 

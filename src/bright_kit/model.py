@@ -345,7 +345,15 @@ class Dataset:
                 continue
             rows.append(self._rows[p])
             first.append(len(inst))
+        return self._selected(rows, inst, first)
+
+    def _selected(self, rows, inst, first) -> "Dataset":
+        """Another selection ``rows``/``inst``/``first`` of the same columns."""
         return Dataset.__new__(Dataset)._bind(self._cols, self.vocabulary_ref, rows, inst, first)
+
+    def _selection(self) -> list[array]:
+        """``_rows``, ``_inst`` and ``_first`` as arrays, as the load cache stores them."""
+        return [array("q", s) for s in (self._rows, self._inst, self._first)]
 
     def _column(self, values: array) -> array:
         """A per-instance column of ``_cols``, in the order of ``_inst``."""
@@ -544,7 +552,7 @@ def load_dataset(path: str | Path, vocab: Vocabulary, raw=None) -> Dataset:
             cols.first, cols.cls, cols.box, cols.prov = slot.entry[0]
             cols.image_id, cols.file_name, cols.width, cols.height, ref = slot.entry[1]
             return Dataset.__new__(Dataset)._bind(cols, ref)
-        raw = read_json(path, slot.data)
+        raw = read_json(path, slot.read())
     images, vocabulary_ref = annotation_header(raw, path)
     cols = _Columns(vocab, slot and slot.key)
     cls, box, prov = cols.cls, cols.box, cols.prov
@@ -610,61 +618,85 @@ def _json_scalar(value) -> str:
     return json.dumps(value, ensure_ascii=False)  # subclasses, bool, None, NaN, ±inf
 
 
-# One instance and one image of a split file, at their indentation depth.
+# One instance and one image of a split file, at their indentation depth, as
+# ``%`` templates of their scalars; ``%r`` spells a box coordinate, a float, as
+# ``json.dumps`` does.
 _INSTANCE = """\
-        {{
-          "class_id": {},
+        {
+          "class_id": %s,
           "human_box": [
-            {},
-            {},
-            {},
-            {}
+            %r,
+            %r,
+            %r,
+            %r
           ],
           "object_box": [
-            {},
-            {},
-            {},
-            {}
+            %r,
+            %r,
+            %r,
+            %r
           ],
-          "provenance": {}
-        }}"""
+          "provenance": %s
+        }"""
 _IMAGE = """\
-    {{
-      "file_name": {},
-      "height": {},
-      "image_id": {},
-      "instances": {},
-      "width": {}
-    }}"""
+    {
+      "file_name": %s,
+      "height": %s,
+      "image_id": %s,
+      "instances": %s,
+      "width": %s
+    }"""
+
+
+def _image_template(n: int) -> str:
+    """``_IMAGE`` with an instances array of ``n`` instances: a template of the
+    image's 3 leading scalars, its instances' 10 each, then its width."""
+    instances = "[\n" + ",\n".join([_INSTANCE] * n) + "\n      ]" if n else "[]"
+    return _IMAGE % ("%s", "%s", "%s", instances, "%s")
+
+
+def _encoded(values: list) -> list[str]:
+    """:func:`_json_scalar` of each value, in bulk when all are plain str or int."""
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return list(map(encode_basestring, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    return list(map(_json_scalar, values))
 
 
 def _split_document(d: Dataset, meta) -> str:
-    """The text ``canonical_dumps`` gives for the split's JSON object, from a
-    fixed template: keys sorted, two-space indent, trailing newline."""
-    enc, c = _json_scalar, d._cols
-    class_ids = [enc(cls.class_id) for cls in d.vocabulary.classes]
-    provenances = [enc(p) for p in PROVENANCES]
-    box, inst, first = c.box, d._inst, d._first
+    """The text ``canonical_dumps`` gives for the split's JSON object, from
+    fixed templates: keys sorted, two-space indent, trailing newline."""
+    c, rows, inst, first = d._cols, d._rows, d._inst, d._first
+
+    def column(values):  # as d._column, without building an array of a selection
+        return values if isinstance(inst, range) else map(values.__getitem__, inst)
+
+    # The scalars of every instance, 10 each, in document order.
+    scalars = [""] * (10 * d.total_instances)
+    class_ids = [_json_scalar(cls.class_id) for cls in d.vocabulary.classes]
+    scalars[0::10] = map(class_ids.__getitem__, column(c.cls))
+    for j in range(8):
+        scalars[1 + j :: 10] = column(c.box[j::8])
+    provenances = [_json_scalar(p) for p in PROVENANCES]
+    scalars[9::10] = map(provenances.__getitem__, column(c.prov))
+    file_names, heights, image_ids, widths = (
+        _encoded(list(map(values.__getitem__, rows)))
+        for values in (c.file_name, c.height, c.image_id, c.width))
+    templates: dict[int, str] = {}  # instance count -> _image_template
     images = []
-    for p, r in enumerate(d._rows):
-        instances = [
-            _INSTANCE.format(class_ids[c.cls[k]], *map(float.__repr__, box[8 * k : 8 * k + 8]),
-                             provenances[c.prov[k]])
-            for k in inst[first[p] : first[p + 1]]
-        ]
-        images.append(_IMAGE.format(
-            enc(c.file_name[r]),
-            enc(c.height[r]),
-            enc(c.image_id[r]),
-            "[\n" + ",\n".join(instances) + "\n      ]" if instances else "[]",
-            enc(c.width[r]),
-        ))
+    for p in range(len(rows)):
+        a, b = first[p], first[p + 1]
+        template = templates.get(b - a) or templates.setdefault(b - a, _image_template(b - a))
+        images.append(template % (file_names[p], heights[p], image_ids[p],
+                                  *scalars[10 * a : 10 * b], widths[p]))
     parts = ['{\n  "images": ', "[\n" + ",\n".join(images) + "\n  ]" if images else "[]"]
     if meta is not None:
         # canonical_dumps writes "\n" only between tokens, so indenting every
         # line of it nests it one level deeper.
         parts += [',\n  "meta": ', canonical_dumps(meta)[:-1].replace("\n", "\n  ")]
-    parts += [',\n  "vocabulary_ref": ', enc(d.vocabulary_ref), "\n}\n"]
+    parts += [',\n  "vocabulary_ref": ', _json_scalar(d.vocabulary_ref), "\n}\n"]
     return "".join(parts)
 
 
@@ -707,15 +739,41 @@ def merge(a: Dataset, b: Dataset) -> Dataset:
     return Dataset.__new__(Dataset)._bind(cols, a.vocabulary_ref)
 
 
+def _memo(d: Dataset, name: str, kind: str, header: list):
+    """The load cache slot (:class:`~bright_kit.cache.Slot`) of a result computed
+    from ``d``, named ``name`` in log lines, or None when no file names its
+    columns.  The key covers the file's key, ``d``'s selection of the columns
+    and the JSON ``header`` of everything else the result depends on."""
+    if d._cols.key is None:  # columns built in memory
+        return None
+    from .cache import Slot  # not at the top: ``--version`` imports none of it
+
+    selection = (d._rows, d._inst, d._first)
+    # A range selects all of the columns' images or instances: its length names it.
+    sizes = [[len(s)] if isinstance(s, range) else len(s) for s in selection]
+    return Slot(f"{name} over {d._cols.key[:12]}", kind, [d._cols.key, *header, sizes],
+                b"".join(array("q", s) for s in selection if not isinstance(s, range)))
+
+
 def restrict(d: Dataset, class_ids: Iterable[int], drop_empty_images: bool = True) -> Dataset:
-    """Keep only instances of ``class_ids``; optionally drop images left empty."""
+    """Keep only instances of ``class_ids``; optionally drop images left empty.
+    A selection of a file's columns is restricted once per classes and
+    ``drop_empty_images``: the load cache keeps the result, keyed by the
+    classes' positions in the vocabulary."""
     wanted = set(class_ids)
     unknown = wanted - set(d.vocabulary.class_ids())
     if unknown:
         raise UnknownClassError(f"unknown class_ids {sorted(unknown)}")
     codes = {d.vocabulary._index[c] for c in wanted}
+    slot = _memo(d, f"restrict to {len(codes)} classes", "restrict",
+                 [sorted(codes), bool(drop_empty_images)])
+    if slot is not None and slot.entry is not None:
+        return d._selected(*slot.entry[0])
     keep = [code in codes for code in d._column(d._cols.cls)]
-    return d._select(range(len(d)), keep, drop_empty_images)
+    result = d._select(range(len(d)), keep, drop_empty_images)
+    if slot is not None:
+        slot.store(result._selection(), [])
+    return result
 
 
 def subtract(d: Dataset, image_ids: Iterable[str]) -> Dataset:

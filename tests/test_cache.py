@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 from bright_kit import (BalanceConfig, HoiClass, Vocabulary, balance, balancer, cache, evaluator,
-                        load_dataset, load_predictions, merge, model, save_split, save_vocabulary)
+                        load_dataset, load_predictions, merge, model, restrict, save_split,
+                        save_vocabulary)
 from bright_kit.cli import main
-from bright_kit.errors import UnknownClassError
+from bright_kit.errors import AnnotationFormatError, UnknownClassError
 from bright_kit.jsonio import read_json, read_json_lines
 
 from helpers import make_dataset, make_vocab
@@ -255,6 +256,8 @@ def test_a_second_pass_walks_nothing_and_equals_the_reference(tmp_path, walks):
                                   "input"])
 def test_each_part_of_a_pass_key_is_a_miss(tmp_path, walks, part):
     path, vocab, pool = _skewed(tmp_path)
+    if part == "order":  # a selection as an array, not a range, of every image in order
+        pool = pool._select(range(len(pool)))
     cfg, classes = BalanceConfig(12, epochs=4, seed=3), vocab
     first = balance(pool, classes, cfg)
     if part in ("seed", "epochs", "target"):
@@ -351,3 +354,110 @@ def test_a_relative_xdg_cache_home_is_ignored(tmp_path, monkeypatch):
     assert cache.directory() == tmp_path / "home" / ".cache" / "bright-kit"
     assert load_dataset(path, vocab) == pool
     assert list((tmp_path / "work").iterdir()) == [] and len(_entries()) == 1
+
+
+# A hit hashes the input file in chunks; a miss decodes a copy read whole.
+
+def test_an_empty_file_and_a_directory_keep_their_errors(tmp_path):
+    vocab = make_vocab(4)
+    (tmp_path / "empty.json").write_bytes(b"")
+    for _ in range(2):  # an error stores nothing, so the second load is a miss too
+        with pytest.raises(AnnotationFormatError) as err:
+            load_dataset(tmp_path / "empty.json", vocab)
+        assert str(err.value) == (f"{tmp_path / 'empty.json'}: malformed JSON "
+                                  "(Expecting value: line 1 column 1 (char 0))")
+        assert type(err.value.__cause__) is json.JSONDecodeError
+        for load in (load_dataset, load_predictions):
+            with pytest.raises(IsADirectoryError) as err:
+                load(tmp_path, vocab)
+            assert str(err.value) == f"[Errno 21] Is a directory: {str(tmp_path)!r}"
+            assert err.value.filename == str(tmp_path) and err.value.__cause__ is None
+    assert _entries() == []
+
+
+def test_a_file_rewritten_after_its_hash_is_stored_under_the_bytes_decoded(tmp_path, monkeypatch,
+                                                                         decoded):
+    path, vocab, pool = _pool(tmp_path)
+    before = path.read_bytes()
+    path_key = cache._file_key
+
+    def rewrite_after_hash(*args):
+        key = path_key(*args)
+        path.write_text(before.decode().replace('"img0000"', '"img000X"'))
+        return key
+
+    monkeypatch.setattr(cache, "_file_key", rewrite_after_hash)
+    loaded = load_dataset(path, vocab)
+    monkeypatch.setattr(cache, "_file_key", path_key)
+    assert loaded.image_ids()[0] == "img000X"
+    assert _entries() == [cache.directory() / cache._key(path.read_bytes(), "dataset", vocab)]
+    assert load_dataset(path, vocab) == loaded and decoded == [path]
+    path.write_bytes(before)  # the bytes first hashed were never stored
+    assert load_dataset(path, vocab) == pool and decoded == [path, path]
+
+
+# Restrictions of a pool read from a file go through the same cache.
+
+@pytest.fixture
+def selects(monkeypatch):
+    """The datasets ``Dataset._select`` selected from, in order."""
+    datasets, select = [], model.Dataset._select
+    monkeypatch.setattr(model.Dataset, "_select", lambda d, *args, **kwargs: datasets.append(d)
+                        or select(d, *args, **kwargs))
+    return datasets
+
+
+def test_a_warm_restrict_selects_nothing_and_equals_the_cold_one(tmp_path, selects):
+    path, vocab, pool = _skewed(tmp_path)
+    cold = restrict(pool, [1, 3])
+    assert selects == [pool] and 0 < cold.total_instances < pool.total_instances
+    loaded = load_dataset(path, vocab)
+    warm = restrict(loaded, [3, 1])
+    assert selects == [pool] and warm._cols is loaded._cols
+    for name in ("_rows", "_inst", "_first"):
+        got, want = getattr(warm, name), getattr(cold, name)
+        assert type(got) is type(want) and got == want, name
+
+
+@pytest.mark.parametrize("part", ["classes", "drop_empty_images", "selection", "order"])
+def test_each_part_of_a_restrict_key_is_a_miss(tmp_path, selects, part):
+    _, vocab, pool = _skewed(tmp_path)
+    if part == "order":  # a selection as an array, not a range, of every image in order
+        pool = pool._select(range(len(pool)))
+    classes, drop = [1, 3], True
+    restrict(pool, classes, drop)
+    if part == "classes":
+        classes = [1, 2]
+    elif part == "drop_empty_images":
+        drop = False
+    elif part == "selection":  # the first half of the images
+        pool = pool._select(range(len(pool) // 2))
+    else:  # a selection of the same sizes: the images reversed
+        pool = pool._select(range(len(pool) - 1, -1, -1))
+    selects.clear()
+    got = restrict(pool, classes, drop)
+    assert selects == [pool]
+    in_memory = model.Dataset(pool.images, vocab)
+    assert got == restrict(in_memory, classes, drop)
+    assert restrict(pool, classes, drop) == got and selects == [pool, in_memory]
+
+
+def test_pools_built_in_memory_or_merged_store_no_restrict(tmp_path, selects):
+    vocab = make_vocab(4)
+    built = make_dataset([[1, 2], [3], [4, 4], [1]], vocab)
+    a, b = (load_dataset(_pool(tmp_path, f"{p}.json", prefix=p)[0], vocab) for p in "ab")
+    merged = merge(a, b)
+    loads = _entries()
+    for pool in (built, built, merged, merged):
+        restrict(pool, [1, 4])
+    assert selects == [built, built, merged, merged]
+    assert _entries() == loads
+
+
+def test_a_warm_restrict_keeps_the_unknown_class_message(tmp_path):
+    _, _, pool = _skewed(tmp_path)
+    restrict(pool, [1, 2])
+    for classes in ([1, 2, 9], [9, 7]):
+        with pytest.raises(UnknownClassError) as err:
+            restrict(pool, classes)
+        assert str(err.value) == f"unknown class_ids {sorted(set(classes) - {1, 2})}"

@@ -31,7 +31,7 @@ from bright_kit import (
 
 from bright_kit import evaluator
 from bright_kit.evaluator import _read_row
-from bright_kit.jsonio import read_json_lines
+from bright_kit.jsonio import read_json_lines, write_json_lines
 
 from helpers import pred
 from oracles import oracle_ap_from_flags, oracle_class_ap, oracle_match_flags
@@ -672,6 +672,19 @@ def test_json_lines_take_non_finite_literals_and_count_every_line(tmp_path):
     (n1, row), (n2, obj) = read_json_lines(path)
     assert (n1, n2, obj) == (1, 4, {"a": 1})
     assert math.isnan(row[0]) and row[1:] == [math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("rows", [
+    [{"b": "café 漢字", "a": "line\u2028sep\u2029"}, "\u2028", "é"],
+    [{"x": math.nan, "y": [math.inf, -math.inf]}, math.nan, [-0.0, 1e16, 5e-324]],
+    [{"z": {"b": [1, {"d": None, "c": True}], "a": {}}, "a": []}, [[{"q": 'q"\\'}]], 7],
+    [],
+], ids=["non_ascii", "non_finite", "nested", "empty"])
+def test_json_lines_are_written_as_json_dumps_writes_each_row(tmp_path, rows):
+    path = tmp_path / "rows.jsonl"
+    write_json_lines(path, rows)
+    want = "".join(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n" for row in rows)
+    assert path.read_bytes() == want.encode("utf-8")
 
 
 def test_loader_logs_clamp_warnings_in_row_order_up_to_the_error(tmp_path, vocab5, caplog):

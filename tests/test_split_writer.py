@@ -10,11 +10,12 @@ import random
 import numpy as np
 import pytest
 
-from bright_kit import BBox, Dataset, HoiInstance, ImageRecord, restrict, save_split
+from bright_kit import (BalanceConfig, BBox, Dataset, HoiInstance, ImageRecord, balance,
+                        fill_deficits, restrict, save_split)
 from bright_kit import model
 from bright_kit.jsonio import canonical_dumps
 
-from helpers import make_vocab, rand_box
+from helpers import make_dataset, make_vocab, rand_box
 from oracles import dataset_to_dict
 
 NAMES = ["plain", 'quo"te', "back\\slash", "café", "漢字", "line\u2028sep", "tab\there", "\x00nul"]
@@ -85,7 +86,8 @@ def test_empty_dataset_and_images_without_instances(tmp_path, meta):
     (0, 1, 2, 3),
     (np.float64(0.1) + np.float64(0.2), np.float64(1e-07), np.float64(1e16), np.float64(2e16)),
     (np.float64(5e-324), 0.5, 7, np.float64(9.999999999999999e22)),
-], ids=["floats", "subnormal", "ints", "float64", "mixed"])
+    (-0.0, -0.0, 0.5, 7.0),
+], ids=["floats", "subnormal", "ints", "float64", "mixed", "negative_zero"])
 def test_coordinate_encodings(tmp_path, coords):
     vocab = make_vocab(2)
     box = BBox(*coords)
@@ -93,6 +95,27 @@ def test_coordinate_encodings(tmp_path, coords):
     assert_writes_reference(tmp_path, d, {"seed": 0})
     # np.float64 repr differs from float's; the file must carry the plain number
     assert "np." not in (tmp_path / "split.json").read_text(encoding="utf-8")
+
+
+def test_images_with_no_instances_and_with_sixty(tmp_path):
+    d = make_dataset([[], [1, 2, 3] * 20, [2], []], make_vocab(3))
+    assert sorted(map(len, (rec.instances for rec in d.images))) == [0, 0, 1, 60]
+    assert_writes_reference(tmp_path, d, META)
+
+
+def test_trimmed_balanced_split_its_remainder_and_the_filled_split(tmp_path):
+    vocab = make_vocab(4)
+    rng = random.Random(7)
+    lists = [rng.choices([1, 2, 3, 4], [8, 4, 2, 1], k=rng.randint(1, 4)) for _ in range(40)]
+    result = balance(make_dataset(lists, vocab), vocab, BalanceConfig(12, epochs=4, seed=3))
+    assert result.removed_annotations and result.deficits  # a keep mask and a fill
+    # one generated image per deficit class, one instance more than it needs
+    augmented = make_dataset([[c] * (n + 1) for c, n in sorted(result.deficits.items())], vocab,
+                             prefix="aug", provenance="generated")
+    filled = fill_deficits(result.balanced, result.deficits, augmented)
+    assert filled.total_instances == result.balanced.total_instances + sum(result.deficits.values())
+    for d in (result.balanced, result.remainder, filled):
+        assert_writes_reference(tmp_path, d, META)
 
 
 def test_split_goes_through_write_json(tmp_path, monkeypatch):
