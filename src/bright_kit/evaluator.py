@@ -40,7 +40,11 @@ from .model import BBox, Dataset, Vocabulary, parse_box
 logger = logging.getLogger("bright_kit")
 
 AP_METHODS = ("all_point", "eleven_point")
-_PAIR_CHUNK = 1 << 16  # prediction/ground-truth pairs whose IoU is computed at once
+# Prediction/ground-truth pairs whose IoU is computed at once.  A chunk's numpy
+# temporaries take about 140 bytes a pair, so 1 << 14 pairs stay near 2 MB:
+# at 1 << 16 matching ran slower and, in a fresh process, page-faulted on
+# them unless an earlier large free had raised the allocator's thresholds.
+_PAIR_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
