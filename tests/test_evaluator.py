@@ -239,7 +239,8 @@ def _independent_scenario(rng, n_preds_max=30, n_gt_max=12):
     return preds, truth
 
 
-@pytest.mark.parametrize("chunk", [evaluator._PAIR_CHUNK, 1, 2, 5])
+# 1 << 16 is the chunk used before the default shrank to 1 << 14: one chunk per scenario
+@pytest.mark.parametrize("chunk", [1 << 16, evaluator._PAIR_CHUNK, 1, 2, 5])
 def test_one_box_qualifying_alone_matches_the_oracle_exactly(vocab5, monkeypatch, chunk):
     rng = random.Random(2468)
     cases = [_independent_scenario(rng) for _ in range(150)]
