@@ -77,7 +77,6 @@ _EVALUATOR_NAMES = frozenset({
     "load_predictions",
     "perturb_tp_flip",
     "ranking_shift",
-    "save_predictions",
     "summarize_class_aps",
 })
 

@@ -418,8 +418,8 @@ class HttpServicePorts:
         return self._field("paraphrase", out, "prompt", str, nonempty=True)
 
 
-def http_ports(base_url: str, timeout: float = 60.0) -> ServicePorts:
-    return ServicePorts(*[HttpServicePorts(base_url, timeout=timeout)] * 6)
+def http_ports(base_url: str) -> ServicePorts:
+    return ServicePorts(*[HttpServicePorts(base_url)] * 6)
 
 
 # ---------------------------------------------------------------------------

@@ -275,7 +275,7 @@ def build_splits(
     crawled instance is rejected (:func:`require_real`).
     """
     require_real(total)
-    scoped = restrict(total, classes.class_ids(), drop_empty_images=True)
+    scoped = restrict(total, classes.class_ids())
     test_result = balance(scoped, classes, test_cfg)
     return SplitResult(
         test=test_result,
@@ -307,9 +307,8 @@ def fill_deficits(
     provenance = augmented._column(augmented._cols.prov)
     keep = bytearray(len(class_ids))
     for i, image_id in enumerate(augmented.image_ids()):
-        span = range(first[i], first[i + 1])
-        for j in span:
-            if PROVENANCES[provenance[j]] == "real":
+        for j in range(first[i], first[i + 1]):
+            if not provenance[j]:
                 raise DataError(
                     f"augmented image {image_id}: provenance must be generated or crawled"
                 )
@@ -317,12 +316,11 @@ def fill_deficits(
                 raise DataError(
                     f"augmented image {image_id}: class {class_ids[j]} is not a deficit class"
                 )
-        if image_id in train_ids:
-            raise DataError(f"augmented image_id {image_id!r} already in train")
-        for j in span:
-            if need.get(class_ids[j], 0) > 0:
+            if need[class_ids[j]] > 0:
                 keep[j] = 1
                 need[class_ids[j]] -= 1
+        if image_id in train_ids:
+            raise DataError(f"augmented image_id {image_id!r} already in train")
 
     residual = {c: n for c, n in need.items() if n > 0}
     if residual:

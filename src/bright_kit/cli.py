@@ -95,6 +95,13 @@ class _UsageError(Exception):
     """Missing or invalid command-line parameter; maps to exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises :class:`_UsageError` where argparse prints usage and exits 2, in subcommands too."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 _REQUIRED = object()  # default marker of a parameter without a default
 
 
@@ -473,7 +480,7 @@ def _flag(param: _Param) -> str:
 
 def build_parser() -> argparse.ArgumentParser:
     """Flags only; values stay strings until :func:`_resolve` checks them."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bright-kit",
         description="Balanced benchmark construction and re-evaluation toolkit",
     )
@@ -501,9 +508,9 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
         config = read_json(args.config)
         if not isinstance(config, dict):
             raise DataError(f"{args.config}: config file must be a JSON object")
-    section = config.get(args.command)
+    section = {} if config.get(args.command) is None else config[args.command]
     if not isinstance(section, dict):
-        section = {}
+        raise DataError(f"{args.config}: config section {args.command!r} must be a JSON object")
     resolved = argparse.Namespace()
     params = _COMMANDS[args.command][2] + _COMMON
     for param in params:
@@ -539,8 +546,8 @@ def _emit_error(kind: str, exc: Exception, code: int) -> int:
 def main(argv=None) -> int:
     level = os.environ.get("BRIGHT_KIT_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         p = _resolve(args)
         artifacts, summary = _COMMANDS[args.command][0](p)
         _write_artifacts(p, artifacts)

@@ -490,18 +490,16 @@ def perturb_tp_flip(
         raise DataError(f"class {class_id} has no ground truth; AP undefined")
     if not res.matched:
         raise DataError(f"class {class_id} has no matched TP to flip")
-    ranks = [m.rank for m in res.matched]
-    pick = min(ranks) if flip == "top" else max(ranks)
-    flipped = next(m for m in res.matched if m.rank == pick)
+    flipped = res.matched[0] if flip == "top" else res.matched[-1]  # in rank order
     labels = list(res.labels)
-    labels[pick] = False
+    labels[flipped.rank] = False
     perturbed = _ap_from_labels(labels, res.npos, cfg.ap_method)
     return PerturbResult(
         class_id=class_id,
         original_ap=res.ap,
         perturbed_ap=perturbed,
         relative_drop=(res.ap - perturbed) / res.ap,
-        flipped_rank=pick,
+        flipped_rank=flipped.rank,
         flipped_score=flipped.score,
     )
 
@@ -511,7 +509,7 @@ def perturb_tp_flip(
 # ---------------------------------------------------------------------------
 
 
-def _read_row(row, where: str, vocab: Vocabulary | None) -> Prediction:
+def _read_row(row, where: str, vocab: Vocabulary) -> Prediction:
     """The scalar rule for one prediction row; :func:`load_predictions` applies
     it as array operations and re-runs it on rows those flag."""
     try:
@@ -528,14 +526,14 @@ def _read_row(row, where: str, vocab: Vocabulary | None) -> Prediction:
         raise DataError(f"{where}: bad prediction row ({exc})") from exc
     if not 0.0 <= score <= 1.0:
         raise DataError(f"{where}: score {score} outside [0, 1]")
-    if vocab is not None and class_id not in vocab:
+    if class_id not in vocab:
         raise UnknownClassError(f"{where}: unknown class_id {class_id}")
     if not -(2**63) <= class_id < 2**63:
         raise DataError(f"{where}: class_id {class_id} out of range")
     return pred
 
 
-def load_predictions(path: str | Path, vocab: Vocabulary | None = None) -> PredictionTable:
+def load_predictions(path: str | Path, vocab: Vocabulary) -> PredictionTable:
     """Read a JSON-lines prediction dump, validating boxes, scores and class ids.
 
     Rows stream into numpy columns.  Boxes follow
@@ -590,9 +588,7 @@ def load_predictions(path: str | Path, vocab: Vocabulary | None = None) -> Predi
     x1, y1, x2, y2 = np.moveaxis(boxes, -1, 0)
     ok = ((-np.inf < x1) & (x1 < x2) & (x2 < np.inf)
           & (-np.inf < y1) & (y1 < y2) & (y2 < np.inf)).all(axis=1)
-    ok &= (0.0 <= scores) & (scores <= 1.0)
-    if vocab is not None:
-        ok &= np.isin(classes, _vocab_ids(vocab))
+    ok &= (0.0 <= scores) & (scores <= 1.0) & np.isin(classes, _vocab_ids(vocab))
     rule_rows = sorted(recheck.keys() | set(np.flatnonzero(~ok).tolist()))
     for n in rule_rows:
         where = f"{path}:{lineno[n]}"
@@ -605,21 +601,3 @@ def load_predictions(path: str | Path, vocab: Vocabulary | None = None) -> Predi
         images[n] = image_ids.setdefault(pred.image_id, len(image_ids))
     slot.store([image, class_id, score, coords], list(image_ids), bool(rule_rows))
     return PredictionTable(image_ids, images, classes, scores, boxes)
-
-
-def save_predictions(preds: Sequence[Prediction], path: str | Path) -> None:
-    from .jsonio import write_json_lines
-
-    write_json_lines(
-        path,
-        (
-            {
-                "image_id": p.image_id,
-                "human_box": p.human_box.as_list(),
-                "object_box": p.object_box.as_list(),
-                "class_id": p.class_id,
-                "score": p.score,
-            }
-            for p in preds
-        ),
-    )

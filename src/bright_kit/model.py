@@ -606,18 +606,6 @@ def load_dataset(path: str | Path, vocab: Vocabulary, raw=None) -> Dataset:
     return Dataset.__new__(Dataset)._bind(cols, vocabulary_ref)
 
 
-def _json_scalar(value) -> str:
-    """``value`` exactly as ``json.dumps`` writes it, plain str, int and finite
-    float spelled out the way its encoder does."""
-    if type(value) is float and math.isfinite(value):
-        return float.__repr__(value)
-    if type(value) is str:
-        return encode_basestring(value)
-    if type(value) is int:
-        return int.__repr__(value)
-    return json.dumps(value, ensure_ascii=False)  # subclasses, bool, None, NaN, ±inf
-
-
 # One instance and one image of a split file, at their indentation depth, as
 # ``%`` templates of their scalars; ``%r`` spells a box coordinate, a float, as
 # ``json.dumps`` does.
@@ -656,13 +644,13 @@ def _image_template(n: int) -> str:
 
 
 def _encoded(values: list) -> list[str]:
-    """:func:`_json_scalar` of each value, in bulk when all are plain str or int."""
+    """``json.dumps(value, ensure_ascii=False)`` of each value; plain str or int in bulk."""
     kinds = set(map(type, values))
     if kinds == {str}:
         return list(map(encode_basestring, values))
     if kinds == {int}:
         return list(map(int.__repr__, values))
-    return list(map(_json_scalar, values))
+    return [json.dumps(value, ensure_ascii=False) for value in values]
 
 
 def _split_document(d: Dataset, meta) -> str:
@@ -675,11 +663,11 @@ def _split_document(d: Dataset, meta) -> str:
 
     # The scalars of every instance, 10 each, in document order.
     scalars = [""] * (10 * d.total_instances)
-    class_ids = [_json_scalar(cls.class_id) for cls in d.vocabulary.classes]
+    class_ids = _encoded([cls.class_id for cls in d.vocabulary.classes])
     scalars[0::10] = map(class_ids.__getitem__, column(c.cls))
     for j in range(8):
         scalars[1 + j :: 10] = column(c.box[j::8])
-    provenances = [_json_scalar(p) for p in PROVENANCES]
+    provenances = _encoded(list(PROVENANCES))
     scalars[9::10] = map(provenances.__getitem__, column(c.prov))
     file_names, heights, image_ids, widths = (
         _encoded(list(map(values.__getitem__, rows)))
@@ -696,7 +684,7 @@ def _split_document(d: Dataset, meta) -> str:
         # canonical_dumps writes "\n" only between tokens, so indenting every
         # line of it nests it one level deeper.
         parts += [',\n  "meta": ', canonical_dumps(meta)[:-1].replace("\n", "\n  ")]
-    parts += [',\n  "vocabulary_ref": ', _json_scalar(d.vocabulary_ref), "\n}\n"]
+    parts += [',\n  "vocabulary_ref": ', *_encoded([d.vocabulary_ref]), "\n}\n"]
     return "".join(parts)
 
 
@@ -755,22 +743,16 @@ def _memo(d: Dataset, name: str, kind: str, header: list):
                 b"".join(array("q", s) for s in selection if not isinstance(s, range)))
 
 
-def restrict(d: Dataset, class_ids: Iterable[int], drop_empty_images: bool = True) -> Dataset:
-    """Keep only instances of ``class_ids``; optionally drop images left empty.
-    A selection of a file's columns is restricted once per classes and
-    ``drop_empty_images``: the load cache keeps the result, keyed by the
-    classes' positions in the vocabulary."""
-    wanted = set(class_ids)
-    unknown = wanted - set(d.vocabulary.class_ids())
-    if unknown:
-        raise UnknownClassError(f"unknown class_ids {sorted(unknown)}")
-    codes = {d.vocabulary._index[c] for c in wanted}
-    slot = _memo(d, f"restrict to {len(codes)} classes", "restrict",
-                 [sorted(codes), bool(drop_empty_images)])
+def restrict(d: Dataset, class_ids: Iterable[int]) -> Dataset:
+    """Keep only instances of ``class_ids`` and the images left with one.
+    A selection of a file's columns is restricted once per classes: the load
+    cache keeps the result, keyed by the classes' positions in the vocabulary."""
+    codes = {d.vocabulary._index[c.class_id] for c in d.vocabulary.subset(class_ids)}
+    slot = _memo(d, f"restrict to {len(codes)} classes", "restrict", [sorted(codes)])
     if slot is not None and slot.entry is not None:
         return d._selected(*slot.entry[0])
     keep = [code in codes for code in d._column(d._cols.cls)]
-    result = d._select(range(len(d)), keep, drop_empty_images)
+    result = d._select(range(len(d)), keep, drop_empty=True)
     if slot is not None:
         slot.store(result._selection(), [])
     return result

@@ -104,7 +104,7 @@ def build_zeroshot_split(candidates: Sequence[HoiClass], pool: Dataset, cfg: Bal
 
     ranked = sorted(satisfiable, key=lambda c: (-supply[c], c))
     chosen = sorted(ranked[:class_budget])
-    scoped = restrict(pool, chosen, drop_empty_images=True)
+    scoped = restrict(pool, chosen)
     result = balance(scoped, pool.vocabulary.subset(chosen), cfg)
     if result.deficits:  # supply >= target for every chosen class rules this out
         raise AssertionError(f"unexpected zero-shot deficits: {result.deficits}")

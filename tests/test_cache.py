@@ -419,27 +419,25 @@ def test_a_warm_restrict_selects_nothing_and_equals_the_cold_one(tmp_path, selec
         assert type(got) is type(want) and got == want, name
 
 
-@pytest.mark.parametrize("part", ["classes", "drop_empty_images", "selection", "order"])
+@pytest.mark.parametrize("part", ["classes", "selection", "order"])
 def test_each_part_of_a_restrict_key_is_a_miss(tmp_path, selects, part):
     _, vocab, pool = _skewed(tmp_path)
     if part == "order":  # a selection as an array, not a range, of every image in order
         pool = pool._select(range(len(pool)))
-    classes, drop = [1, 3], True
-    restrict(pool, classes, drop)
+    classes = [1, 3]
+    restrict(pool, classes)
     if part == "classes":
         classes = [1, 2]
-    elif part == "drop_empty_images":
-        drop = False
     elif part == "selection":  # the first half of the images
         pool = pool._select(range(len(pool) // 2))
     else:  # a selection of the same sizes: the images reversed
         pool = pool._select(range(len(pool) - 1, -1, -1))
     selects.clear()
-    got = restrict(pool, classes, drop)
+    got = restrict(pool, classes)
     assert selects == [pool]
     in_memory = model.Dataset(pool.images, vocab)
-    assert got == restrict(in_memory, classes, drop)
-    assert restrict(pool, classes, drop) == got and selects == [pool, in_memory]
+    assert got == restrict(in_memory, classes)
+    assert restrict(pool, classes) == got and selects == [pool, in_memory]
 
 
 def test_pools_built_in_memory_or_merged_store_no_restrict(tmp_path, selects):

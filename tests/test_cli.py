@@ -170,10 +170,39 @@ def test_bad_data_exits_3(workspace, capsys):
     assert err["error"]["type"] == "AnnotationFormatError"
 
 
-def test_usage_error_exits_2():
+def test_usage_error_exits_2(capsys):
+    # an unknown command, an unknown flag and no command at all
+    for argv in (["frobnicate"], ["stats", "--bogus", "1"], []):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and captured.out == ""
+        assert json.loads(lines[0])["error"]["type"] == "UsageError"
+
+
+# Each subcommand's own flags; every one also takes --out-dir, --seed and --config.
+_FLAGS = {
+    "stats": ["--pool", "--vocab", "--test"],
+    "balance": ["--pool", "--vocab", "--top-k", "--l-test", "--l-train", "--epochs",
+                "--augmented"],
+    "zeroshot": ["--seen", "--universe", "--pool", "--per-class", "--classes", "--epochs"],
+    "augment": ["--deficits", "--refs", "--vocab", "--budget", "--target", "--ports",
+                "--http-base"],
+    "evaluate": ["--gt", "--preds", "--vocab", "--iou", "--ap-method"],
+    "perturb": ["--class", "--gt", "--preds", "--vocab", "--iou", "--flip"],
+    "compare": ["--a", "--b"],
+}
+
+
+@pytest.mark.parametrize("command", list(_FLAGS))
+def test_help_exits_0_and_lists_every_flag(capsys, command):
     with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+        main([command, "-h"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    for flag in _FLAGS[command] + ["--out-dir", "--seed", "--config"]:
+        assert f" {flag} " in captured.out, flag
 
 
 def test_missing_required_parameter_exits_2(capsys):
@@ -480,6 +509,23 @@ def test_config_file_with_flag_override(workspace):
     assert (tmp / "cfg_out2" / "stats.json").exists()
 
 
+@pytest.mark.parametrize("config,message", [
+    (["--pool", "x"], "config file must be a JSON object"),
+    ({"stats": ["--pool", "x"]}, "config section 'stats' must be a JSON object"),
+], ids=["file", "section"])
+def test_config_that_is_not_an_object_exits_3(workspace, capsys, config, message):
+    tmp, _ = workspace
+    (tmp / "config.json").write_text(json.dumps(config))
+    code = _run("stats", "--config", tmp / "config.json", "--pool", tmp / "pool.json",
+                "--vocab", tmp / "vocab.json", "--out-dir", tmp / "out")
+    assert code == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err == {"type": "DataError", "message": f"{tmp / 'config.json'}: {message}"}
+    assert not (tmp / "out").exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -511,6 +557,11 @@ def test_config_layers_are_coerced_like_flags(workspace):
     assert _run("stats", "--config", tmp / "config.json", "--seed", 9,
                 "--out-dir", tmp / "b") == 0
     assert json.loads((tmp / "b" / "stats.json").read_text())["meta"]["seed"] == 9
+    # a null command section reads as absent
+    (tmp / "config.json").write_text(json.dumps({"seed": 3, "stats": None}))
+    assert _run("stats", "--config", tmp / "config.json", "--pool", tmp / "pool.json",
+                "--vocab", tmp / "vocab.json", "--out-dir", tmp / "c") == 0
+    assert json.loads((tmp / "c" / "stats.json").read_text())["meta"]["seed"] == 3
 
 
 # Required parameters of each subcommand, as flag values; none of these files

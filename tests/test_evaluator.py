@@ -25,7 +25,6 @@ from bright_kit import (
     load_predictions,
     perturb_tp_flip,
     ranking_shift,
-    save_predictions,
     summarize_class_aps,
 )
 
@@ -525,6 +524,13 @@ def test_flip_without_tp_errors(vocab5):
 # ---------------------------------------------------------------------------
 
 
+def _dump(preds, path) -> None:
+    """Write ``preds`` as a JSON-lines prediction dump."""
+    write_json_lines(path, ({"image_id": p.image_id, "human_box": p.human_box.as_list(),
+                             "object_box": p.object_box.as_list(), "class_id": p.class_id,
+                             "score": p.score} for p in preds))
+
+
 def test_prediction_dump_round_trip(tmp_path, vocab5, monkeypatch):
     # the second load comes from the load cache, decoding nothing
     decoded = []
@@ -532,7 +538,7 @@ def test_prediction_dump_round_trip(tmp_path, vocab5, monkeypatch):
                         or read_json_lines(path, data))
     preds = [_hit("a", 1, 0, 0.9), _miss("b", 2, 1, 0.25), _hit("c", 3, 2, 0.5)]
     path = tmp_path / "preds.jsonl"
-    save_predictions(preds, path)
+    _dump(preds, path)
     for _ in range(2):
         table = load_predictions(path, vocab5)
         assert table == preds and table.image_ids == ("a", "b", "c")
@@ -545,7 +551,7 @@ def test_prediction_dump_unencodable_row_leaves_file_as_it_was(tmp_path):
     path = tmp_path / "preds.jsonl"
     path.write_bytes(b"old bytes")
     with pytest.raises(UnicodeEncodeError):
-        save_predictions([_hit("a", 1, 0, 0.9), _hit("b\ud800", 2, 1, 0.5)], path)
+        _dump([_hit("a", 1, 0, 0.9), _hit("b\ud800", 2, 1, 0.5)], path)
     assert path.read_bytes() == b"old bytes"
 
 
@@ -738,7 +744,7 @@ def test_class_id_beyond_64_bits_is_a_data_error(tmp_path):
 def test_prediction_table_is_a_read_only_sequence(tmp_path, vocab5):
     preds = [_hit("a", 1, 0, 0.9), _miss("b", 2, 1, 0.25), _hit("a", 3, 2, 0.5)]
     path = tmp_path / "preds.jsonl"
-    save_predictions(preds, path)
+    _dump(preds, path)
     table = load_predictions(path, vocab5)
     assert isinstance(table, PredictionTable)
     assert len(table) == 3

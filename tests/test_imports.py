@@ -1,6 +1,7 @@
 """The construction commands (stats, balance, augment, balance --augmented,
 zeroshot) never import numpy, nor requests with mock ports; only scoring loads
-the evaluator.  Every name the perfbench tracer wraps resolves on the package."""
+the evaluator.  Every name the perfbench tracer wraps, and every name the
+package and the CLI re-export from the evaluator, resolves."""
 
 import importlib
 import importlib.util
@@ -75,3 +76,13 @@ def test_every_traced_name_resolves(monkeypatch):
     missing = [f"bright_kit.{module}.{attr}" for module, attr in points
                if not hasattr(importlib.import_module(f"bright_kit.{module}"), attr)]
     assert missing == []
+
+
+def test_every_lazy_evaluator_name_resolves():
+    # Both lazy re-exports look their names up on the evaluator only when
+    # asked, so a name it no longer defines would fail at first use.
+    import bright_kit.cli
+    import bright_kit.evaluator
+
+    names = bright_kit._EVALUATOR_NAMES | set(bright_kit.cli._SCORING_NAMES)
+    assert sorted(n for n in names if not hasattr(bright_kit.evaluator, n)) == []

@@ -476,8 +476,6 @@ def test_restrict_drops_other_classes(vocab5):
     r = restrict(d, [1, 3])
     assert recount(r) == {1: 1, 3: 1}
     assert len(r) == 2  # the class-2-only image is dropped
-    r_keep = restrict(d, [1, 3], drop_empty_images=False)
-    assert len(r_keep) == 3
 
 
 def test_restrict_keeps_untouched_records(vocab5):

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from bright_kit import (BalanceConfig, BBox, Dataset, HoiInstance, ImageRecord, balance,
-                        fill_deficits, restrict, save_split)
+                        fill_deficits, save_split)
 from bright_kit import model
 from bright_kit.jsonio import canonical_dumps
 
-from helpers import make_dataset, make_vocab, rand_box
+from helpers import fixed_box, make_dataset, make_vocab, rand_box
 from oracles import dataset_to_dict
 
 NAMES = ["plain", 'quo"te', "back\\slash", "café", "漢字", "line\u2028sep", "tab\there", "\x00nul"]
@@ -68,16 +68,28 @@ def test_empty_dataset_and_images_without_instances(tmp_path, meta):
     vocab = make_vocab(3)
     assert_writes_reference(tmp_path, Dataset([], vocab), meta)
     rng = random.Random(5)
-    d = Dataset(
+    # every third image has an instance; the others have empty instance lists
+    sparse = Dataset(
         [ImageRecord(f"im{i}", f"im{i}.jpg", 100, 100,
-                     (HoiInstance(rand_box(rng), rand_box(rng), 1 + i % 3),))
+                     (HoiInstance(rand_box(rng), rand_box(rng), 1),) if i % 3 == 0 else ())
          for i in range(6)],
         vocab,
     )
-    # classes 2 and 3 dropped but their images kept: empty instance lists
-    sparse = restrict(d, [1], drop_empty_images=False)
-    assert any(not rec.instances for rec in sparse.images)
     assert_writes_reference(tmp_path, sparse, meta)
+
+
+class _Text(str):
+    """A str subclass, which the writer encodes value by value, not in bulk."""
+
+
+def test_values_of_other_types_are_encoded_one_by_one(tmp_path):
+    # a float width, a str-subclass image id and vocabulary_ref take the path
+    # the plain str and int columns of a loaded file never reach
+    inst = (HoiInstance(fixed_box(), fixed_box(1), 2),)
+    d = Dataset([ImageRecord(_Text("a\u2028é"), "a.jpg", 640.5, 480, inst),
+                 ImageRecord("b", "b.jpg", 10, 10)],
+                make_vocab(2), vocabulary_ref=_Text('v"é.json'))
+    assert_writes_reference(tmp_path, d, META)
 
 
 @pytest.mark.parametrize("coords", [
