@@ -64,7 +64,18 @@ _SCORING_NAMES = ("MatchConfig", "evaluate", "load_predictions", "perturb_tp_fli
 
 
 def _bind_scoring() -> None:
-    from . import evaluator
+    # OpenBLAS reads OPENBLAS_NUM_THREADS once, as numpy loads it, and an idle
+    # worker spins on a second core; the evaluator calls no BLAS routine.  So
+    # numpy loads here with one thread unless the user chose a count, and the
+    # environment is put back.  Library imports of the evaluator are untouched.
+    unset = "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ
+    if unset:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        from . import evaluator
+    finally:
+        if unset:
+            del os.environ["OPENBLAS_NUM_THREADS"]
 
     for name in _SCORING_NAMES:
         globals().setdefault(name, getattr(evaluator, name))
@@ -352,6 +363,7 @@ def _cmd_evaluate(p):
 def _cmd_perturb(p):
     _bind_scoring()
     vocab = load_vocabulary(p.vocab)
+    vocab.get(p.class_id)  # an unknown class fails before the split and dump are loaded
     gt = load_dataset(p.gt, vocab)
     preds = load_predictions(p.preds, vocab)
     result = perturb_tp_flip(preds, gt, p.class_id, MatchConfig(iou_threshold=p.iou), flip=p.flip)

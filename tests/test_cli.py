@@ -476,6 +476,18 @@ def test_evaluate_and_perturb_commands(workspace):
     assert report11["meta"]["config_hash"] != report["meta"]["config_hash"]
 
 
+def test_perturb_unknown_class_fails_before_loading(workspace, capsys):
+    # Neither the split nor the dump exists: loading one would exit 4.
+    tmp, _ = workspace
+    code = _run("perturb", "--class", 99, "--gt", tmp / "missing.json",
+                "--preds", tmp / "missing.jsonl", "--vocab", tmp / "vocab.json",
+                "--out-dir", tmp / "pert")
+    assert code == 3
+    assert json.loads(capsys.readouterr().err) == {"error": {
+        "type": "UnknownClassError", "message": "unknown class_id 99"}}
+    assert not (tmp / "pert").exists()
+
+
 def test_compare_command(workspace, tmp_path, capsys):
     tmp, _ = workspace
     a_dir, b_dir = tmp / "ra", tmp / "rb"

@@ -3,12 +3,15 @@ zeroshot) never import numpy, nor requests with mock ports; only scoring loads
 the evaluator.  Every name the perfbench tracer wraps, and every name the
 package and the CLI re-export from the evaluator, resolves."""
 
+import ast
 import importlib
 import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import bright_kit
 
@@ -86,3 +89,82 @@ def test_every_lazy_evaluator_name_resolves():
 
     names = bright_kit._EVALUATOR_NAMES | set(bright_kit.cli._SCORING_NAMES)
     assert sorted(n for n in names if not hasattr(bright_kit.evaluator, n)) == []
+
+
+# Each thread test runs in a fresh process, since numpy sizes OpenBLAS's pool
+# once, when it first loads.
+THREADS = """
+import os, sys
+import bright_kit.cli
+if sys.argv[1] == "numpy-first":
+    import numpy
+before = dict(os.environ)
+bright_kit.cli._bind_scoring()
+assert "numpy" in sys.modules
+print(len(os.listdir("/proc/self/task")), dict(os.environ) == before,
+      os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+def _openblas() -> bool:
+    import numpy
+
+    try:
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a numpy too old to report its build as a dict
+        return False
+    return "openblas" in blas.get("name", "").lower()
+
+
+needs_openblas = pytest.mark.skipif(
+    not Path("/proc/self/task").is_dir() or not _openblas(),
+    reason="needs /proc/self/task and numpy built with OpenBLAS")
+
+
+def _bind_in_subprocess(mode: str = "", openblas_threads: str | None = None) -> list[str]:
+    """Thread count, environment unchanged, and OPENBLAS_NUM_THREADS after
+    ``_bind_scoring`` in a new process."""
+    src = str(Path(bright_kit.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    done = subprocess.run([sys.executable, "-c", THREADS, mode], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+@needs_openblas
+def test_scoring_loads_numpy_with_one_thread_and_restores_the_environment():
+    assert _bind_in_subprocess() == ["1", "True", "None"]
+
+
+@needs_openblas
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="OpenBLAS starts no worker on one CPU")
+def test_scoring_keeps_a_thread_count_the_user_set():
+    assert _bind_in_subprocess(openblas_threads="2") == ["2", "True", "2"]
+
+
+@needs_openblas
+def test_scoring_after_numpy_was_loaded_leaves_the_environment_alone():
+    assert _bind_in_subprocess("numpy-first")[1:] == ["True", "None"]
+
+
+def test_evaluator_calls_no_blas():
+    # Scoring loads numpy with one OpenBLAS thread (cli._bind_scoring); that
+    # costs nothing only while the evaluator calls no BLAS or LAPACK routine.
+    tree = ast.parse((Path(bright_kit.__file__).parent / "evaluator.py").read_text())
+    blas = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.MatMult):
+            found.append("@")
+        elif isinstance(node, ast.Name) and node.id in blas:
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in blas:
+            found.append(node.attr)
+        elif isinstance(node, ast.alias) and blas & set(node.name.split(".")):
+            found.append(node.name)
+    assert found == []

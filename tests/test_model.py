@@ -457,6 +457,22 @@ def test_merge_sums_counts(vocab5):
         assert m.count(c) == a.count(c) + b.count(c)
 
 
+def test_merge_copies_every_record_of_whole_and_selected_datasets(vocab5):
+    # A whole dataset selects its columns as a range, a restricted one as an
+    # array; the second vocabulary lists the same classes in another order, so
+    # its class positions must be translated.
+    whole = random_pool(random.Random(5), vocab5, 12)
+    reordered = Vocabulary(reversed(vocab5.classes))
+    other = Dataset([replace(rec, image_id="b" + rec.image_id)
+                     for rec in random_pool(random.Random(6), vocab5, 12)], reordered)
+    part = restrict(other, [1, 3, 4])
+    assert isinstance(whole._inst, range) and not isinstance(part._inst, range)
+    for a, b in ((whole, part), (part, whole), (part, Dataset([], reordered))):
+        m = merge(a, b)
+        assert m.vocabulary_ref == a.vocabulary_ref
+        assert list(m.images) == list(a.images) + list(b.images)
+
+
 def test_merge_rejects_duplicate_ids(vocab5):
     a = make_dataset([[1]], vocab5)
     b = make_dataset([[2]], vocab5)
