@@ -64,10 +64,11 @@ _SCORING_NAMES = ("MatchConfig", "evaluate", "load_predictions", "perturb_tp_fli
 
 
 def _bind_scoring() -> None:
-    # OpenBLAS reads OPENBLAS_NUM_THREADS once, as numpy loads it, and an idle
-    # worker spins on a second core; the evaluator calls no BLAS routine.  So
-    # numpy loads here with one thread unless the user chose a count, and the
-    # environment is put back.  Library imports of the evaluator are untouched.
+    # OpenBLAS reads OPENBLAS_NUM_THREADS once, as numpy loads it, and starting
+    # its worker pool slows that import and burns CPU on a second core; the
+    # evaluator calls no BLAS routine.  So numpy loads here with one thread
+    # unless the user chose a count, and the environment is put back.  Library
+    # imports of the evaluator are untouched.
     unset = "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ
     if unset:
         os.environ["OPENBLAS_NUM_THREADS"] = "1"

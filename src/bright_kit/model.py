@@ -715,18 +715,13 @@ def merge(a: Dataset, b: Dataset) -> Dataset:
         )
     cols = _Columns(a.vocabulary)
     for d in (a, b):
-        src, inst, base = d._cols, d._inst, len(cols.cls)
+        src, base = d._cols, len(cols.cls)
         cols.first.extend(base + f for f in d._first[1:])
         code = [a.vocabulary._index[c.class_id] for c in src.vocabulary.classes]
-        if isinstance(inst, range):  # all of the columns' instances: one slice each
-            cols.cls.extend(map(code.__getitem__, src.cls))
-            cols.prov += src.prov
-            cols.box += src.box
-        else:  # strided or map gathers of the box column measured slower than this loop
-            cols.cls.extend(code[src.cls[k]] for k in inst)
-            cols.prov.extend(src.prov[k] for k in inst)
-            for k in inst:
-                cols.box.extend(src.box[8 * k : 8 * k + 8])
+        cols.cls.extend(code[src.cls[k]] for k in d._inst)
+        cols.prov.extend(src.prov[k] for k in d._inst)
+        for k in d._inst:
+            cols.box.extend(src.box[8 * k : 8 * k + 8])
         for name in ("image_id", "file_name", "width", "height"):
             getattr(cols, name).extend(map(getattr(src, name).__getitem__, d._rows))
     return Dataset.__new__(Dataset)._bind(cols, a.vocabulary_ref)
