@@ -4,9 +4,10 @@ human-object interaction detection.
 The toolkit turns an imbalanced multi-instance detection benchmark into
 exactly class-balanced train/test/zero-shot splits (balancer, zeroshot),
 orchestrates a generation-and-filtering pipeline for topping up deficient
-classes through pluggable service ports (augment), and re-evaluates detector
-prediction dumps with per-class AP, spread, ranking-shift, and TP-flip
-sensitivity analyses (evaluator).
+classes through pluggable service ports (augment), re-evaluates detector
+prediction dumps with per-class AP, spread and TP-flip sensitivity analyses
+(evaluator), and reports how detector rankings shift between two benchmarks
+(stats).
 
 The evaluator's names are re-exported lazily: ``bright_kit.evaluator`` imports
 numpy, which the construction commands never need, so it loads on the first
@@ -51,8 +52,10 @@ from .model import (
 )
 from .stats import (
     ClassDistribution,
+    RankingRow,
     RatioRow,
     distribution,
+    ranking_shift,
     ratio_report,
     sort_classes,
     top_k,
@@ -71,12 +74,10 @@ _EVALUATOR_NAMES = frozenset({
     "PerturbResult",
     "Prediction",
     "PredictionTable",
-    "RankingRow",
     "class_ap",
     "evaluate",
     "load_predictions",
     "perturb_tp_flip",
-    "ranking_shift",
     "summarize_class_aps",
 })
 

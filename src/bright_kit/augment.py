@@ -289,16 +289,6 @@ def mock_ports(
 # ---------------------------------------------------------------------------
 
 
-def _class_payload(cls: HoiClass) -> dict:
-    return {
-        "class_id": cls.class_id,
-        "verb_id": cls.verb_id,
-        "object_id": cls.object_id,
-        "verb": cls.verb_name,
-        "object": cls.object_name,
-    }
-
-
 class HttpServicePorts:
     """All six ports backed by one HTTP service.
 
@@ -363,7 +353,7 @@ class HttpServicePorts:
     def describe(self, image_ref: str, cls: HoiClass) -> str:
         out = self._post(
             "describe",
-            {"image_ref": image_ref, "class": _class_payload(cls), "query": describe_query(cls)},
+            {"image_ref": image_ref, "class": cls.to_dict(), "query": describe_query(cls)},
         )
         return self._field("describe", out, "text", str)
 
@@ -392,7 +382,7 @@ class HttpServicePorts:
                 "image_ref": image_ref,
                 "human_box": human_box.as_list(),
                 "object_box": object_box.as_list(),
-                "class": _class_payload(cls),
+                "class": cls.to_dict(),
                 "query": region_query(cls),
             },
         )
@@ -407,7 +397,7 @@ class HttpServicePorts:
             "verify_text",
             {
                 "description": description,
-                "class": _class_payload(cls),
+                "class": cls.to_dict(),
                 "query": verification_query(cls),
             },
         )

@@ -46,14 +46,11 @@ def _source_digest() -> bytes:
     return h.digest()
 
 
-def _rows(vocab) -> list:
-    return [[c.class_id, c.verb_id, c.object_id, c.verb_name, c.object_name] for c in vocab]
-
-
 def _hasher(kind: str, header):
     """A sha256 fed with everything an entry name covers but the input bytes."""
     h = hashlib.sha256(_source_digest())
-    h.update(json.dumps([kind, sys.byteorder, header], default=_rows).encode() + b"\0")
+    text = json.dumps([kind, sys.byteorder, header], default=lambda v: [c.to_dict() for c in v])
+    h.update(text.encode() + b"\0")
     return h
 
 

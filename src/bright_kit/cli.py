@@ -47,20 +47,20 @@ from .model import (
     Dataset,
     HoiInstance,
     ImageRecord,
+    _require_utf8,
     annotation_header,
     load_dataset,
     load_vocabulary,
     save_split,
 )
-from .stats import ClassDistribution, distribution, ratio_report, sort_classes, top_k
+from .stats import ClassDistribution, distribution, ranking_shift, ratio_report, sort_classes, top_k
 from .zeroshot import DEFAULT_CLASS_BUDGET, build_zeroshot_split, enumerate_candidates
 
 
 # The scoring commands' names come from bright_kit.evaluator, which imports
 # numpy.  They are bound into this module on first use, so the construction
 # commands start without numpy while the handlers still look them up here.
-_SCORING_NAMES = ("MatchConfig", "evaluate", "load_predictions", "perturb_tp_flip",
-                  "ranking_shift")
+_SCORING_NAMES = ("MatchConfig", "evaluate", "load_predictions", "perturb_tp_flip")
 
 
 def _bind_scoring() -> None:
@@ -123,6 +123,8 @@ def _scalar(kind, *accepted):
     def coerce(value):
         if isinstance(value, bool) or not isinstance(value, accepted):
             raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
+        if isinstance(value, str):  # no file name holds a lone surrogate, which a
+            os.fsencode(value)  # config file's JSON escape can spell: a ValueError
         return kind(value)
 
     return coerce
@@ -177,6 +179,7 @@ def _vocab_ref_path(pool_path, raw_pool) -> Path:
     ref = annotation_header(raw_pool, pool_path)[1]
     if not ref:
         raise _UsageError("missing required parameter --vocab")
+    _require_utf8(pool_path, [ref])  # the path is opened before the pool is checked
     candidate = Path(pool_path).parent / ref
     return candidate if candidate.exists() else Path(ref)
 
@@ -270,6 +273,8 @@ def _cmd_zeroshot(p):
 
 
 def _cmd_augment(p):
+    if p.ports == "http" and not p.http_base:
+        raise _UsageError("missing required parameter --http-base for --ports http")
     vocab = load_vocabulary(p.vocab)
     refs = load_dataset(p.refs, vocab)
     raw_deficits = read_json(p.deficits)
@@ -285,12 +290,7 @@ def _cmd_augment(p):
     # Resolve every class before the first port call.
     classes = [vocab.get(class_id) for class_id in sorted(deficits)]
 
-    if p.ports == "mock":
-        ports = mock_ports()
-    elif not p.http_base:
-        raise DataError("--http-base is required with --ports http")
-    else:
-        ports = http_ports(p.http_base)
+    ports = mock_ports() if p.ports == "mock" else http_ports(p.http_base)
 
     records: list[ImageRecord] = []
     attempt_rows: list[dict] = []
@@ -393,7 +393,6 @@ def _load_report_dir(path: str) -> dict[str, float]:
 
 
 def _cmd_compare(p):
-    _bind_scoring()
     rows = ranking_shift(_load_report_dir(p.a), _load_report_dir(p.b))
     lines = []
     for r in rows:
@@ -572,7 +571,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         return _emit_error(type(exc).__name__, exc, 4)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

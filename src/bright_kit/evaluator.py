@@ -1,6 +1,7 @@
 """Per-class AP / mAP over detector prediction dumps, plus the analyses that
-expose how fragile those numbers are: class-AP spread statistics, ranking
-comparison between two benchmarks, and single-TP-flip perturbation.
+expose how fragile those numbers are: class-AP spread statistics and
+single-TP-flip perturbation.  The ranking comparison between two benchmarks
+needs no numpy and lives in :mod:`bright_kit.stats`.
 
 Matching follows the de-facto pair protocol: a prediction is a true positive
 iff an unmatched ground-truth instance of the same class in the same image
@@ -430,32 +431,6 @@ def evaluate(
     if undefined:
         logger.warning("%d classes have no ground truth; AP undefined", len(undefined))
     return summarize_class_aps(per_class, undefined)
-
-
-@dataclass(frozen=True)
-class RankingRow:
-    model: str
-    map_a: float
-    rank_a: int
-    map_b: float
-    rank_b: int
-    delta: int  # rank_a - rank_b; positive means the model improved on b
-
-
-def ranking_shift(map_a: Mapping[str, float], map_b: Mapping[str, float]) -> list[RankingRow]:
-    """Rank models by mAP on two benchmarks and report per-model rank shifts.
-
-    Ranks are 1-based by descending mAP, ties broken by model name.
-    """
-    if set(map_a) != set(map_b):
-        raise DataError(f"model sets differ: {sorted(set(map_a) ^ set(map_b))}")
-    rank_a = {m: i + 1 for i, m in enumerate(sorted(map_a, key=lambda m: (-map_a[m], m)))}
-    rank_b = {m: i + 1 for i, m in enumerate(sorted(map_b, key=lambda m: (-map_b[m], m)))}
-    rows = [
-        RankingRow(m, map_a[m], rank_a[m], map_b[m], rank_b[m], rank_a[m] - rank_b[m])
-        for m in sorted(map_a, key=lambda m: rank_a[m])
-    ]
-    return rows
 
 
 @dataclass

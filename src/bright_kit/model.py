@@ -7,8 +7,8 @@ interaction is a person, so classes carry only the verb and object components.
 
 A Dataset keeps its annotations in stdlib ``array`` columns, not in one
 object per instance: :func:`load_dataset` appends each file's rows to them in
-one loop.  ``Dataset.images`` is a read-only view that builds the
-:class:`ImageRecord`, :class:`HoiInstance` and :class:`BBox` values on access.
+one loop.  ``Dataset.images`` builds a tuple of :class:`ImageRecord`,
+:class:`HoiInstance` and :class:`BBox` values from them on each access.
 
 Datasets are immutable after construction; every "mutation" (merge, restrict,
 balancing) builds a new Dataset, most of them as a selection from the same
@@ -28,7 +28,7 @@ from importlib import resources
 from itertools import compress
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import (
     AnnotationFormatError,
@@ -129,6 +129,11 @@ class HoiClass:
             raise AnnotationFormatError(
                 f"class {self.class_id}: empty verb or object name"
             )
+
+    def to_dict(self) -> dict:
+        """This class as a row of a vocabulary file."""
+        return {"class_id": self.class_id, "verb_id": self.verb_id, "object_id": self.object_id,
+                "verb": self.verb_name, "object": self.object_name}
 
 
 class Vocabulary:
@@ -269,28 +274,6 @@ class _Columns:
         return HoiInstance(BBox(*box[:4]), BBox(*box[4:]), class_id, PROVENANCES[self.prov[k]])
 
 
-class _Images(Sequence[ImageRecord]):
-    """Read-only view of a Dataset's images that builds each record on access;
-    indexed, sliced and compared like a tuple of them."""
-
-    def __init__(self, d: "Dataset"):
-        self._d = d
-
-    def __len__(self) -> int:
-        return len(self._d)
-
-    def __getitem__(self, p):
-        positions = range(len(self))[p]
-        if isinstance(p, slice):
-            return tuple(map(self._d._record, positions))
-        return self._d._record(positions)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (_Images, tuple)):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-
 class Dataset:
     """Immutable collection of image records bound to one vocabulary.
 
@@ -299,7 +282,7 @@ class Dataset:
     of the instances it keeps, image after image, and image ``p`` has the
     instances ``_inst[_first[p]:_first[p + 1]]``.  Restricting and balancing
     select again from the same columns, copying and checking nothing twice.
-    ``images`` builds records on access; counts and the class -> images index
+    ``images`` builds records on each access; counts and the class -> images index
     are computed on first use.  Nothing else is written after construction,
     so every read is safe from several threads.
     """
@@ -372,8 +355,9 @@ class Dataset:
         return self._cols.vocabulary
 
     @property
-    def images(self) -> Sequence[ImageRecord]:
-        return _Images(self)
+    def images(self) -> tuple[ImageRecord, ...]:
+        """Every image's record, built anew on each access."""
+        return tuple(map(self._record, range(len(self))))
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -472,17 +456,7 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
 
 
 def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
-    rows = [
-        {
-            "class_id": c.class_id,
-            "verb_id": c.verb_id,
-            "object_id": c.object_id,
-            "verb": c.verb_name,
-            "object": c.object_name,
-        }
-        for c in vocab
-    ]
-    write_json(path, rows)
+    write_json(path, [c.to_dict() for c in vocab])
 
 
 def bundled_vocabulary() -> Vocabulary:

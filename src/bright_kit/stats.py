@@ -1,8 +1,11 @@
-"""Distribution diagnostics: per-class counts, long-tail ordering, train/test ratios.
+"""Distribution diagnostics: per-class counts, long-tail ordering, train/test ratios,
+and the ranking shift of detectors between two benchmarks.
 
 These are the numbers that decide whether a benchmark needs rebalancing at
 all: how skewed the per-class instance counts are, and how wildly the
-train:test ratio varies across classes.
+train:test ratio varies across classes.  :func:`ranking_shift` then shows
+what rebalancing changed: how detectors' mAP ranks move from one benchmark
+to the other.  Nothing here imports numpy.
 """
 
 from __future__ import annotations
@@ -34,19 +37,11 @@ class ClassDistribution:
         return self.counts.get(class_id, 0)
 
 
-def _median(values: list[int]) -> float:
-    if not values:
-        return 0.0
-    values = sorted(values)
-    n = len(values)
-    mid = n // 2
-    if n % 2:
-        return float(values[mid])
-    return (values[mid - 1] + values[mid]) / 2.0
-
-
 def distribution(d: Dataset, include_zero: bool = False) -> ClassDistribution:
     """Exact per-class instance counts for every vocabulary class."""
+    # Imported here: importing statistics (with decimal and fractions) costs a
+    # process about 5 ms, and of the CLI commands only stats and balance need it.
+    from statistics import median
     counts = d.class_counts()
     values = list(counts.values())
     pool = values if include_zero else [v for v in values if v > 0]
@@ -55,7 +50,7 @@ def distribution(d: Dataset, include_zero: bool = False) -> ClassDistribution:
         total_instances=sum(values),
         max_count=max(values, default=0),
         min_count=min(pool, default=0),
-        median_count=_median(pool),
+        median_count=float(median(pool)) if pool else 0.0,
     )
 
 
@@ -94,3 +89,28 @@ def ratio_report(train: Dataset, test: Dataset) -> list[RatioRow]:
         te = test.count(cls.class_id)
         rows.append(RatioRow(cls.class_id, tr, te, tr / te if te else None))
     return rows
+
+
+@dataclass(frozen=True)
+class RankingRow:
+    model: str
+    map_a: float
+    rank_a: int
+    map_b: float
+    rank_b: int
+    delta: int  # rank_a - rank_b; positive means the model improved on b
+
+
+def ranking_shift(map_a: Mapping[str, float], map_b: Mapping[str, float]) -> list[RankingRow]:
+    """Rank models by mAP on two benchmarks and report per-model rank shifts.
+
+    Ranks are 1-based by descending mAP, ties broken by model name.
+    """
+    if set(map_a) != set(map_b):
+        raise DataError(f"model sets differ: {sorted(set(map_a) ^ set(map_b))}")
+    rank_a = {m: i + 1 for i, m in enumerate(sorted(map_a, key=lambda m: (-map_a[m], m)))}
+    rank_b = {m: i + 1 for i, m in enumerate(sorted(map_b, key=lambda m: (-map_b[m], m)))}
+    return [
+        RankingRow(m, map_a[m], rank_a[m], map_b[m], rank_b[m], rank_a[m] - rank_b[m])
+        for m in sorted(map_a, key=lambda m: rank_a[m])
+    ]

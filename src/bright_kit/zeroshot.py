@@ -80,9 +80,8 @@ def build_zeroshot_split(candidates: Sequence[HoiClass], pool: Dataset, cfg: Bal
     """
     if class_budget < 1:
         raise DataError("class_budget must be >= 1")
-    pool_ids = set(pool.vocabulary.class_ids())
     for cls in candidates:
-        if cls.class_id not in pool_ids:
+        if cls.class_id not in pool.vocabulary:
             raise DataError(f"candidate class {cls.class_id} missing from the pool vocabulary")
     require_real(pool)
 

@@ -72,7 +72,8 @@ def test_stats_without_vocab_decodes_pool_once(workspace, monkeypatch):
     assert report["instances"] == 2
 
 
-@pytest.mark.parametrize("ref", ["5", '["vocab.json"]'])
+# The last is a string that names no file: a lone surrogate.
+@pytest.mark.parametrize("ref", ["5", '["vocab.json"]', '"\\ud800"'])
 def test_stats_rejects_non_string_vocabulary_ref(workspace, capsys, ref):
     tmp, _ = workspace
     text = (tmp / "pool.json").read_text().replace('"vocabulary_ref": ""',
@@ -423,12 +424,20 @@ def test_augment_survives_a_paraphraser_that_drops_the_prefix(workspace, monkeyp
 
 
 def test_augment_http_requires_base_url(workspace, capsys):
-    tmp, _ = workspace
+    tmp, vocab = workspace
     (tmp / "deficits.json").write_text(json.dumps({"2": 1}))
-    save_split(make_dataset([[2]], vocab=load_vocabulary(tmp / "vocab.json")), tmp / "refs.json")
-    code = _run("augment", "--deficits", tmp / "deficits.json", "--refs", tmp / "refs.json",
+    # A usage error, found before any input is read: --refs does not exist.
+    code = _run("augment", "--deficits", tmp / "deficits.json", "--refs", tmp / "missing.json",
                 "--vocab", tmp / "vocab.json", "--ports", "http", "--out-dir", tmp / "x")
-    assert code == 3
+    _assert_usage_error(code, capsys, "http_base")
+    assert not (tmp / "x").exists()
+    # A top-level config key applies to every subcommand, so mock ports accept one.
+    save_split(make_dataset([[2]], vocab), tmp / "refs.json")
+    (tmp / "config.json").write_text(json.dumps({"http_base": "http://127.0.0.1:9"}))
+    code = _run("augment", "--config", tmp / "config.json", "--deficits", tmp / "deficits.json",
+                "--refs", tmp / "refs.json", "--vocab", tmp / "vocab.json", "--ports", "mock",
+                "--out-dir", tmp / "y")
+    assert code == 0
 
 
 def test_evaluate_and_perturb_commands(workspace):

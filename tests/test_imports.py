@@ -1,11 +1,12 @@
 """The construction commands (stats, balance, augment, balance --augmented,
-zeroshot) never import numpy, nor requests with mock ports; only scoring loads
-the evaluator.  Every name the perfbench tracer wraps, and every name the
+zeroshot) and compare never import numpy, nor requests with mock ports; only
+scoring loads the evaluator.  Every name the perfbench tracer wraps, and every name the
 package and the CLI re-export from the evaluator, resolves."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -47,14 +48,41 @@ print("ok")
 """
 
 
-def test_construction_commands_do_not_import_numpy(tmp_path):
+def _run_script(script: str, *args, cwd=None) -> None:
+    """Run ``script`` in a new interpreter that imports this checkout's package;
+    it must print ``ok`` last."""
     src = str(Path(bright_kit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], cwd=GOLDEN, env=env,
+    done = subprocess.run([sys.executable, "-c", script, *map(str, args)], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "ok"
+
+
+def test_construction_commands_do_not_import_numpy(tmp_path):
+    _run_script(SCRIPT, tmp_path, cwd=GOLDEN)
+
+
+COMPARE = """
+import sys
+import bright_kit.cli
+out = sys.argv[1]
+assert bright_kit.cli.main(["compare", "--a", out + "/a", "--b", out + "/b",
+                            "--out-dir", out + "/cmp"]) == 0
+assert "numpy" not in sys.modules
+print("ok")
+"""
+
+
+def test_compare_does_not_import_numpy(tmp_path):
+    maps = json.loads((Path(__file__).parent / "fixtures" / "detector_maps.json").read_text())
+    for side in ("a", "b"):
+        (tmp_path / side).mkdir()
+        for model, mean_ap in maps[side].items():
+            (tmp_path / side / f"{model}.json").write_text(json.dumps({"mean_ap": mean_ap}))
+    _run_script(COMPARE, tmp_path)
+    assert (tmp_path / "cmp" / "ranking.json").exists()
 
 
 def test_unknown_attribute_still_raises():

@@ -46,6 +46,10 @@ def test_distribution_medians(vocab5):
     assert distribution(d).median_count == 2.0
     # with zeros [0, 0, 1, 2, 3] -> median 1
     assert distribution(d, include_zero=True).median_count == 1.0
+    # an even count takes the mean of the middle two: [1, 2, 3, 4] -> 2.5
+    even = make_dataset([[1], [2, 2], [3, 3, 3], [4, 4, 4, 4]], vocab5)
+    assert distribution(even).median_count == 2.5
+    assert distribution(even, include_zero=True).median_count == 2.0
 
 
 def test_distribution_additive_over_merge(vocab5):
