@@ -16,7 +16,8 @@ One epoch:
   selected until the count is back at or below the target.  Evictions may
   drag other classes below target again; the next epoch repairs that.
 
-After the configured number of epochs, classes still above target lose
+After the configured number of epochs, or the first epoch that draws
+nothing (every later one would repeat it), classes still above target lose
 individual instance annotations, chosen uniformly at random, until they sit
 at the target exactly.  Classes whose total supply is below the target end
 up short and are reported as deficits, to be filled with augmented data.
@@ -153,6 +154,7 @@ def _walk(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) -> BalanceResu
     counts: dict[int, int] = {c: 0 for c in head_to_tail}
 
     for epoch in range(1, cfg.epochs + 1):
+        drawn = False
         # ADD stage, tail to head.
         for cls in reversed(head_to_tail):
             if counts[cls] >= target:
@@ -162,7 +164,7 @@ def _walk(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) -> BalanceResu
                 if counts[cls] >= target:
                     break
                 i = _draw(rng, candidates, k)
-                selected[i] = True
+                drawn = selected[i] = True
                 for c, n in image_counts[i]:
                     counts[c] += n
             # Supply exhausted below target: leave the class short for now.
@@ -177,9 +179,13 @@ def _walk(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) -> BalanceResu
                     if counts[cls] <= target:
                         break
                     i = _draw(rng, candidates, k)
-                    selected[i] = False
+                    selected[i], drawn = False, True
                     for c, n in image_counts[i]:
                         counts[c] -= n
+        if not drawn:
+            # Nothing moved and the PRNG drew nothing, so every later epoch
+            # would repeat this one.
+            break
 
     # Per-instance trim: classes still above target lose random annotations.
     # One pass over the selection collects every over-target class's

@@ -231,7 +231,7 @@ def _cmd_stats(p):
 def _cmd_balance(p):
     vocab = load_vocabulary(p.vocab)
     pool = load_dataset(p.pool, vocab)
-    classes = top_k(vocab, sort_classes(distribution(pool), vocab), p.top_k)
+    classes = top_k(vocab, sort_classes(pool, vocab), p.top_k)
 
     # Test pass consumes the base seed; the train pass uses seed + 1.
     test_cfg = BalanceConfig(p.l_test, epochs=p.epochs, seed=p.seed)

@@ -13,7 +13,9 @@ evaluators.
 
 Predictions are scored as numpy columns (:class:`PredictionTable`).  Pair IoU
 is computed elementwise in float64 with the operations of
-:meth:`~bright_kit.model.BBox.iou` in the same order; the object IoU only for
+:meth:`~bright_kit.model.BBox.iou` in the same order.  A prediction is compared
+only with the ground truths whose human x1 lies in the window that a human
+IoU at the threshold allows (:func:`_windows`), and the object IoU only for
 pairs whose human IoU reaches the threshold, since no other pair can qualify.
 The AP sums run sequentially in Python, so every result is bit-identical to
 scoring one :class:`Prediction` object at a time and compares exactly against
@@ -205,7 +207,9 @@ def _pair_iou(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
 
 def _truth_columns(gt: Dataset, preds: PredictionTable, codes: np.ndarray):
     """Group key and boxes of each ground truth in an image and a class that
-    some prediction has, sorted by key and in dataset order within a key.
+    some prediction has, sorted by key and then by human x1, ties in dataset
+    order; and the position of each when sorted by key alone, in dataset
+    order within a key.
 
     The key of (class ``codes[c]``, image ``preds.image_ids[k]``) is
     ``c * len(preds.image_ids) + k``.
@@ -224,13 +228,43 @@ def _truth_columns(gt: Dataset, preds: PredictionTable, codes: np.ndarray):
     keys = (c * len(image_of) + k)[known]
     boxes = np.frombuffer(gt._cols.box, dtype=np.float64).reshape(-1, 2, 4)[inst[known]]
     by_key = np.argsort(keys, kind="stable")
-    return keys[by_key], _by_pair(boxes[by_key])
+    keys, boxes = keys[by_key], boxes[by_key]
+    by_x = np.lexsort((boxes[:, 0, 0], keys))  # stable
+    return keys, _by_pair(boxes[by_x]), by_x
 
 
 def _by_pair(boxes: np.ndarray) -> np.ndarray:
     """``(n, 2, 4)`` boxes laid out as ``(2, 4, n)``: (human, object) box,
     coordinate, box; ``[0]`` and ``[1]`` are the layout :func:`_pair_iou` reads."""
     return np.ascontiguousarray(np.moveaxis(boxes, 0, -1))
+
+
+def _lex(a, b) -> np.ndarray:
+    """``a + b * 1j`` (``b`` may be infinite), which numpy orders by ``a``, then ``b``."""
+    z = np.empty(len(b), dtype=np.complex128)
+    z.real, z.imag = a, b
+    return z
+
+
+def _windows(pred, truth_group, truth_x1, group, threshold: float):
+    """Start and end, among ground truths sorted by group and then by human
+    x1, of those the human box ``pred[:, i]`` of group ``group[i]`` can pair with.
+
+    Human IoU t needs an overlap width of t * max(pw, gw), so a ground truth's
+    x1 lies in [px1 - pw (1 - t) / t, px2 - t pw].  A t lower by 2**-30 covers
+    the rounding of :func:`_pair_iou` and of the bounds, which stays relative
+    while their products are normal floats: a prediction with min(pw, 1) *
+    min(ph, 1) * t below 2**-900 searches its whole group.
+    """
+    x1, y1, x2, y2 = pred
+    w = x2 - x1
+    t = threshold * (1 - 2**-30)
+    lo, hi = x1 - w * ((1 - t) / t), x2 - t * w
+    whole = np.minimum(w, 1.0) * np.minimum(y2 - y1, 1.0) * threshold < 2**-900
+    lo[whole], hi[whole] = -np.inf, np.inf
+    keys = _lex(truth_group, truth_x1)
+    return (np.searchsorted(keys, _lex(group, lo)),
+            np.searchsorted(keys, _lex(group, hi), side="right"))
 
 
 def _qualifying_pairs(pred, truth, first, size, threshold) -> Iterator[tuple]:
@@ -270,10 +304,10 @@ def _match(preds: PredictionTable, gt: Dataset, threshold: float) -> tuple[np.nd
     claimed = np.full(len(preds), -1, dtype=np.int64)
     codes, code = np.unique(preds.class_id, return_inverse=True)
     key = code * len(preds.image_ids) + preds.image
-    truth_key, truth = _truth_columns(gt, preds, codes)
+    truth_key, truth, dataset_t = _truth_columns(gt, preds, codes)
     if len(truth_key):
-        groups, group_first, group_size = np.unique(
-            truth_key, return_index=True, return_counts=True
+        groups, group_first, truth_group = np.unique(
+            truth_key, return_index=True, return_inverse=True
         )
         # Each (class, image) group's predictions in rank order; those of a
         # group without ground truth stay false positives.
@@ -283,45 +317,21 @@ def _match(preds: PredictionTable, gt: Dataset, threshold: float) -> tuple[np.nd
         has_truth = groups[g] == group_key
         rows, g = by_group[has_truth], g[has_truth]
         first = group_first[g]
+        pred = _by_pair(preds.boxes[rows])
+        start, end = _windows(pred[0], truth_group, truth[0][0], g, threshold)
+        dataset_t = dataset_t.tolist()
         taken: set[int] = set()
-        pairs = _qualifying_pairs(
-            _by_pair(preds.boxes[rows]), truth, first, group_size[g], threshold
-        )
+        pairs = _qualifying_pairs(pred, truth, start, end - start, threshold)
         for i, candidates in groupby(pairs, key=itemgetter(0)):
             best_t, best_iou = -1, 0.0
             for _, t, iou in candidates:
-                if iou > best_iou and t not in taken:
+                t = dataset_t[t]  # candidates come by x1; ties go to dataset order
+                if (iou > best_iou or iou == best_iou and t < best_t) and t not in taken:
                     best_t, best_iou = t, iou
             if best_t >= 0:
                 taken.add(best_t)
                 claimed[rows[i]] = best_t - first[i]
     return order, claimed[order]
-
-
-def _class_results(
-    preds: PredictionTable, gt: Dataset, cfg: MatchConfig, class_ids
-) -> Iterator[ClassApResult]:
-    """One :class:`ClassApResult` per class of ``class_ids``, in that order."""
-    order, claimed = _match(preds, gt, cfg.iou_threshold)
-    ranked = preds.class_id[order]
-    present, start, count = np.unique(ranked, return_index=True, return_counts=True)
-    span = {c: (s, s + k) for c, s, k in zip(present.tolist(), start.tolist(), count.tolist())}
-    for class_id in class_ids:
-        lo, hi = span.get(class_id, (0, 0))
-        rows, cols = order[lo:hi], claimed[lo:hi]
-        hits = cols >= 0
-        rank = np.flatnonzero(hits)
-        hit = rows[rank]
-        matched = [
-            MatchedTP(r, s, preds.image_ids[k], g)
-            for r, s, k, g in zip(
-                rank.tolist(), preds.score[hit].tolist(), preds.image[hit].tolist(),
-                cols[rank].tolist(),
-            )
-        ]
-        npos = gt.count(class_id)
-        ap = _ap_from_labels(hits, npos, cfg.ap_method) if npos else None
-        yield ClassApResult(class_id, ap, npos, hits.tolist(), matched)
 
 
 def class_ap(
@@ -335,7 +345,21 @@ def class_ap(
     one ground truth matches at most one prediction.
     """
     table = PredictionTable.of(preds)
-    return next(_class_results(table.select(table.class_id == class_id), gt, cfg, [class_id]))
+    table = table.select(table.class_id == class_id)
+    order, claimed = _match(table, gt, cfg.iou_threshold)
+    hits = claimed >= 0
+    rank = np.flatnonzero(hits)
+    hit = order[rank]
+    matched = [
+        MatchedTP(r, s, table.image_ids[k], g)
+        for r, s, k, g in zip(
+            rank.tolist(), table.score[hit].tolist(), table.image[hit].tolist(),
+            claimed[rank].tolist(),
+        )
+    ]
+    npos = gt.count(class_id)
+    ap = _ap_from_labels(hits, npos, cfg.ap_method) if npos else None
+    return ClassApResult(class_id, ap, npos, hits.tolist(), matched)
 
 
 def _vocab_ids(vocab: Vocabulary) -> np.ndarray:
@@ -373,6 +397,15 @@ class EvalReport:
         }
 
 
+def _percentile(s: Sequence[float], q: float) -> float:
+    """``np.percentile(s, q)`` of sorted ``s`` by numpy's own arithmetic, bit for bit."""
+    v = (len(s) - 1) * (q / 100)
+    lo = math.floor(v)
+    a, b = s[lo], s[min(lo + 1, len(s) - 1)]
+    t = v - lo if lo < len(s) - 1 else v + 1  # numpy weighs a last value from index -1
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def summarize_class_aps(
     per_class_ap: Mapping[int, float], undefined: Sequence[int] = ()
 ) -> EvalReport:
@@ -386,9 +419,8 @@ def summarize_class_aps(
         raise DataError("no classes with defined AP to aggregate")
     aps = [per_class_ap[c] for c in sorted(per_class_ap)]
     mean_ap = sum(aps) / len(aps)
-    arr = np.asarray(aps, dtype=np.float64)
-    variance = float(np.var(arr))
-    q1, q2, q3 = (float(q) for q in np.percentile(arr, [25.0, 50.0, 75.0]))
+    variance = float(np.var(aps))
+    q1, q2, q3 = (_percentile(sorted(aps), q) for q in (25, 50, 75))
     iqr = q3 - q1
     lo, hi = q1 - 1.5 * iqr, q3 + 1.5 * iqr
     outliers = [
@@ -421,13 +453,18 @@ def evaluate(
         raise UnknownClassError(
             f"prediction has unknown class_id {table.class_id[unknown.argmax()]}"
         )
+    order, claimed = _match(table, gt, cfg.iou_threshold)
+    present, start, count = np.unique(table.class_id[order], return_index=True, return_counts=True)
+    span = {c: (s, s + k) for c, s, k in zip(present.tolist(), start.tolist(), count.tolist())}
     per_class: dict[int, float] = {}
     undefined: list[int] = []
-    for res in _class_results(table, gt, cfg, vocab.class_ids()):
-        if res.ap is None:
-            undefined.append(res.class_id)
+    for class_id in vocab.class_ids():
+        npos = gt.count(class_id)
+        if npos:
+            lo, hi = span.get(class_id, (0, 0))
+            per_class[class_id] = _ap_from_labels(claimed[lo:hi] >= 0, npos, cfg.ap_method)
         else:
-            per_class[res.class_id] = res.ap
+            undefined.append(class_id)
     if undefined:
         logger.warning("%d classes have no ground truth; AP undefined", len(undefined))
     return summarize_class_aps(per_class, undefined)

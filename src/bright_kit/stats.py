@@ -40,7 +40,7 @@ class ClassDistribution:
 def distribution(d: Dataset, include_zero: bool = False) -> ClassDistribution:
     """Exact per-class instance counts for every vocabulary class."""
     # Imported here: importing statistics (with decimal and fractions) costs a
-    # process about 5 ms, and of the CLI commands only stats and balance need it.
+    # process about 5 ms, and of the CLI commands only stats needs it.
     from statistics import median
     counts = d.class_counts()
     values = list(counts.values())
@@ -54,8 +54,9 @@ def distribution(d: Dataset, include_zero: bool = False) -> ClassDistribution:
     )
 
 
-def sort_classes(dist: ClassDistribution, vocab: Vocabulary) -> tuple[int, ...]:
-    """Every vocabulary class id, by descending count in ``dist``.
+def sort_classes(dist: ClassDistribution | Dataset, vocab: Vocabulary) -> tuple[int, ...]:
+    """Every vocabulary class id, by descending ``dist.count``: any object
+    with that method, such as a :class:`ClassDistribution` or a :class:`Dataset`.
 
     Ties break by ascending class_id so that the ordering, and everything
     derived from it (top-k selection, balancing order), is deterministic.

@@ -45,16 +45,18 @@ def oracle_iou(a: tuple[float, float, float, float], b: tuple[float, float, floa
     return inter / (area_a + area_b - inter)
 
 
-def oracle_match_flags(preds, gts, iou_threshold: float) -> tuple[list[bool], int]:
+def oracle_matches(preds, gts, iou_threshold: float) -> list[int]:
     """Greedy matching from scratch.
 
     ``preds``: (image_id, hbox, obox, score) tuples in input order, boxes as
-    4-tuples.  ``gts``: (image_id, hbox, obox) tuples.  Returns rank-ordered
-    TP flags and the ground-truth count.
+    4-tuples.  ``gts``: (image_id, hbox, obox) tuples.  Returns, in rank
+    order, the index in ``gts`` of the ground truth each prediction claims,
+    or -1: every ground truth of the image is compared, and on equal pair IoU
+    the first in ``gts`` wins.
     """
     order = sorted(range(len(preds)), key=lambda i: (-preds[i][3], i))
     taken = [False] * len(gts)
-    flags = []
+    claims = []
     for i in order:
         image_id, ph, po, _score = preds[i]
         best_j, best_iou = -1, 0.0
@@ -66,10 +68,13 @@ def oracle_match_flags(preds, gts, iou_threshold: float) -> tuple[list[bool], in
                 best_j, best_iou = j, pair_iou
         if best_j >= 0:
             taken[best_j] = True
-            flags.append(True)
-        else:
-            flags.append(False)
-    return flags, len(gts)
+        claims.append(best_j)
+    return claims
+
+
+def oracle_match_flags(preds, gts, iou_threshold: float) -> tuple[list[bool], int]:
+    """Rank-ordered TP flags of :func:`oracle_matches` and the ground-truth count."""
+    return [j >= 0 for j in oracle_matches(preds, gts, iou_threshold)], len(gts)
 
 
 def oracle_ap_from_flags(flags, npos: int) -> float:

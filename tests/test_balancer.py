@@ -225,6 +225,21 @@ def test_walk_draws_once_per_selected_or_evicted_image(monkeypatch, lists, targe
     assert rng.draws == walked + result.removed_annotations
 
 
+def test_walk_stops_at_its_fixed_point():
+    # Seed 5's first REMOVE evicts an image and the next ADD settles both
+    # classes on target; from there no epoch draws, so 2**70 epochs end and
+    # give the result of ten, which is the reference walk's.
+    vocab = make_vocab(2)
+    pool = make_dataset([[1]] * 6 + [[1, 1, 2]] * 2 + [[2]] * 4, vocab)
+    want = reference_balance(pool, vocab, _cfg(2, seed=5, epochs=10))
+    assert len(balance(pool, vocab, _cfg(2, seed=5, epochs=1)).balanced) == 4  # before REMOVE
+    for epochs in (10, 2**70):
+        got = balance(pool, vocab, _cfg(2, seed=5, epochs=epochs))
+        assert (got.balanced, got.remainder, got.deficits, got.removed_annotations) == (
+            want.balanced, want.remainder, want.deficits, want.removed_annotations)
+        assert len(got.balanced) == 2
+
+
 def test_loader_matches_reference_on_random_pools(tmp_path, monkeypatch):
     # The columnar loader and the row-by-row one read each pool's split file
     # into equal datasets, equal to the pool itself.  Read from the file twice,

@@ -4,6 +4,7 @@ import random
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bright_kit import (
@@ -33,7 +34,13 @@ from bright_kit.evaluator import _read_row
 from bright_kit.jsonio import read_json_lines, write_json_lines
 
 from helpers import pred
-from oracles import oracle_ap_from_flags, oracle_class_ap, oracle_match_flags
+from oracles import (
+    oracle_ap_from_flags,
+    oracle_class_ap,
+    oracle_iou,
+    oracle_match_flags,
+    oracle_matches,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CFG = MatchConfig()
@@ -271,6 +278,122 @@ def test_pair_chunking_does_not_change_matches(vocab5, monkeypatch, chunk):
     assert got == want
 
 
+def _window_scenario(rng):
+    """Ground truths scattered along x in one or two images, and predictions
+    on or near them, every x shifted by 0 or 1e12.  A mirror pair puts two
+    ground truths at integer offsets +d and -d from a prediction, the right
+    one first in the dataset: equal pair IoUs whose x order is not their
+    dataset order.  A truth's or prediction's object box is its human box 50
+    lower.  Returns predictions and truth triples."""
+    offset = rng.choice((0.0, 1e12))
+
+    def boxes(x1, w, y1=5.0):
+        return (BBox(offset + x1, y1, offset + x1 + w, y1 + 10.0),
+                BBox(offset + x1, y1 + 50.0, offset + x1 + w, y1 + 60.0))
+
+    image_ids = ["i0", "i1"][: rng.randint(1, 2)]
+    truth, preds = [], []
+    for _ in range(rng.randint(1, 12)):
+        img = rng.choice(image_ids)
+        if rng.random() < 0.3:
+            x, w, d = rng.randint(70, 150), rng.randint(10, 30), rng.randint(1, 5)
+            truth += [(img, *boxes(x + d, w)), (img, *boxes(x - d, w))]
+            preds.append(Prediction(img, *boxes(x, w), 1, round(rng.random(), 2)))
+        else:
+            truth.append((img, *boxes(rng.uniform(70, 150), rng.uniform(5, 30), rng.uniform(4, 6))))
+    for _ in range(rng.randint(0, 25)):
+        # Aligned with a truth on one side, at its height: one box holds the
+        # other, and the pair IoU is the bound of the window, width over width.
+        img, h, _o = rng.choice(truth)
+        w = (h.x2 - h.x1) * rng.choice((1.0, rng.uniform(0.5, 2.0)))
+        x1 = rng.choice((h.x1, h.x2 - w, h.x1 + rng.uniform(-10, 10))) - offset
+        y1 = h.y1 + rng.choice((0.0, rng.uniform(-1, 1)))
+        preds.append(Prediction(img, *boxes(x1, w, y1), 1, round(rng.random(), 2)))
+    return preds, truth
+
+
+def _claims(res, truth) -> list[int]:
+    """Per rank, the index in ``truth`` of the ground truth ``res`` matched, or -1."""
+    of_image: dict[str, list[int]] = {}
+    for j, (img, _h, _o) in enumerate(truth):
+        of_image.setdefault(img, []).append(j)
+    claims = [-1] * len(res.labels)
+    for m in res.matched:
+        claims[m.rank] = of_image[m.image_id][m.gt_index]
+    return claims
+
+
+def test_window_matches_the_oracle_exactly(vocab5):
+    # Thresholds 0.5 and the pair IoU of a random pair, exactly and one ulp
+    # either side of it; every claim must be the oracle's, ties included.
+    rng = random.Random(8642)
+    ties = at_threshold = one_truth = far = 0
+    for _ in range(300):
+        preds, truth = _window_scenario(rng)
+        p_args, t_args = _oracle_args(preds, truth)
+        rows = [[min(oracle_iou(p[1], t[1]), oracle_iou(p[2], t[2]))
+                 for t in t_args if p[0] == t[0]] for p in p_args]
+        pair = [v for row in rows for v in row]
+        c = rng.choice([v for v in pair if 0 < v < 1] or [0.5])
+        threshold = rng.choice((0.5, c, math.nextafter(c, 0), math.nextafter(c, 1)))
+        want = oracle_matches(p_args, t_args, threshold)
+        res = class_ap(preds, _truth_dataset(truth, vocab5), 1, MatchConfig(threshold))
+        assert _claims(res, truth) == want
+        at_threshold += threshold in pair
+        ties += sum(any(row.count(v) > 1 for v in row if v >= threshold) for row in rows)
+        one_truth += any(sum(t[0] == img for t in t_args) == 1 for img in ("i0", "i1"))
+        far += t_args[0][1][0] > 1e11
+    assert ties >= 300 and min(at_threshold, one_truth, far) >= 40
+
+
+def test_window_keeps_pairs_on_its_bounds(vocab5):
+    # A truth inside a prediction or around it, flush with its right edge and
+    # at its height, has a pair IoU of width over width: a window bound.  With
+    # the threshold at that IoU or one ulp either side, an image's one truth
+    # matches as the oracle says, also when x sits near 1e12.
+    rng = random.Random(97531)
+    at_bound = 0
+    for _ in range(600):
+        x1, w, f = rng.choice((120.0, 1e12)) + rng.uniform(0, 100), rng.uniform(1, 50), rng.random()
+        h = BBox(x1, 5.0, x1 + w, 15.0)
+        g = BBox(h.x2 - (w * f if rng.random() < 0.5 else w / max(f, 0.3)), 5.0, h.x2, 15.0)
+        c = h.iou(g)
+        threshold = rng.choice((c, math.nextafter(c, 0), math.nextafter(c, 1)))
+        if not 0 < threshold < 1:
+            continue
+        truth, p = [("a", g, g)], Prediction("a", h, h, 1, 0.5)
+        want = oracle_matches(*_oracle_args([p], truth), threshold)
+        res = class_ap([p], _truth_dataset(truth, vocab5), 1, MatchConfig(threshold))
+        assert _claims(res, truth) == want
+        at_bound += want == [0] and threshold == c
+    assert at_bound >= 150
+
+
+def test_window_keeps_pairs_that_rounding_lets_through(vocab5):
+    # Areas near 5e-324 round so far that this pair's IoU computes to 1.0
+    # though its overlap width, 0.43 of each box's, allows no IoU above 0.27.
+    w = 2.63e-162
+    human, obj = BBox(0.57 * w, 0.0, 1.57 * w, w), BBox(0.0, 0.0, w, w)
+    truth = [("a", human, obj)]
+    p = Prediction("a", BBox(0.0, 0.0, w, w), obj, 1, 0.9)
+    assert p.human_box.iou(human) == 1.0
+    assert class_ap([p], _truth_dataset(truth, vocab5), 1, CFG).labels == [True]
+
+
+def test_window_skips_pairs_that_cannot_qualify(vocab5, monkeypatch):
+    # 200 ground truths side by side in one group, a prediction on each:
+    # about three neighbours per prediction fall in its window, not all 200.
+    truth = [("a", BBox(10.0 * k, 0.0, 10.0 * k + 20.0, 20.0), _slot(1)) for k in range(200)]
+    preds = [Prediction("a", h, o, 1, 0.5) for _, h, o in truth]
+    pairs = []
+    pair_iou = evaluator._pair_iou
+    monkeypatch.setattr(evaluator, "_pair_iou", lambda p, t: pairs.append(p.shape[1])
+                        or pair_iou(p, t))
+    res = class_ap(preds, _truth_dataset(truth, vocab5), 1, CFG)
+    assert res.labels == [True] * 200
+    assert sum(pairs) <= 5 * 200
+
+
 def test_ap_is_rank_only(vocab5):
     # AP is invariant under strictly monotone score transformations
     rng = random.Random(77)
@@ -376,6 +499,19 @@ def test_quartiles_inclusive_interpolation():
     q1, q2, q3 = report.quartiles
     assert (q1, q2, q3) == (pytest.approx(0.175), pytest.approx(0.25), pytest.approx(0.325))
     assert report.median == pytest.approx(0.25)
+
+
+def test_quartiles_equal_numpy_percentile_exactly():
+    # Seeded arrays of 1 to 40 values: uniform, with ties, and tiny.
+    rng = random.Random(5150)
+    pools = [lambda: rng.random(), lambda: rng.choice((0.0, 0.25, 0.5, 1.0)),
+             lambda: rng.random() * 1e-300, lambda: rng.choice((5e-324, 1e-310, 0.0))]
+    for n in [1, 2, 3, 4, 5] * 40 + [rng.randint(6, 40) for _ in range(800)]:
+        draw = rng.choice(pools)
+        aps = {c: draw() for c in range(n)}
+        got = summarize_class_aps(aps).quartiles
+        want = np.percentile(np.array(list(aps.values())), [25.0, 50.0, 75.0]).tolist()
+        assert [q.hex() for q in got] == [q.hex() for q in want], aps
 
 
 def test_outliers_beyond_fences():

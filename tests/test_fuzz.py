@@ -96,8 +96,9 @@ def _mutate(rng: random.Random, tree, times: int):
     done = []
     for _ in range(times):
         path = _walk(rng, tree)
-        # The balancer walks every epoch, even after its selection stops
-        # changing, so 2**70 epochs would not end; nothing else is left out.
+        # The balancer stops at the first epoch that draws nothing, but on the
+        # golden pool its ADD and REMOVE stages keep drawing every epoch, so
+        # 2**70 epochs would not end; nothing else is left out.
         choices = [v for v in VALUES if not (path and path[-1] == "epochs" and v == 2**70)]
         value = rng.choice(choices if path else choices[:-1])  # the root is never dropped
         tree = _replaced(tree, path, value)

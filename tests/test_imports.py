@@ -1,6 +1,7 @@
 """The construction commands (stats, balance, augment, balance --augmented,
 zeroshot) and compare never import numpy, nor requests with mock ports; only
-scoring loads the evaluator.  Every name the perfbench tracer wraps, and every name the
+scoring loads the evaluator, and evaluate leaves numpy.ma unloaded.  balance
+does not import statistics.  Every name the perfbench tracer wraps, and every name the
 package and the CLI re-export from the evaluator, resolves."""
 
 import ast
@@ -28,8 +29,9 @@ out = sys.argv[1]
 common = ["--pool", "pool.json", "--vocab", "universe.json"]
 balance = ["balance", *common, "--top-k", "10", "--l-test", "4", "--l-train", "8",
            "--epochs", "5", "--seed", "11"]
-assert bright_kit.cli.main(["stats", *common, "--out-dir", out + "/stats"]) == 0
 assert bright_kit.cli.main([*balance, "--out-dir", out + "/balance"]) == 0
+assert "statistics" not in sys.modules, "balance"
+assert bright_kit.cli.main(["stats", *common, "--out-dir", out + "/stats"]) == 0
 assert bright_kit.cli.main(["augment", "--deficits", out + "/balance/deficits.json",
                             "--refs", "pool.json", "--vocab", "universe.json", "--ports", "mock",
                             "--budget", "6", "--seed", "11", "--out-dir", out + "/augment"]) == 0
@@ -83,6 +85,22 @@ def test_compare_does_not_import_numpy(tmp_path):
             (tmp_path / side / f"{model}.json").write_text(json.dumps({"mean_ap": mean_ap}))
     _run_script(COMPARE, tmp_path)
     assert (tmp_path / "cmp" / "ranking.json").exists()
+
+
+EVALUATE = """
+import sys
+import bright_kit.cli
+assert bright_kit.cli.main(["evaluate", "--gt", "gt.json", "--preds", "preds.jsonl",
+                            "--vocab", "vocab.json", "--out-dir", sys.argv[1]]) == 0
+assert "numpy" in sys.modules
+assert "numpy.ma" not in sys.modules
+print("ok")
+"""
+
+
+def test_evaluate_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma costs a process about 10 ms to import; np.percentile loads it.
+    _run_script(EVALUATE, tmp_path / "evaluate", cwd=Path(__file__).parent / "fixtures" / "golden")
 
 
 def test_unknown_attribute_still_raises():
