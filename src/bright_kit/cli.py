@@ -1,15 +1,8 @@
 """Single entry point exposing the toolkit as subcommands.
 
-    bright-kit stats     --pool p.json --vocab v.json [--test t.json] --out-dir d/
-    bright-kit balance   --pool p.json --vocab v.json --top-k 351 --l-test 10
-                         --l-train 50 --epochs 20 --seed S --out-dir d/ [--augmented a.json]
-    bright-kit zeroshot  --seen vocab351.json --universe vocab600.json --pool rem.json
-                         --per-class 10 --classes 107 --seed S --out-dir d/
-    bright-kit augment   --deficits d.json --refs refs.json --vocab v.json --budget 50
-                         --target per-deficit --ports mock|http --seed S --out-dir d/
-    bright-kit evaluate  --gt test.json --preds model.jsonl --vocab v.json [--iou 0.5] --out-dir d/
-    bright-kit perturb   --class ID --gt test.json --preds model.jsonl --vocab v.json --out-dir d/
-    bright-kit compare   --a reportsA/ --b reportsB/ --out-dir d/
+Seven subcommands: stats, balance, zeroshot, augment, evaluate, perturb and
+compare.  Their usage is in the README's CLI section and in ``bright-kit
+<command> --help``, which :func:`build_parser` builds from :data:`_COMMANDS`.
 
 Each handler only computes and returns ``({file name: content}, summary)``;
 :func:`main` writes the artifacts with :func:`_write_artifacts` only after the

@@ -170,23 +170,13 @@ def _ap_from_labels(labels: Sequence[bool], npos: int, method: str) -> float:
     return ap
 
 
-@dataclass(frozen=True)
-class MatchedTP:
-    """A true positive: the prediction's rank position and its matched ground truth."""
-
-    rank: int  # position in the descending-score order, 0-based
-    score: float
-    image_id: str
-    gt_index: int  # index among the image's ground-truth instances of the class
-
-
 @dataclass
 class ClassApResult:
     class_id: int
     ap: float | None  # None: no ground truth, AP undefined
     npos: int
-    labels: list[bool]
-    matched: list[MatchedTP]
+    labels: list[bool]  # TP flag of each prediction, in rank order
+    scores: list[float]  # score of each prediction, in rank order
 
 
 def _pair_iou(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -334,10 +324,22 @@ def _match(preds: PredictionTable, gt: Dataset, threshold: float) -> tuple[np.nd
     return order, claimed[order]
 
 
+_NO_HITS = (np.zeros(0, dtype=bool), np.zeros(0))  # a class without predictions
+
+
+def _class_hits(table: PredictionTable, gt: Dataset, threshold: float) -> dict:
+    """Per class in ``table``, its TP flags and scores in rank order, from one :func:`_match`."""
+    order, claimed = _match(table, gt, threshold)
+    present, start = np.unique(table.class_id[order], return_index=True)
+    hits, scores, bounds = claimed >= 0, table.score[order], start.tolist() + [len(order)]
+    return {c: (hits[lo:hi], scores[lo:hi])
+            for c, lo, hi in zip(present.tolist(), bounds, bounds[1:])}
+
+
 def class_ap(
     preds: Sequence[Prediction], gt: Dataset, class_id: int, cfg: MatchConfig
 ) -> ClassApResult:
-    """AP for one class plus the matched-TP list used by the perturbation probe.
+    """AP for one class, with the TP flags and scores the perturbation probe reads.
 
     Predictions are ranked by descending score, ties kept in input order.
     Each prediction greedily claims the unmatched qualifying ground truth
@@ -346,20 +348,10 @@ def class_ap(
     """
     table = PredictionTable.of(preds)
     table = table.select(table.class_id == class_id)
-    order, claimed = _match(table, gt, cfg.iou_threshold)
-    hits = claimed >= 0
-    rank = np.flatnonzero(hits)
-    hit = order[rank]
-    matched = [
-        MatchedTP(r, s, table.image_ids[k], g)
-        for r, s, k, g in zip(
-            rank.tolist(), table.score[hit].tolist(), table.image[hit].tolist(),
-            claimed[rank].tolist(),
-        )
-    ]
+    hits, scores = _class_hits(table, gt, cfg.iou_threshold).get(class_id, _NO_HITS)
     npos = gt.count(class_id)
     ap = _ap_from_labels(hits, npos, cfg.ap_method) if npos else None
-    return ClassApResult(class_id, ap, npos, hits.tolist(), matched)
+    return ClassApResult(class_id, ap, npos, hits.tolist(), scores.tolist())
 
 
 def _vocab_ids(vocab: Vocabulary) -> np.ndarray:
@@ -374,7 +366,6 @@ class EvalReport:
     per_class_ap: dict[int, float]
     mean_ap: float
     variance: float
-    median: float
     quartiles: tuple[float, float, float]
     outliers: list[tuple[int, float]]
     undefined_classes: list[int] = field(default_factory=list)
@@ -382,6 +373,10 @@ class EvalReport:
     @property
     def num_evaluated(self) -> int:
         return len(self.per_class_ap)
+
+    @property
+    def median(self) -> float:
+        return self.quartiles[1]
 
     def to_dict(self) -> dict:
         q1, q2, q3 = self.quartiles
@@ -411,14 +406,18 @@ def summarize_class_aps(
 ) -> EvalReport:
     """Aggregate a per-class AP vector into an :class:`EvalReport`.
 
-    mAP is the arithmetic mean; variance is the population variance;
+    mAP is the arithmetic mean, summed left to right in class-id order, so no
+    interpreter's ``sum`` moves its bits; variance is the population variance;
     median/quartiles use inclusive linear interpolation; outliers sit beyond
     1.5 IQR from the quartile box.
     """
     if not per_class_ap:
         raise DataError("no classes with defined AP to aggregate")
     aps = [per_class_ap[c] for c in sorted(per_class_ap)]
-    mean_ap = sum(aps) / len(aps)
+    mean_ap = 0.0
+    for ap in aps:
+        mean_ap += ap
+    mean_ap /= len(aps)
     variance = float(np.var(aps))
     q1, q2, q3 = (_percentile(sorted(aps), q) for q in (25, 50, 75))
     iqr = q3 - q1
@@ -430,7 +429,6 @@ def summarize_class_aps(
         per_class_ap=dict(per_class_ap),
         mean_ap=mean_ap,
         variance=variance,
-        median=q2,
         quartiles=(q1, q2, q3),
         outliers=outliers,
         undefined_classes=list(undefined),
@@ -440,7 +438,8 @@ def summarize_class_aps(
 def evaluate(
     preds: Sequence[Prediction], gt: Dataset, vocab: Vocabulary, cfg: MatchConfig
 ) -> EvalReport:
-    """class_ap over every vocabulary class with ground truth, aggregated.
+    """AP of every vocabulary class with ground truth, from one match of all
+    predictions, aggregated by :func:`summarize_class_aps`.
 
     Classes without any ground-truth instance have undefined AP; they are
     excluded from the mean and listed in ``undefined_classes``.
@@ -453,16 +452,14 @@ def evaluate(
         raise UnknownClassError(
             f"prediction has unknown class_id {table.class_id[unknown.argmax()]}"
         )
-    order, claimed = _match(table, gt, cfg.iou_threshold)
-    present, start, count = np.unique(table.class_id[order], return_index=True, return_counts=True)
-    span = {c: (s, s + k) for c, s, k in zip(present.tolist(), start.tolist(), count.tolist())}
+    hits = _class_hits(table, gt, cfg.iou_threshold)
     per_class: dict[int, float] = {}
     undefined: list[int] = []
     for class_id in vocab.class_ids():
         npos = gt.count(class_id)
         if npos:
-            lo, hi = span.get(class_id, (0, 0))
-            per_class[class_id] = _ap_from_labels(claimed[lo:hi] >= 0, npos, cfg.ap_method)
+            labels = hits.get(class_id, _NO_HITS)[0]
+            per_class[class_id] = _ap_from_labels(labels, npos, cfg.ap_method)
         else:
             undefined.append(class_id)
     if undefined:
@@ -500,19 +497,19 @@ def perturb_tp_flip(
     res = class_ap(preds, gt, class_id, cfg)
     if res.ap is None:
         raise DataError(f"class {class_id} has no ground truth; AP undefined")
-    if not res.matched:
+    if True not in res.labels:
         raise DataError(f"class {class_id} has no matched TP to flip")
-    flipped = res.matched[0] if flip == "top" else res.matched[-1]  # in rank order
-    labels = list(res.labels)
-    labels[flipped.rank] = False
+    labels = list(res.labels)  # in rank order
+    rank = labels.index(True) if flip == "top" else len(labels) - 1 - labels[::-1].index(True)
+    labels[rank] = False
     perturbed = _ap_from_labels(labels, res.npos, cfg.ap_method)
     return PerturbResult(
         class_id=class_id,
         original_ap=res.ap,
         perturbed_ap=perturbed,
         relative_drop=(res.ap - perturbed) / res.ap,
-        flipped_rank=flipped.rank,
-        flipped_score=flipped.score,
+        flipped_rank=rank,
+        flipped_score=res.scores[rank],
     )
 
 

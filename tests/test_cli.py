@@ -1,6 +1,8 @@
 import json
+import re
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -204,6 +206,23 @@ def test_help_exits_0_and_lists_every_flag(capsys, command):
     assert captured.err == ""
     for flag in _FLAGS[command] + ["--out-dir", "--seed", "--config"]:
         assert f" {flag} " in captured.out, flag
+
+
+def _readme_commands() -> dict[str, str]:
+    """Each ``bright-kit`` command of the README's CLI block, continuation
+    lines joined, by subcommand."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("\n```", 1)[0]
+    commands = re.findall(r"^bright-kit (\w+)((?:.*\\\n)*.*)$", block, re.M)
+    return {name: rest for name, rest in commands}
+
+
+def test_readme_cli_block_shows_every_flag():
+    commands = _readme_commands()
+    assert sorted(commands) == sorted(_FLAGS)
+    missing = [(command, flag) for command, flags in _FLAGS.items() for flag in flags
+               if not re.search(rf"(?<![\w-]){flag}(?![\w-])", commands[command])]
+    assert missing == []
 
 
 def test_missing_required_parameter_exits_2(capsys):

@@ -30,6 +30,7 @@ from bright_kit import (
 )
 
 from bright_kit import evaluator
+from bright_kit.cli import main
 from bright_kit.evaluator import _read_row
 from bright_kit.jsonio import read_json_lines, write_json_lines
 
@@ -79,7 +80,7 @@ def test_single_exact_prediction_ap_one(vocab5):
     res = class_ap([_hit("a", 1, 0, 0.9)], gt, 1, CFG)
     assert res.ap == 1.0
     assert res.npos == 1
-    assert len(res.matched) == 1
+    assert sum(res.labels) == 1
 
 
 def test_no_predictions_ap_zero(vocab5):
@@ -131,22 +132,14 @@ def test_pair_rule_requires_both_boxes(vocab5):
 
 
 def test_matching_prefers_highest_pair_iou(vocab5):
-    gt = Dataset(
-        [
-            ImageRecord(
-                "a", "a.jpg", 1000, 100,
-                (
-                    HoiInstance(BBox(0, 0, 20, 20), BBox(30, 0, 50, 20), 1),
-                    HoiInstance(BBox(2, 0, 22, 20), BBox(32, 0, 52, 20), 1),
-                ),
-            )
-        ],
-        vocab5,
-    )
+    truth = [
+        ("a", BBox(0, 0, 20, 20), BBox(30, 0, 50, 20)),
+        ("a", BBox(2, 0, 22, 20), BBox(32, 0, 52, 20)),
+    ]
     p = pred("a", BBox(2, 0, 22, 20), BBox(32, 0, 52, 20), 1, 0.9)
-    res = class_ap([p], gt, 1, CFG)
+    res = class_ap([p], _truth_dataset(truth, vocab5), 1, CFG)
     assert res.labels == [True]
-    assert res.matched[0].gt_index == 1  # the exactly-overlapping instance
+    assert _claims([p], truth, vocab5) == [1]  # the exactly-overlapping instance
 
 
 def _random_scenario(rng, n_preds_max=20, n_gt_max=10):
@@ -312,15 +305,17 @@ def _window_scenario(rng):
     return preds, truth
 
 
-def _claims(res, truth) -> list[int]:
-    """Per rank, the index in ``truth`` of the ground truth ``res`` matched, or -1."""
+def _claims(preds, truth, vocab, threshold=CFG.iou_threshold) -> list[int]:
+    """Per rank, the index in ``truth`` of the ground truth that
+    ``evaluator._match`` lets the prediction of class 1 there claim, or -1.
+    A rank's image comes from the same stable sort by descending score."""
     of_image: dict[str, list[int]] = {}
     for j, (img, _h, _o) in enumerate(truth):
         of_image.setdefault(img, []).append(j)
-    claims = [-1] * len(res.labels)
-    for m in res.matched:
-        claims[m.rank] = of_image[m.image_id][m.gt_index]
-    return claims
+    gt = _truth_dataset(truth, vocab)
+    _order, claimed = evaluator._match(PredictionTable.of(preds), gt, threshold)
+    ranked = sorted(preds, key=lambda p: -p.score)
+    return [of_image[p.image_id][g] if g >= 0 else -1 for p, g in zip(ranked, claimed.tolist())]
 
 
 def test_window_matches_the_oracle_exactly(vocab5):
@@ -337,8 +332,7 @@ def test_window_matches_the_oracle_exactly(vocab5):
         c = rng.choice([v for v in pair if 0 < v < 1] or [0.5])
         threshold = rng.choice((0.5, c, math.nextafter(c, 0), math.nextafter(c, 1)))
         want = oracle_matches(p_args, t_args, threshold)
-        res = class_ap(preds, _truth_dataset(truth, vocab5), 1, MatchConfig(threshold))
-        assert _claims(res, truth) == want
+        assert _claims(preds, truth, vocab5, threshold) == want
         at_threshold += threshold in pair
         ties += sum(any(row.count(v) > 1 for v in row if v >= threshold) for row in rows)
         one_truth += any(sum(t[0] == img for t in t_args) == 1 for img in ("i0", "i1"))
@@ -363,8 +357,7 @@ def test_window_keeps_pairs_on_its_bounds(vocab5):
             continue
         truth, p = [("a", g, g)], Prediction("a", h, h, 1, 0.5)
         want = oracle_matches(*_oracle_args([p], truth), threshold)
-        res = class_ap([p], _truth_dataset(truth, vocab5), 1, MatchConfig(threshold))
-        assert _claims(res, truth) == want
+        assert _claims([p], truth, vocab5, threshold) == want
         at_bound += want == [0] and threshold == c
     assert at_bound >= 150
 
@@ -427,15 +420,8 @@ def test_adding_top_score_tp_never_decreases_ap(vocab5):
         preds, gts = _random_scenario(rng)
         gt = _scenario_to_dataset(gts, vocab5)
         matched = class_ap(preds, gt, 1, CFG)
-        taken = {(m.image_id, m.gt_index) for m in matched.matched}
-        # enumerate unmatched GTs in the same per-image index space MatchedTP uses
-        free = []
-        per_image_index: dict[str, int] = {}
-        for img, slot in gts:
-            k = per_image_index.get(img, 0)
-            per_image_index[img] = k + 1
-            if (img, k) not in taken:
-                free.append((img, slot))
+        taken = set(_claims(preds, _slot_truth(gts), vocab5))
+        free = [g for j, g in enumerate(gts) if j not in taken]
         if not free:
             continue
         img, slot = free[0]
@@ -527,6 +513,29 @@ def test_mean_matches_vector_mean_ulp():
     report = summarize_class_aps(aps)
     vec = [aps[c] for c in sorted(aps)]
     assert report.mean_ap == sum(vec) / len(vec)
+
+
+def _neumaier_sum(values, start=0):
+    """A compensated ``sum``, as Python 3.12 made the builtin for floats."""
+    total, lost = float(start), 0.0
+    for v in values:
+        t = total + v
+        lost += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + lost
+
+
+def test_mean_ap_bytes_do_not_depend_on_the_builtin_sum(tmp_path, monkeypatch):
+    # The golden all-point report's mAP moves by an ulp if the class APs are
+    # summed with compensation; a left fold keeps it on any interpreter.
+    golden = FIXTURES / "golden"
+    monkeypatch.setattr(evaluator, "sum", _neumaier_sum, raising=False)
+    argv = ["evaluate", "--ap-method", "all_point", "--gt", golden / "gt.json",
+            "--preds", golden / "preds.jsonl", "--vocab", golden / "vocab.json",
+            "--out-dir", tmp_path]
+    assert main([str(a) for a in argv]) == 0
+    want = golden / "expected" / "evaluate_all_point" / "report.json"
+    assert (tmp_path / "report.json").read_bytes() == want.read_bytes()
 
 
 def test_stored_per_class_fixture_mean():
@@ -628,7 +637,7 @@ def test_lowest_flip_drop_never_exceeds_top_flip(vocab5):
         preds, gts = _random_scenario(rng)
         gt = _scenario_to_dataset(gts, vocab5)
         res = class_ap(preds, gt, 1, CFG)
-        if len(res.matched) < 2:
+        if sum(res.labels) < 2:
             continue
         top = perturb_tp_flip(preds, gt, 1, CFG, flip="top").relative_drop
         low = perturb_tp_flip(preds, gt, 1, CFG, flip="lowest").relative_drop
@@ -643,9 +652,30 @@ def test_drop_strictly_positive_whenever_tp_exists(vocab5):
         preds, gts = _random_scenario(rng)
         gt = _scenario_to_dataset(gts, vocab5)
         res = class_ap(preds, gt, 1, CFG)
-        if not res.matched:
+        if not any(res.labels):
             continue
         assert perturb_tp_flip(preds, gt, 1, CFG).relative_drop > 0.0
+        checked += 1
+
+
+@pytest.mark.parametrize("flip", ["top", "lowest"])
+def test_flip_fields_equal_the_oracle(vocab5, flip):
+    # The flipped TP is the oracle's first or last, with that prediction's
+    # score, and the perturbed AP is the oracle's with just its flag cleared.
+    rng = random.Random(88)
+    checked = 0
+    while checked < 100:
+        preds, gts = _random_scenario(rng)
+        flags, npos = oracle_match_flags(*_oracle_args(preds, _slot_truth(gts)), CFG.iou_threshold)
+        tps = [r for r, tp in enumerate(flags) if tp]
+        if not tps:
+            continue
+        rank = tps[0] if flip == "top" else tps[-1]
+        res = perturb_tp_flip(preds, _scenario_to_dataset(gts, vocab5), 1, CFG, flip=flip)
+        assert res.flipped_rank == rank
+        assert res.flipped_score == sorted(preds, key=lambda p: -p.score)[rank].score
+        flags[rank] = False
+        assert res.perturbed_ap == oracle_ap_from_flags(flags, npos)
         checked += 1
 
 

@@ -2,7 +2,8 @@
 zeroshot) and compare never import numpy, nor requests with mock ports; only
 scoring loads the evaluator, and evaluate leaves numpy.ma unloaded.  balance
 does not import statistics.  Every name the perfbench tracer wraps, and every name the
-package and the CLI re-export from the evaluator, resolves."""
+package and the CLI re-export from the evaluator, resolves.  No module sums floats
+with a ``sum`` whose rounding depends on the interpreter."""
 
 import ast
 import importlib
@@ -214,3 +215,40 @@ def test_evaluator_calls_no_blas():
         elif isinstance(node, ast.alias) and blas & set(node.name.split(".")):
             found.append(node.name)
     assert found == []
+
+
+# Integer sums, which no summation order can change.
+INTEGER_SUMS = {"augment.GenerationResult.paraphrase_events",
+                "augment.GenerationResult.generator_calls", "cache._evict", "stats.distribution"}
+FLOAT_SUMS = {"sum", "math.fsum", "statistics.mean", "statistics.fmean"}
+
+
+def _sum_calls(tree: ast.AST, where: str) -> list[str]:
+    """``where.<enclosing defs>`` of each call in ``tree`` to a name in
+    :data:`FLOAT_SUMS`, spelled as such or imported from its module."""
+    imported = {a.asname or a.name: f"{node.module}.{a.name}" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, ast.Call):
+            func = ast.unparse(node.func)
+            if imported.get(func, func) in FLOAT_SUMS:
+                found.append(where)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, where)
+    return found
+
+
+def test_no_module_sums_floats_with_an_interpreter_dependent_sum():
+    # Python 3.12 made the builtin sum compensated for floats, so an artifact
+    # summed with it would differ between interpreters; floats are summed in
+    # explicit left folds, and only the named integer sums call it.
+    found = []
+    for path in sorted(Path(bright_kit.__file__).parent.glob("*.py")):
+        found += _sum_calls(ast.parse(path.read_text()), path.stem)
+    assert sorted(found) == sorted(INTEGER_SUMS)
