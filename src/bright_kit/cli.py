@@ -549,8 +549,8 @@ def _emit_error(kind: str, exc: Exception, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("BRIGHT_KIT_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    level = getattr(logging, os.environ.get("BRIGHT_KIT_LOG", "WARNING").upper(), None)
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
     try:
         args = build_parser().parse_args(argv)
         p = _resolve(args)

@@ -196,10 +196,9 @@ def _pair_iou(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
 
 
 def _truth_columns(gt: Dataset, preds: PredictionTable, codes: np.ndarray):
-    """Group key and boxes of each ground truth in an image and a class that
-    some prediction has, sorted by key and then by human x1, ties in dataset
-    order; and the position of each when sorted by key alone, in dataset
-    order within a key.
+    """Key, boxes and rank (position among its key's ground truths in dataset
+    order) of each ground truth in an image and a class that some prediction
+    has, sorted by key and then by human x1, ties in dataset order.
 
     The key of (class ``codes[c]``, image ``preds.image_ids[k]``) is
     ``c * len(preds.image_ids) + k``.
@@ -219,8 +218,9 @@ def _truth_columns(gt: Dataset, preds: PredictionTable, codes: np.ndarray):
     boxes = np.frombuffer(gt._cols.box, dtype=np.float64).reshape(-1, 2, 4)[inst[known]]
     by_key = np.argsort(keys, kind="stable")
     keys, boxes = keys[by_key], boxes[by_key]
+    rank = np.arange(len(keys)) - np.searchsorted(keys, keys)
     by_x = np.lexsort((boxes[:, 0, 0], keys))  # stable
-    return keys, _by_pair(boxes[by_x]), by_x
+    return keys, _by_pair(boxes[by_x]), rank[by_x]
 
 
 def _by_pair(boxes: np.ndarray) -> np.ndarray:
@@ -236,15 +236,16 @@ def _lex(a, b) -> np.ndarray:
     return z
 
 
-def _windows(pred, truth_group, truth_x1, group, threshold: float):
-    """Start and end, among ground truths sorted by group and then by human
-    x1, of those the human box ``pred[:, i]`` of group ``group[i]`` can pair with.
+def _windows(pred, truth_key, truth_x1, key, threshold: float):
+    """Start and end, among ground truths sorted by key and then by human x1,
+    of those the human box ``pred[:, i]`` of key ``key[i]`` can pair with.
 
     Human IoU t needs an overlap width of t * max(pw, gw), so a ground truth's
     x1 lies in [px1 - pw (1 - t) / t, px2 - t pw].  A t lower by 2**-30 covers
     the rounding of :func:`_pair_iou` and of the bounds, which stays relative
     while their products are normal floats: a prediction with min(pw, 1) *
-    min(ph, 1) * t below 2**-900 searches its whole group.
+    min(ph, 1) * t below 2**-900 searches its whole key.  Keys, below the table's
+    class count times its image count, stay under 2**53: exact in :func:`_lex`.
     """
     x1, y1, x2, y2 = pred
     w = x2 - x1
@@ -252,9 +253,9 @@ def _windows(pred, truth_group, truth_x1, group, threshold: float):
     lo, hi = x1 - w * ((1 - t) / t), x2 - t * w
     whole = np.minimum(w, 1.0) * np.minimum(y2 - y1, 1.0) * threshold < 2**-900
     lo[whole], hi[whole] = -np.inf, np.inf
-    keys = _lex(truth_group, truth_x1)
-    return (np.searchsorted(keys, _lex(group, lo)),
-            np.searchsorted(keys, _lex(group, hi), side="right"))
+    keys = _lex(truth_key, truth_x1)
+    return (np.searchsorted(keys, _lex(key, lo)),
+            np.searchsorted(keys, _lex(key, hi), side="right"))
 
 
 def _qualifying_pairs(pred, truth, first, size, threshold) -> Iterator[tuple]:
@@ -294,33 +295,24 @@ def _match(preds: PredictionTable, gt: Dataset, threshold: float) -> tuple[np.nd
     claimed = np.full(len(preds), -1, dtype=np.int64)
     codes, code = np.unique(preds.class_id, return_inverse=True)
     key = code * len(preds.image_ids) + preds.image
-    truth_key, truth, dataset_t = _truth_columns(gt, preds, codes)
-    if len(truth_key):
-        groups, group_first, truth_group = np.unique(
-            truth_key, return_index=True, return_inverse=True
-        )
-        # Each (class, image) group's predictions in rank order; those of a
-        # group without ground truth stay false positives.
-        by_group = order[np.argsort(key[order], kind="stable")]
-        group_key = key[by_group]
-        g = np.minimum(np.searchsorted(groups, group_key), len(groups) - 1)
-        has_truth = groups[g] == group_key
-        rows, g = by_group[has_truth], g[has_truth]
-        first = group_first[g]
-        pred = _by_pair(preds.boxes[rows])
-        start, end = _windows(pred[0], truth_group, truth[0][0], g, threshold)
-        dataset_t = dataset_t.tolist()
-        taken: set[int] = set()
-        pairs = _qualifying_pairs(pred, truth, start, end - start, threshold)
-        for i, candidates in groupby(pairs, key=itemgetter(0)):
-            best_t, best_iou = -1, 0.0
-            for _, t, iou in candidates:
-                t = dataset_t[t]  # candidates come by x1; ties go to dataset order
-                if (iou > best_iou or iou == best_iou and t < best_t) and t not in taken:
-                    best_t, best_iou = t, iou
-            if best_t >= 0:
-                taken.add(best_t)
-                claimed[rows[i]] = best_t - first[i]
+    truth_key, truth, rank = _truth_columns(gt, preds, codes)
+    # Each key's predictions in rank order, less those of keys without ground truth
+    rows = order[np.argsort(key[order], kind="stable")]
+    rows = rows[np.isin(key[rows], truth_key)]
+    pred = _by_pair(preds.boxes[rows])
+    start, end = _windows(pred[0], truth_key, truth[0][0], key[rows], threshold)
+    rank = rank.tolist()
+    taken: set[int] = set()
+    pairs = _qualifying_pairs(pred, truth, start, end - start, threshold)
+    for i, candidates in groupby(pairs, key=itemgetter(0)):
+        best_t, best_iou = -1, 0.0
+        for _, t, iou in candidates:
+            # candidates come by x1; ties go to dataset order
+            if (iou > best_iou or iou == best_iou and rank[t] < rank[best_t]) and t not in taken:
+                best_t, best_iou = t, iou
+        if best_t >= 0:
+            taken.add(best_t)
+            claimed[rows[i]] = rank[best_t]
     return order, claimed[order]
 
 

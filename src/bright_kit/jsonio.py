@@ -10,6 +10,7 @@ from __future__ import annotations
 import gc
 import io
 import json
+import threading
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -27,17 +28,22 @@ def write_json(path: str | Path, obj, encoded: bool = False) -> None:
     Path(path).write_bytes((obj if encoded else canonical_dumps(obj)).encode("utf-8"))
 
 
+_gc_lock = threading.RLock()  # reentrant: read_json pauses inside load_dataset's pause
+
+
 @contextmanager
 def paused_gc():
     """Pause the cyclic GC, then restore its state: decoded JSON holds no cycles,
-    so collections while a tree is decoded or turned into other objects free nothing."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
+    so collections while a tree is decoded or turned into other objects free nothing.
+    Pauses run one at a time, so the collector ends as the first pause found it."""
+    with _gc_lock:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            yield
+        finally:
+            if enabled:
+                gc.enable()
 
 
 def _text(path: str | Path, data: bytes | None):

@@ -1,3 +1,4 @@
+import gc
 import sys
 from pathlib import Path
 
@@ -13,6 +14,17 @@ def _load_cache_dir(tmp_path_factory, monkeypatch):
     """Each test gets an empty load cache of its own (subprocesses inherit it),
     so no test reads or fills a user's cache."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+
+
+@pytest.fixture(autouse=True)
+def _collector_state_kept():
+    """A test that ends with the cyclic collector on or off, unlike how it
+    began, fails itself, rather than a later test that the leaked state hits."""
+    was = gc.isenabled()
+    yield
+    if gc.isenabled() != was:
+        (gc.enable if was else gc.disable)()
+        pytest.fail(f"the test left the cyclic collector {'off' if was else 'on'}")
 
 
 @pytest.fixture

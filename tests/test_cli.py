@@ -1,4 +1,5 @@
 import json
+import logging
 import re
 import sys
 from dataclasses import replace
@@ -223,6 +224,26 @@ def test_readme_cli_block_shows_every_flag():
     missing = [(command, flag) for command, flags in _FLAGS.items() for flag in flags
                if not re.search(rf"(?<![\w-]){flag}(?![\w-])", commands[command])]
     assert missing == []
+
+
+@pytest.mark.parametrize("value, level", [
+    ("BASIC_FORMAT", logging.WARNING), ("_styles", logging.WARNING), ("10", logging.WARNING),
+    ("debug", logging.DEBUG), ("Error", logging.ERROR),
+])
+def test_log_level_takes_level_names_and_falls_back_to_warning(monkeypatch, capsys, value, level):
+    # logging's other names (a format string, a dict) are no level: no traceback
+    root = logging.getLogger()
+    was = root.level
+    monkeypatch.setattr(root, "handlers", [])  # basicConfig configures a bare root only
+    monkeypatch.setenv("BRIGHT_KIT_LOG", value)
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0 and root.level == level
+    finally:
+        root.setLevel(was)
+    out, err = capsys.readouterr()
+    assert out.startswith("bright-kit") and err == ""
 
 
 def test_missing_required_parameter_exits_2(capsys):

@@ -159,11 +159,13 @@ def _random_scenario(rng, n_preds_max=20, n_gt_max=10):
     return preds, gts
 
 
-def _truth_dataset(truth, vocab) -> Dataset:
-    """``truth``: (image_id, human box, object box) of class 1, in dataset order."""
+def _truth_dataset(truth, vocab, others=()) -> Dataset:
+    """``truth``: (image_id, human box, object box) of class 1, in dataset order;
+    ``others`` the same of class 2, ahead of class 1 in each image."""
     by_image: dict[str, list] = {}
-    for img, h, o in truth:
-        by_image.setdefault(img, []).append(HoiInstance(h, o, 1))
+    for class_id, items in ((2, others), (1, truth)):
+        for img, h, o in items:
+            by_image.setdefault(img, []).append(HoiInstance(h, o, class_id))
     return Dataset(
         [
             ImageRecord(img, f"{img}.jpg", 10_000, 100, tuple(insts))
@@ -305,14 +307,39 @@ def _window_scenario(rng):
     return preds, truth
 
 
-def _claims(preds, truth, vocab, threshold=CFG.iou_threshold) -> list[int]:
+def _key_gap_scenario(rng):
+    """Class-1 predictions on six images, shuffled, so their (class, image)
+    keys come in a random order.  An image holds class-1 ground truths that
+    all share one box, or ones that share one tiny box (a prediction on it
+    searches its whole key), or class-2 ground truths only, or nothing and is
+    absent from the dataset; class-2 ground truths may also precede class 1.
+    A prediction takes the shared box or the tiny one.  Returns predictions,
+    class-1 truth triples and class-2 ones."""
+    box = BBox(100.0, 5.0, 130.0, 15.0), BBox(100.0, 55.0, 130.0, 65.0)
+    w = rng.choice((1e-160, 2.63e-162))
+    tiny = BBox(0.0, 0.0, w, w), BBox(w, 0.0, 2 * w, w)
+    truth, others, preds = [], [], []
+    for img in (f"i{k}" for k in range(6)):
+        kind = rng.choice(("box", "tiny", "other", "absent"))
+        if kind in ("box", "tiny"):
+            truth += [(img, *(box if kind == "box" else tiny))] * rng.randint(1, 3)
+        if kind == "other" or kind != "absent" and rng.random() < 0.3:
+            others.append((img, *box))
+        preds += [Prediction(img, *rng.choice((box, tiny)), 1, round(rng.random(), 1))
+                  for _ in range(rng.randint(1, 3))]
+    rng.shuffle(preds)
+    return preds, truth, others
+
+
+def _claims(preds, truth, vocab, threshold=CFG.iou_threshold, others=()) -> list[int]:
     """Per rank, the index in ``truth`` of the ground truth that
-    ``evaluator._match`` lets the prediction of class 1 there claim, or -1.
-    A rank's image comes from the same stable sort by descending score."""
+    ``evaluator._match`` lets the prediction of class 1 there claim, or -1;
+    ``others`` are class-2 ground truths.  A rank's image comes from the same
+    stable sort by descending score."""
     of_image: dict[str, list[int]] = {}
     for j, (img, _h, _o) in enumerate(truth):
         of_image.setdefault(img, []).append(j)
-    gt = _truth_dataset(truth, vocab)
+    gt = _truth_dataset(truth, vocab, others)
     _order, claimed = evaluator._match(PredictionTable.of(preds), gt, threshold)
     ranked = sorted(preds, key=lambda p: -p.score)
     return [of_image[p.image_id][g] if g >= 0 else -1 for p, g in zip(ranked, claimed.tolist())]
@@ -338,6 +365,21 @@ def test_window_matches_the_oracle_exactly(vocab5):
         one_truth += any(sum(t[0] == img for t in t_args) == 1 for img in ("i0", "i1"))
         far += t_args[0][1][0] > 1e11
     assert ties >= 300 and min(at_threshold, one_truth, far) >= 40
+    # Keys without class-1 ground truth next, in key order, to keys whose
+    # ground truths share a box; tiny predictions; images absent from gt.
+    beside = tiny = absent = 0
+    for _ in range(300):
+        preds, truth, others = _key_gap_scenario(rng)
+        threshold = rng.choice((0.3, 0.5, 0.9))
+        want = oracle_matches(*_oracle_args(preds, truth), threshold)
+        assert _claims(preds, truth, vocab5, threshold, others) == want
+        keys = list(dict.fromkeys(p.image_id for p in preds))  # first-seen order
+        count = [sum(t[0] == img for t in truth) for img in keys]
+        beside += any(0 in (a, b) and max(a, b) > 1 for a, b in zip(count, count[1:]))
+        truth_images, gt_images = {t[0] for t in truth}, {t[0] for t in truth + others}
+        tiny += any(p.human_box.x2 < 1e-150 and p.image_id in truth_images for p in preds)
+        absent += any(p.image_id not in gt_images for p in preds)
+    assert min(beside, tiny, absent) >= 100
 
 
 def test_window_keeps_pairs_on_its_bounds(vocab5):

@@ -3,6 +3,7 @@ import gc
 import json
 import random
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -30,7 +31,7 @@ from bright_kit import (
 )
 from bright_kit import model
 from bright_kit.errors import AnnotationFormatError
-from bright_kit.jsonio import read_json
+from bright_kit.jsonio import paused_gc, read_json
 
 from helpers import fixed_box, make_dataset, make_image, make_vocab, random_pool, recount
 from oracles import reference_load_dataset
@@ -255,6 +256,45 @@ def test_load_dataset_decodes_and_builds_with_the_collector_paused(tmp_path, mon
     assert gc.isenabled()
     assert len(load_dataset(tmp_path / "d.json", vocab5)) == 1
     assert states == [("decode", False), ("build", False)] and gc.isenabled()
+
+
+def test_overlapping_pauses_in_two_threads_leave_the_collector_on(monkeypatch):
+    # Thread b starts a pause while thread a is inside one.  Were pauses free
+    # to overlap, b would read the collector off, a would re-enable it on
+    # leaving, and b would then disable it for good.  Events force that order
+    # wherever it is possible; the 0.5 s wait runs out only when it is not.
+    disable = gc.disable
+    a_inside, b_disabling, a_left = threading.Event(), threading.Event(), threading.Event()
+
+    def hooked_disable():
+        if threading.current_thread() is b:
+            b_disabling.set()
+            a_left.wait(5)
+        disable()
+
+    def pause_a():
+        with paused_gc():
+            a_inside.set()
+            b_disabling.wait(0.5)
+        a_left.set()
+
+    def pause_b():
+        a_inside.wait(5)
+        with paused_gc():
+            pass
+
+    monkeypatch.setattr(gc, "disable", hooked_disable)
+    a, b = threading.Thread(target=pause_a), threading.Thread(target=pause_b)
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        b.start()
+        a.start()
+        a.join()
+        b.join()
+        assert b_disabling.is_set() and gc.isenabled()
+    finally:
+        (gc.enable if was else disable)()
 
 
 def test_load_rejects_unknown_class(tmp_path, vocab5):
