@@ -34,11 +34,13 @@ bit for bit.  :data:`BALANCER_VERSION` names the stream.
 from __future__ import annotations
 
 import random
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import DataError, ResidualDeficitError, UnknownClassError
-from .model import PROVENANCES, Dataset, Vocabulary, _memo, merge, restrict
+# Nothing here calls ``restrict``; perfbench's span table wraps this module's name for it.
+from .model import PROVENANCES, Dataset, Vocabulary, merge, restrict
 
 DEFAULT_EPOCHS = 20
 # The PRNG stream of :func:`balance`; artifacts' config hashes cover it.
@@ -69,11 +71,12 @@ class BalanceConfig:
 class BalanceResult:
     """Outcome of one balancing pass.
 
-    ``balanced`` and ``remainder`` partition the input pool's images;
-    ``deficits`` maps each class that could not reach the target to its
-    missing count; ``removed_annotations`` counts instance annotations
-    deleted by the final trim and ``trimmed_images`` the images they came
-    from.
+    ``balanced`` and ``remainder`` partition the input pool's images:
+    ``balanced`` keeps only the balanced classes' instances, ``remainder``
+    every other image untouched.  ``deficits`` maps each class that could not
+    reach the target to its missing count; ``removed_annotations`` counts
+    instance annotations deleted by the final trim and ``trimmed_images`` the
+    images they came from.
     """
 
     balanced: Dataset
@@ -102,21 +105,31 @@ def balance(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) -> BalanceRe
     """Select a subset of ``pool`` where every class in ``classes`` has exactly
     ``cfg.target_per_class`` instances, or as many as supply allows.
 
-    Only instances of ``classes`` are counted; annotations of other classes
-    ride along untouched.  Never raises for insufficient supply; short
-    classes are reported in ``deficits``.  A pool read from a file is walked
-    once per selection, classes and ``cfg``: the load cache keeps the result.
+    Only instances of ``classes`` are counted, and only they stay in
+    ``balanced``; ``remainder`` holds every unselected image untouched.  Never
+    raises for insufficient supply; short classes are reported in
+    ``deficits``.  A pool read from a file is walked once per selection,
+    classes and ``cfg``: the load cache keeps the result.
     """
     if not classes.is_subset_of(pool.vocabulary):
         raise UnknownClassError("balancing classes are not a subset of the pool vocabulary")
-    slot = _memo(pool, f"balance pass (seed {cfg.seed})", "balance",
-                [sorted(classes.class_ids()), cfg.target_per_class, cfg.epochs, cfg.seed,
-                 BALANCER_VERSION])
-    if slot is None:  # columns built in memory: no file names them
+    key = pool._cols.key
+    if key is None:  # columns built in memory: no file names them
         return _walk(pool, classes, cfg)
+    from .cache import Slot  # not at the top: ``--version`` imports none of it
+
+    # The entry's key covers the file's key, the pool's selection of its
+    # columns (a range selects all of them: its length names it) and ``cfg``.
+    selection = (pool._rows, pool._inst, pool._first)
+    sizes = [[len(s)] if isinstance(s, range) else len(s) for s in selection]
+    slot = Slot(f"balance pass (seed {cfg.seed}) over {key[:12]}", "balance",
+                [key, sorted(classes.class_ids()), cfg.target_per_class, cfg.epochs, cfg.seed,
+                 BALANCER_VERSION, sizes],
+                b"".join(array("q", s) for s in selection if not isinstance(s, range)))
     if slot.entry is None:
         result = _walk(pool, classes, cfg)
-        slot.store(result.balanced._selection() + result.remainder._selection(), [
+        slot.store([array("q", s) for d in (result.balanced, result.remainder)
+                    for s in (d._rows, d._inst, d._first)], [
             list(result.deficits.items()), result.removed_annotations, result.trimmed_images])
         return result
     arrays, (deficits, removed, trimmed) = slot.entry
@@ -188,17 +201,20 @@ def _walk(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) -> BalanceResu
             break
 
     # Per-instance trim: classes still above target lose random annotations.
-    # One pass over the selection collects every over-target class's
-    # (image, instance) positions in selection order.
+    # One pass over the selection keeps its instances of the balanced classes
+    # and collects every over-target class's (image, instance) positions in
+    # selection order.
     selected_order = [i for i, chosen in enumerate(selected) if chosen]
     positions: dict[int, list[tuple[int, int]]] = {
         c: [] for c in head_to_tail if counts[c] > target
     }
+    keep = bytearray(len(codes))
     for i in selected_order:
         for j in range(first[i], first[i + 1]):
-            if codes[j] in positions:
-                positions[codes[j]].append((i, j))
-    keep = bytearray(b"\x01") * len(codes) if positions else None
+            if codes[j] in with_class:
+                keep[j] = 1
+                if codes[j] in positions:
+                    positions[codes[j]].append((i, j))
     trimmed: set[int] = set()
     removed_annotations = 0
     for cls, cls_positions in positions.items():
@@ -239,10 +255,9 @@ def _by_key(counts: dict[int, int]) -> dict[str, int]:
 class SplitResult:
     """Outcome of one test-first split construction.
 
-    ``test`` is the balancing pass over the pool restricted to the selected
-    classes and ``train`` the pass over its remainder;
-    ``out_of_scope_annotations`` counts the pool annotations of the other
-    classes, dropped before either pass.
+    ``test`` is the balancing pass over the pool and ``train`` the pass over
+    its remainder; ``out_of_scope_annotations`` counts the pool annotations of
+    the other classes, which neither split keeps.
     """
 
     test: BalanceResult
@@ -275,18 +290,18 @@ def build_splits(
 
     Balances a test set out of the unified pool first, so the test split is
     built purely from real images, then balances a train set from what is
-    left.  The pool is restricted to the selected classes up front so split
-    instance totals come out exact; annotations dropped by that restriction
+    left.  Each pass keeps only the selected classes' annotations, so split
+    instance totals come out exact; the pool's annotations of other classes
     are counted apart from balancing removals.  A pool holding a generated or
     crawled instance is rejected (:func:`require_real`).
     """
     require_real(total)
-    scoped = restrict(total, classes.class_ids())
-    test_result = balance(scoped, classes, test_cfg)
+    test_result = balance(total, classes, test_cfg)
     return SplitResult(
         test=test_result,
         train=balance(test_result.remainder, classes, train_cfg),
-        out_of_scope_annotations=total.total_instances - scoped.total_instances,
+        out_of_scope_annotations=total.total_instances
+        - sum(map(total.count, classes.class_ids())),
     )
 
 

@@ -1,5 +1,5 @@
 """Load cache: the finished columns of successful loads, keyed by file content,
-and the results of restrictions of and balancing passes over them.
+and the results of balancing passes over them.
 
 Entries live in ``$XDG_CACHE_HOME/bright-kit/`` (default ``~/.cache/bright-kit/``),
 named by a sha256 over this package's ``*.py`` files, the native byte order,

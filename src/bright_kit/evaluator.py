@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DataError, UnknownClassError
 from .jsonio import read_json_lines
-from .model import BBox, Dataset, Vocabulary, parse_box
+from .model import BBox, Dataset, Vocabulary, parse_box, read_class_id
 
 logger = logging.getLogger("bright_kit")
 
@@ -514,7 +514,7 @@ def _read_row(row, where: str, vocab: Vocabulary) -> Prediction:
     """The scalar rule for one prediction row; :func:`load_predictions` applies
     it as array operations and re-runs it on rows those flag."""
     try:
-        class_id = int(row["class_id"])
+        class_id = read_class_id(row["class_id"])
         score = float(row["score"])
         pred = Prediction(
             image_id=str(row["image_id"]),

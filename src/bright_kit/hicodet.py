@@ -34,6 +34,7 @@ from .model import (
     _require_utf8,
     box_coords,
     parse_box,
+    read_class_id,
 )
 
 
@@ -121,7 +122,7 @@ def convert_hicodet_json(path: str | Path, vocab: Vocabulary) -> Dataset:
             try:
                 subject_id = int(hoi["subject_id"])
                 object_id = int(hoi["object_id"])
-                class_id = int(hoi["hoi_category_id"])
+                class_id = read_class_id(hoi["hoi_category_id"])
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise AnnotationFormatError(
                     f"{hwhere}: need subject_id, object_id, hoi_category_id ({exc})"

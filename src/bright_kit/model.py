@@ -334,10 +334,6 @@ class Dataset:
         """Another selection ``rows``/``inst``/``first`` of the same columns."""
         return Dataset.__new__(Dataset)._bind(self._cols, self.vocabulary_ref, rows, inst, first)
 
-    def _selection(self) -> list[array]:
-        """``_rows``, ``_inst`` and ``_first`` as arrays, as the load cache stores them."""
-        return [array("q", s) for s in (self._rows, self._inst, self._first)]
-
     def _column(self, values: array) -> array:
         """A per-instance column of ``_cols``, in the order of ``_inst``."""
         if isinstance(self._inst, range):
@@ -432,6 +428,13 @@ def _require_utf8(path, texts: Iterable[str]) -> None:
         raise AnnotationFormatError(f"{path}: text not encodable as UTF-8 ({bad!r})") from exc
 
 
+def read_class_id(raw):
+    """``int(raw)`` for the class id of a JSON row, except that a number with a
+    fractional part comes back as it is: ``int`` would truncate it to another
+    class's id, while as it is it names no class and is rejected as unknown."""
+    return raw if isinstance(raw, float) and raw != int(raw) else int(raw)
+
+
 def load_vocabulary(path: str | Path) -> Vocabulary:
     """Read a vocabulary file: a JSON array of class rows."""
     raw = read_json(path)
@@ -440,9 +443,12 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
     classes = []
     for i, row in enumerate(raw):
         try:
+            class_id = read_class_id(row["class_id"])
+            if isinstance(class_id, float):
+                raise ValueError(f"class_id {class_id!r} is not a whole number")
             classes.append(
                 HoiClass(
-                    class_id=int(row["class_id"]),
+                    class_id=class_id,
                     verb_id=int(row["verb_id"]),
                     object_id=int(row["object_id"]),
                     verb_name=str(row["verb"]),
@@ -482,7 +488,7 @@ def annotation_header(raw, path) -> tuple[list, str]:
 def _instance_row(inst, where: str, vocab: Vocabulary, width: int, height: int) -> HoiInstance:
     """One instance row of an annotation file, checked field by field."""
     try:
-        class_id = int(inst["class_id"])
+        class_id = read_class_id(inst["class_id"])
         human_raw = inst["human_box"]
         object_raw = inst["object_box"]
         provenance = str(inst.get("provenance", "real"))
@@ -701,35 +707,11 @@ def merge(a: Dataset, b: Dataset) -> Dataset:
     return Dataset.__new__(Dataset)._bind(cols, a.vocabulary_ref)
 
 
-def _memo(d: Dataset, name: str, kind: str, header: list):
-    """The load cache slot (:class:`~bright_kit.cache.Slot`) of a result computed
-    from ``d``, named ``name`` in log lines, or None when no file names its
-    columns.  The key covers the file's key, ``d``'s selection of the columns
-    and the JSON ``header`` of everything else the result depends on."""
-    if d._cols.key is None:  # columns built in memory
-        return None
-    from .cache import Slot  # not at the top: ``--version`` imports none of it
-
-    selection = (d._rows, d._inst, d._first)
-    # A range selects all of the columns' images or instances: its length names it.
-    sizes = [[len(s)] if isinstance(s, range) else len(s) for s in selection]
-    return Slot(f"{name} over {d._cols.key[:12]}", kind, [d._cols.key, *header, sizes],
-                b"".join(array("q", s) for s in selection if not isinstance(s, range)))
-
-
 def restrict(d: Dataset, class_ids: Iterable[int]) -> Dataset:
-    """Keep only instances of ``class_ids`` and the images left with one.
-    A selection of a file's columns is restricted once per classes: the load
-    cache keeps the result, keyed by the classes' positions in the vocabulary."""
+    """Keep only instances of ``class_ids`` and the images left with one."""
     codes = {d.vocabulary._index[c.class_id] for c in d.vocabulary.subset(class_ids)}
-    slot = _memo(d, f"restrict to {len(codes)} classes", "restrict", [sorted(codes)])
-    if slot is not None and slot.entry is not None:
-        return d._selected(*slot.entry[0])
     keep = [code in codes for code in d._column(d._cols.cls)]
-    result = d._select(range(len(d)), keep, drop_empty=True)
-    if slot is not None:
-        slot.store(result._selection(), [])
-    return result
+    return d._select(range(len(d)), keep, drop_empty=True)
 
 
 def subtract(d: Dataset, image_ids: Iterable[str]) -> Dataset:

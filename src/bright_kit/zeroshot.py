@@ -14,6 +14,7 @@ from typing import Sequence
 
 from .balancer import BalanceConfig, BalanceResult, _by_key, balance, require_real
 from .errors import DataError, VocabularyMismatchError
+# Nothing here calls ``restrict``; perfbench's span table wraps this module's name for it.
 from .model import Dataset, HoiClass, Vocabulary, restrict
 
 logger = logging.getLogger("bright_kit")
@@ -103,8 +104,7 @@ def build_zeroshot_split(candidates: Sequence[HoiClass], pool: Dataset, cfg: Bal
 
     ranked = sorted(satisfiable, key=lambda c: (-supply[c], c))
     chosen = sorted(ranked[:class_budget])
-    scoped = restrict(pool, chosen)
-    result = balance(scoped, pool.vocabulary.subset(chosen), cfg)
+    result = balance(pool, pool.vocabulary.subset(chosen), cfg)
     if result.deficits:  # supply >= target for every chosen class rules this out
         raise AssertionError(f"unexpected zero-shot deficits: {result.deficits}")
     return ZeroShotResult(result, tuple(chosen), excluded, tuple(sorted(ranked[class_budget:])))

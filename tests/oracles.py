@@ -109,8 +109,9 @@ def reference_balance(
 ) -> BalanceResult:
     """The balancer as first written: image ids in sets, ``image_counts``
     re-walking an image's instances on every ADD and REMOVE, and the trim
-    rescanning the whole selection once per over-target class.  Argument
-    checks are left to the implementation under test.
+    rescanning the whole selection once per over-target class.  A selected
+    image keeps only its untrimmed instances of ``classes``.  Argument checks
+    are left to the implementation under test.
 
     ``version`` picks the PRNG stream of the ADD and REMOVE walks.  Version 1
     shuffles each stage's whole candidate list (REMOVE: every image of the
@@ -201,12 +202,11 @@ def reference_balance(
     balanced_records: list[ImageRecord] = []
     for iid in selected_order:
         rec = pool.get_image(iid)
-        if iid in drop:
-            kept = tuple(
-                inst for k, inst in enumerate(rec.instances) if k not in drop[iid]
-            )
-            rec = replace(rec, instances=kept)
-        balanced_records.append(rec)
+        kept = tuple(
+            inst for k, inst in enumerate(rec.instances)
+            if inst.class_id in target_ids and k not in drop.get(iid, ())
+        )
+        balanced_records.append(replace(rec, instances=kept))
 
     balanced = Dataset(balanced_records, pool.vocabulary, pool.vocabulary_ref)
     remainder = Dataset(
@@ -231,7 +231,8 @@ def reference_balance_v1(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig)
 
 def reference_load_dataset(path, vocab: Vocabulary, raw=None) -> Dataset:
     """The annotation loader as first written: an :class:`ImageRecord` per
-    image and a :class:`HoiInstance` per row, validated again by ``Dataset``."""
+    image and a :class:`HoiInstance` per row, validated again by ``Dataset``;
+    a class id with a fractional part is unknown, not truncated."""
     if raw is None:
         raw = read_json(path)
     if not isinstance(raw, dict) or "images" not in raw:
@@ -256,12 +257,15 @@ def reference_load_dataset(path, vocab: Vocabulary, raw=None) -> Dataset:
         for j, inst in enumerate(raw_instances):
             iwhere = f"{where}.instances[{j}]"
             try:
-                class_id = int(inst["class_id"])
+                raw_class_id = inst["class_id"]
+                class_id = int(raw_class_id)
                 human_raw = inst["human_box"]
                 object_raw = inst["object_box"]
                 provenance = str(inst.get("provenance", "real"))
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise AnnotationFormatError(f"{iwhere}: missing or bad field ({exc})") from exc
+            if isinstance(raw_class_id, float) and raw_class_id != class_id:
+                class_id = raw_class_id  # a fractional id names no class
             if class_id not in vocab:
                 raise UnknownClassError(f"{iwhere}: unknown class_id {class_id}")
             instances.append(

@@ -160,9 +160,11 @@ def _random_cases():
 def test_balance_matches_reference_on_random_pools():
     # The indexed balancer reproduces the first implementation under the
     # version 2 draw rule, PRNG stream included, on every field of the result.
-    trims = deficits = 0
+    trims = deficits = dropped = 0
     for pool, classes, cfg in _random_cases():
         got, want = balance(pool, classes, cfg), reference_balance(pool, classes, cfg)
+        dropped += any(inst.class_id not in classes for iid in want.balanced.image_ids()
+                       for inst in pool.get_image(iid).instances)
         assert got.balanced == want.balanced
         assert got.balanced.vocabulary_ref == want.balanced.vocabulary_ref
         assert got.remainder == want.remainder
@@ -171,8 +173,9 @@ def test_balance_matches_reference_on_random_pools():
         assert got.trimmed_images == want.trimmed_images
         trims += want.removed_annotations > 0
         deficits += bool(want.deficits)
-    # the pools exercise both the trim and short supply, many times over
-    assert trims >= 100 and deficits >= 25
+    # the pools exercise the trim, short supply and selected images carrying
+    # other classes' annotations, many times over
+    assert trims >= 100 and deficits >= 25 and dropped >= 100
 
 
 def test_v2_draws_sample_the_v1_selection_distribution():

@@ -12,8 +12,7 @@ from pathlib import Path
 import pytest
 
 from bright_kit import (BalanceConfig, HoiClass, Vocabulary, balance, balancer, cache, evaluator,
-                        load_dataset, load_predictions, merge, model, restrict, save_split,
-                        save_vocabulary)
+                        load_dataset, load_predictions, merge, model, save_split, save_vocabulary)
 from bright_kit.cli import main
 from bright_kit.errors import AnnotationFormatError, UnknownClassError
 from bright_kit.jsonio import read_json, read_json_lines
@@ -395,67 +394,3 @@ def test_a_file_rewritten_after_its_hash_is_stored_under_the_bytes_decoded(tmp_p
     path.write_bytes(before)  # the bytes first hashed were never stored
     assert load_dataset(path, vocab) == pool and decoded == [path, path]
 
-
-# Restrictions of a pool read from a file go through the same cache.
-
-@pytest.fixture
-def selects(monkeypatch):
-    """The datasets ``Dataset._select`` selected from, in order."""
-    datasets, select = [], model.Dataset._select
-    monkeypatch.setattr(model.Dataset, "_select", lambda d, *args, **kwargs: datasets.append(d)
-                        or select(d, *args, **kwargs))
-    return datasets
-
-
-def test_a_warm_restrict_selects_nothing_and_equals_the_cold_one(tmp_path, selects):
-    path, vocab, pool = _skewed(tmp_path)
-    cold = restrict(pool, [1, 3])
-    assert selects == [pool] and 0 < cold.total_instances < pool.total_instances
-    loaded = load_dataset(path, vocab)
-    warm = restrict(loaded, [3, 1])
-    assert selects == [pool] and warm._cols is loaded._cols
-    for name in ("_rows", "_inst", "_first"):
-        got, want = getattr(warm, name), getattr(cold, name)
-        assert type(got) is type(want) and got == want, name
-
-
-@pytest.mark.parametrize("part", ["classes", "selection", "order"])
-def test_each_part_of_a_restrict_key_is_a_miss(tmp_path, selects, part):
-    _, vocab, pool = _skewed(tmp_path)
-    if part == "order":  # a selection as an array, not a range, of every image in order
-        pool = pool._select(range(len(pool)))
-    classes = [1, 3]
-    restrict(pool, classes)
-    if part == "classes":
-        classes = [1, 2]
-    elif part == "selection":  # the first half of the images
-        pool = pool._select(range(len(pool) // 2))
-    else:  # a selection of the same sizes: the images reversed
-        pool = pool._select(range(len(pool) - 1, -1, -1))
-    selects.clear()
-    got = restrict(pool, classes)
-    assert selects == [pool]
-    in_memory = model.Dataset(pool.images, vocab)
-    assert got == restrict(in_memory, classes)
-    assert restrict(pool, classes) == got and selects == [pool, in_memory]
-
-
-def test_pools_built_in_memory_or_merged_store_no_restrict(tmp_path, selects):
-    vocab = make_vocab(4)
-    built = make_dataset([[1, 2], [3], [4, 4], [1]], vocab)
-    a, b = (load_dataset(_pool(tmp_path, f"{p}.json", prefix=p)[0], vocab) for p in "ab")
-    merged = merge(a, b)
-    loads = _entries()
-    for pool in (built, built, merged, merged):
-        restrict(pool, [1, 4])
-    assert selects == [built, built, merged, merged]
-    assert _entries() == loads
-
-
-def test_a_warm_restrict_keeps_the_unknown_class_message(tmp_path):
-    _, _, pool = _skewed(tmp_path)
-    restrict(pool, [1, 2])
-    for classes in ([1, 2, 9], [9, 7]):
-        with pytest.raises(UnknownClassError) as err:
-            restrict(pool, classes)
-        assert str(err.value) == f"unknown class_ids {sorted(set(classes) - {1, 2})}"

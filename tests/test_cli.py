@@ -718,6 +718,47 @@ def _assert_data_error(code, capsys, kind="DataError"):
     assert json.loads(lines[0])["error"]["type"] == kind
 
 
+def test_a_fractional_class_id_is_an_unknown_class(workspace, capsys):
+    # int() would truncate 1.5 to class 1: stats would count it as class 1 and
+    # evaluate would score the prediction as a class-1 hit.
+    tmp, vocab = workspace
+    pool = json.loads((tmp / "pool.json").read_text())
+    pool["images"][0]["instances"][0]["class_id"] = 1.5
+    (tmp / "bad.json").write_text(json.dumps(pool))
+    code = _run("stats", "--pool", tmp / "bad.json", "--vocab", tmp / "vocab.json",
+                "--out-dir", tmp / "out")
+    _assert_data_error(code, capsys, "UnknownClassError")
+    assert not (tmp / "out").exists()
+
+    gt = make_dataset([[1]], vocab, prefix="gt")
+    save_split(gt, tmp / "gt.json")
+    inst = gt.images[0].instances[0]
+    (tmp / "preds.jsonl").write_text(json.dumps({
+        "image_id": "gt0000", "human_box": inst.human_box.as_list(),
+        "object_box": inst.object_box.as_list(), "class_id": 1.5, "score": 0.9}) + "\n")
+    code = _run("evaluate", "--gt", tmp / "gt.json", "--preds", tmp / "preds.jsonl",
+                "--vocab", tmp / "vocab.json", "--out-dir", tmp / "out")
+    _assert_data_error(code, capsys, "UnknownClassError")
+    assert not (tmp / "out").exists()
+
+
+def test_a_fractional_class_id_in_a_vocabulary_is_a_bad_row(workspace, capsys):
+    tmp, vocab = workspace
+    rows = json.loads((tmp / "vocab.json").read_text())
+    rows[1]["class_id"] = 7.5  # int() would make it class 7, which no other row has
+    (tmp / "bad_vocab.json").write_text(json.dumps(rows))
+    code = _run("stats", "--pool", tmp / "empty.json", "--vocab", tmp / "bad_vocab.json",
+                "--out-dir", tmp / "out")
+    assert code == 3
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(line)["error"] == {"type": "AnnotationFormatError", "message": (
+        f"{tmp / 'bad_vocab.json'}: bad vocabulary row 1 (class_id 7.5 is not a whole number)")}
+    assert not (tmp / "out").exists()
+    rows[1]["class_id"] = 2.0  # a whole number is still read as its class
+    (tmp / "bad_vocab.json").write_text(json.dumps(rows))
+    assert load_vocabulary(tmp / "bad_vocab.json") == vocab
+
+
 def test_non_utf8_json_exits_3(workspace, capsys):
     tmp, _ = workspace
     (tmp / "bad.json").write_bytes(b"\xff\xfe{}")

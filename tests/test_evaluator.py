@@ -808,6 +808,7 @@ REJECTIONS = {
     "nan_score": (_row(score=float("nan")), DataError),
     "score_above_one": (_row(score=1.5), DataError),
     "unknown_class": (_row(class_id=77), UnknownClassError),
+    "fractional_class_id": (_row(class_id=1.5), UnknownClassError),
     "degenerate_box": (_row(human_box=[5, 0, 5, 5]), DegenerateBoxError),
     "box_outside_image": (_row(object_box=[-30, -30, -20, -20]), DegenerateBoxError),
 }

@@ -68,9 +68,7 @@ def test_cli_reproduces_golden_construction_artifacts(tmp_path, monkeypatch, cap
     # the entry the cold run stored (the pool needs clamps, so it is never
     # stored), and both write the committed bytes.  Balancing passes are kept
     # all the same: the cold run's balance_fill reuses balance's two passes,
-    # and the warm run walks none of its five.  So are restrictions of the
-    # pool: the cold run's balance_fill reuses balance's (zeroshot restricts
-    # to other classes), and the warm run computes none of its three.
+    # and the warm run walks none of its five.
     monkeypatch.chdir(GOLDEN)
     expected = GOLDEN / "expected"
     for run in ("cold", "warm"):
@@ -81,10 +79,8 @@ def test_cli_reproduces_golden_construction_artifacts(tmp_path, monkeypatch, cap
         hits = [r.getMessage() for r in caplog.records
                 if r.getMessage().startswith("load cache hit")]
         passes = [m for m in hits if m.startswith("load cache hit: balance pass")]
-        restricts = [m for m in hits if m.startswith("load cache hit: restrict to ")]
-        assert len(hits) - len(passes) - len(restricts) == (run == "warm")
+        assert len(hits) - len(passes) == (run == "warm")
         assert len(passes) == (5 if run == "warm" else 2)
-        assert len(restricts) == (3 if run == "warm" else 1)
         produced = sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
         assert produced == sorted(p.relative_to(expected)
                                   for p in expected.rglob("*") if p.is_file())
@@ -94,8 +90,7 @@ def test_cli_reproduces_golden_construction_artifacts(tmp_path, monkeypatch, cap
 
 def test_balance_memo_covers_the_clamped_golden_pool(tmp_path):
     # The pool's 37 clamped boxes keep its load out of the cache, yet its
-    # columns carry the file's key: a second `balance` neither restricts the
-    # pool nor walks a pass.
+    # columns carry the file's key: a second `balance` walks no pass.
     # The clamp warnings still print on every run; the bytes do not move.
     src = str(Path(bright_kit.__file__).resolve().parents[1])
     env = {**os.environ, "BRIGHT_KIT_LOG": "INFO", "PYTHONPATH": os.pathsep.join(
@@ -110,7 +105,7 @@ def test_balance_memo_covers_the_clamped_golden_pool(tmp_path):
         cached = [line.split(" [key ")[0].split(" over ")[0] for line in lines
                   if line.startswith("INFO:bright_kit:load cache ")]
         assert [line.removeprefix("INFO:bright_kit:load cache ") for line in cached] == [
-            "not stored (a row took the row rule): pool.json", f"{outcome}: restrict to 10 classes",
+            "not stored (a row took the row rule): pool.json",
             f"{outcome}: balance pass (seed 11)", f"{outcome}: balance pass (seed 12)"]
         for rel in (GOLDEN / "expected" / "balance").iterdir():
             assert (out / rel.name).read_bytes() == rel.read_bytes(), rel.name

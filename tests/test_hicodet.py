@@ -139,6 +139,24 @@ def test_convert_unknown_class_error_or_skip(tmp_path):
         convert_hicodet_json(dump, vocab)
 
 
+@pytest.mark.parametrize("class_id, kept", [(1.5, None), (1.0, 1)])
+def test_convert_rejects_a_fractional_hoi_category_id(tmp_path, class_id, kept):
+    # int() would truncate 1.5 to class 1; a whole float is still its class.
+    vocab_path = tmp_path / "list.txt"
+    vocab_path.write_text(HOI_LIST)
+    entry = _dump_entry(hoi_annotation=[
+        {"subject_id": 0, "object_id": 1, "hoi_category_id": class_id}])
+    dump = tmp_path / "trainval.json"
+    dump.write_text(json.dumps([entry]))
+    vocab = vocabulary_from_hico_list(vocab_path)
+    if kept is not None:
+        assert convert_hicodet_json(dump, vocab).images[0].instances[0].class_id == kept
+        return
+    with pytest.raises(UnknownClassError) as err:
+        convert_hicodet_json(dump, vocab)
+    assert str(err.value).endswith("hoi_annotation[0]: unknown hoi_category_id 1.5")
+
+
 def test_convert_rejects_a_file_name_utf8_cannot_encode(tmp_path):
     # a JSON escape can spell a lone surrogate, which no artifact can hold
     list_path = tmp_path / "hico_list_hoi.txt"

@@ -368,7 +368,8 @@ LOADER_CASES = {
     "missing_key": ([{k: v for k, v in ROW.items() if k != "human_box"}], {}, False),
     "non_object_instance": ([[1, [0, 0, 5, 5], [1, 1, 6, 6]]], {}, False),
     "string_class_id": ([_row(class_id="2")], {}, True),
-    "float_class_id": ([_row(class_id=2.0), _row(class_id=1.7)], {}, True),
+    "float_class_id": ([_row(class_id=2.0), _row(class_id=1.0)], {}, True),
+    "fractional_class_id": ([_row(class_id=2.0), _row(class_id=1.7)], {}, False),
     "non_numeric_class_id": ([_row(class_id="one")], {}, False),
     "infinite_class_id": ([_row(class_id=1e999)], {}, False),
     "unknown_class_id": ([_row(class_id=7)], {}, False),
@@ -541,6 +542,35 @@ def test_restrict_keeps_untouched_records(vocab5):
     assert r.images[2] == d.images[2]
     assert r.images[1] != d.images[1]
     assert r.images[1] == replace(d.images[1], instances=d.images[1].instances[:1])
+
+
+@pytest.mark.parametrize("selection", ["loaded", "all", "first_half", "reversed"])
+def test_restrict_of_a_loaded_pool_equals_the_pool_built_in_memory(tmp_path, selection):
+    # A file's columns selected whole (as a range), as an array of every
+    # image, as the first half or reversed restrict as the same records do.
+    vocab = make_vocab(4)
+    rng = random.Random(7)
+    lists = [rng.choices([1, 2, 3, 4], [8, 4, 2, 1], k=rng.randint(1, 4)) for _ in range(40)]
+    save_split(make_dataset(lists, vocab), tmp_path / "pool.json")
+    pool = load_dataset(tmp_path / "pool.json", vocab)
+    n = len(pool)
+    positions = {"all": range(n), "first_half": range(n // 2),
+                 "reversed": range(n - 1, -1, -1)}.get(selection)
+    if positions is not None:
+        pool = pool._select(positions)
+    in_memory = Dataset(pool.images, vocab)
+    for classes in ([1, 3], [3, 1], [1, 2]):
+        got = restrict(pool, classes)
+        assert 0 < got.total_instances < pool.total_instances
+        assert got == restrict(in_memory, classes)
+
+
+def test_restrict_names_unknown_classes(vocab5):
+    d = make_dataset([[1, 2], [3], [4, 4]], vocab5)
+    for classes in ([1, 2, 9], [9, 7]):
+        with pytest.raises(UnknownClassError) as err:
+            restrict(d, classes)
+        assert str(err.value) == f"unknown class_ids {sorted(set(classes) - {1, 2})}"
 
 
 def test_subtract_removes_named_images(vocab5):
