@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from bright_kit import (BalanceConfig, HoiClass, Vocabulary, balance, balancer, cache, evaluator,
-                        load_dataset, load_predictions, merge, model, save_split, save_vocabulary)
+                        load_dataset, load_predictions, merge, model, restrict, save_split,
+                        save_vocabulary)
 from bright_kit.cli import main
 from bright_kit.errors import AnnotationFormatError, UnknownClassError
 from bright_kit.jsonio import read_json, read_json_lines
@@ -394,3 +395,53 @@ def test_a_file_rewritten_after_its_hash_is_stored_under_the_bytes_decoded(tmp_p
     path.write_bytes(before)  # the bytes first hashed were never stored
     assert load_dataset(path, vocab) == pool and decoded == [path, path]
 
+
+
+# A restriction keeps no entry of its own: a balancing pass keeps only its
+# classes, so a warm pass is the restriction that selects nothing.
+
+@pytest.fixture
+def selects(monkeypatch):
+    """The datasets ``Dataset._select`` selected from, in order."""
+    datasets, select = [], model.Dataset._select
+    monkeypatch.setattr(model.Dataset, "_select", lambda d, *args, **kwargs: datasets.append(d)
+                        or select(d, *args, **kwargs))
+    return datasets
+
+
+def test_a_warm_restrict_selects_nothing_and_equals_the_cold_one(tmp_path, selects):
+    path, vocab, pool = _skewed(tmp_path)
+    cfg = BalanceConfig(12, epochs=4, seed=3)
+    cold = balance(pool, vocab.subset([1, 3]), cfg).balanced
+    assert selects == [pool, pool] and 0 < cold.total_instances < pool.total_instances
+    loaded = load_dataset(path, vocab)
+    warm = balance(loaded, vocab.subset([3, 1]), cfg).balanced
+    assert selects == [pool, pool] and warm._cols is loaded._cols
+    for name in ("_rows", "_inst", "_first"):
+        got, want = getattr(warm, name), getattr(cold, name)
+        assert type(got) is type(want) and got == want, name
+    assert restrict(warm, [1, 3]) == warm  # only the pass's classes are left
+
+
+@pytest.mark.parametrize("part", ["classes", "selection", "order"])
+def test_each_part_of_a_restrict_key_is_a_miss(tmp_path, selects, part):
+    _, vocab, pool = _skewed(tmp_path)
+    if part == "order":  # a selection as an array, not a range, of every image in order
+        pool = pool._select(range(len(pool)))
+    classes = [1, 3]
+    loads = _entries()
+    restrict(pool, classes)
+    if part == "classes":
+        classes = [1, 2]
+    elif part == "selection":  # the first half of the images
+        pool = pool._select(range(len(pool) // 2))
+    else:  # a selection of the same sizes: the images reversed
+        pool = pool._select(range(len(pool) - 1, -1, -1))
+    selects.clear()
+    got = restrict(pool, classes)
+    assert selects == [pool]
+    in_memory = model.Dataset(pool.images, vocab)
+    assert got == restrict(in_memory, classes)
+    # no entry is kept, so the same restriction again selects again
+    assert restrict(pool, classes) == got and selects == [pool, in_memory, pool]
+    assert _entries() == loads
