@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import hashlib
 import json
 import logging
@@ -29,7 +30,7 @@ import os
 import sys
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, NoReturn
 
 from . import __version__
 from .augment import GenerationBudget, generate_valid_images, http_ports, mock_ports
@@ -564,3 +565,14 @@ def main(argv=None) -> int:
     except OSError as exc:
         return _emit_error(type(exc).__name__, exc, 4)
     return 0
+
+
+def run() -> NoReturn:
+    """The process entry (``python -m bright_kit``, ``bright-kit``): :func:`main`,
+    then exit with its code.  Freezing the collector first lets the interpreter's
+    shutdown collections skip what the OS reclaims anyway (README, "CLI")."""
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)

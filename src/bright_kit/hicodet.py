@@ -35,6 +35,7 @@ from .model import (
     box_coords,
     parse_box,
     read_class_id,
+    read_int,
 )
 
 
@@ -70,7 +71,7 @@ def _canvas_size(entry: dict, boxes: list[tuple[float, ...]], where: str) -> tup
     height = entry.get("height")
     if width and height:
         try:
-            return int(width), int(height)
+            return read_int(entry, "width"), read_int(entry, "height")
         except (TypeError, ValueError, OverflowError) as exc:
             raise AnnotationFormatError(f"{where}: bad image size ({exc})") from exc
     # Size absent from the dump: use the tightest canvas covering all boxes.
@@ -120,8 +121,8 @@ def convert_hicodet_json(path: str | Path, vocab: Vocabulary) -> Dataset:
         for j, hoi in enumerate(hois):
             hwhere = f"{where}.hoi_annotation[{j}]"
             try:
-                subject_id = int(hoi["subject_id"])
-                object_id = int(hoi["object_id"])
+                subject_id = read_int(hoi, "subject_id")
+                object_id = read_int(hoi, "object_id")
                 class_id = read_class_id(hoi["hoi_category_id"])
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise AnnotationFormatError(

@@ -435,6 +435,16 @@ def read_class_id(raw):
     return raw if isinstance(raw, float) and raw != int(raw) else int(raw)
 
 
+def read_int(row, key: str) -> int:
+    """``int(row[key])`` for an integer field of a JSON row, except that a number
+    with a fractional part is a ``ValueError`` naming the field: ``int`` would
+    truncate it."""
+    raw = row[key]
+    if isinstance(raw, float) and raw != int(raw):
+        raise ValueError(f"{key} {raw!r} is not a whole number")
+    return int(raw)
+
+
 def load_vocabulary(path: str | Path) -> Vocabulary:
     """Read a vocabulary file: a JSON array of class rows."""
     raw = read_json(path)
@@ -443,14 +453,11 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
     classes = []
     for i, row in enumerate(raw):
         try:
-            class_id = read_class_id(row["class_id"])
-            if isinstance(class_id, float):
-                raise ValueError(f"class_id {class_id!r} is not a whole number")
             classes.append(
                 HoiClass(
-                    class_id=class_id,
-                    verb_id=int(row["verb_id"]),
-                    object_id=int(row["object_id"]),
+                    class_id=read_int(row, "class_id"),
+                    verb_id=read_int(row, "verb_id"),
+                    object_id=read_int(row, "object_id"),
                     verb_name=str(row["verb"]),
                     object_name=str(row["object"]),
                 )
@@ -542,8 +549,8 @@ def load_dataset(path: str | Path, vocab: Vocabulary, raw=None) -> Dataset:
         try:
             image_id = str(img["image_id"])
             file_name = str(img["file_name"])
-            width = int(img["width"])
-            height = int(img["height"])
+            width = read_int(img, "width")
+            height = read_int(img, "height")
             raw_instances = img.get("instances", [])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise AnnotationFormatError(

@@ -759,6 +759,51 @@ def test_a_fractional_class_id_in_a_vocabulary_is_a_bad_row(workspace, capsys):
     assert load_vocabulary(tmp / "bad_vocab.json") == vocab
 
 
+@pytest.mark.parametrize("file, where, field, bad", [
+    ("pool.json", "images[0]: missing or bad field", "width", 640.9),
+    ("pool.json", "images[0]: missing or bad field", "height", 480.5),
+    ("vocab.json", "bad vocabulary row 1", "verb_id", 1.5),
+    ("vocab.json", "bad vocabulary row 1", "object_id", 2.7),
+], ids=["width", "height", "verb_id", "object_id"])
+def test_a_fractional_integer_field_exits_3(workspace, capsys, file, where, field, bad):
+    # int() would truncate it: a 640.9 x 480.5 image would read as 640 x 480
+    # and clamp a box edge at 640.5, and verb 1.5 would read as verb 1.
+    tmp, _ = workspace
+    raw = json.loads((tmp / file).read_text())
+    if file == "pool.json":
+        raw["images"][0].update(width=641, height=481)
+        raw["images"][0][field] = bad
+        raw["images"][0]["instances"][0]["human_box"] = [1, 1, 640.5, 50]
+    else:
+        raw[1][field] = bad
+    (tmp / file).write_text(json.dumps(raw))
+    code = _run("stats", "--pool", tmp / "pool.json", "--vocab", tmp / "vocab.json",
+                "--out-dir", tmp / "out")
+    assert code == 3
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(line)["error"] == {"type": "AnnotationFormatError", "message": (
+        f"{tmp / file}: {where} ({field} {bad} is not a whole number)")}
+    assert not (tmp / "out").exists()
+
+
+@pytest.mark.parametrize("whole, width", [(1.0, 100.0), (True, "100"), ("1", "100")])
+def test_a_whole_number_in_an_integer_field_is_still_read(workspace, whole, width):
+    tmp, vocab = workspace
+    rows = json.loads((tmp / "vocab.json").read_text())
+    rows[0].update(verb_id=whole, object_id=whole)
+    (tmp / "vocab.json").write_text(json.dumps(rows))
+    assert load_vocabulary(tmp / "vocab.json") == vocab
+    assert _run("stats", "--pool", tmp / "pool.json", "--vocab", tmp / "vocab.json",
+                "--out-dir", tmp / "out") == 0
+    expected = (tmp / "out" / "stats.json").read_bytes()
+    pool = json.loads((tmp / "pool.json").read_text())
+    pool["images"][0]["width"] = width
+    (tmp / "pool.json").write_text(json.dumps(pool))
+    assert _run("stats", "--pool", tmp / "pool.json", "--vocab", tmp / "vocab.json",
+                "--out-dir", tmp / "out2") == 0
+    assert (tmp / "out2" / "stats.json").read_bytes() == expected
+
+
 def test_non_utf8_json_exits_3(workspace, capsys):
     tmp, _ = workspace
     (tmp / "bad.json").write_bytes(b"\xff\xfe{}")

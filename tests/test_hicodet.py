@@ -206,3 +206,37 @@ def test_convert_malformed_record_is_a_format_error(tmp_path, entry):
     dump.write_text(json.dumps([_dump_entry(), entry]))
     with pytest.raises(AnnotationFormatError, match=r"record 1\b"):
         convert_hicodet_json(dump, vocab)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"hoi_annotation": [{"subject_id": 0.5, "object_id": 1, "hoi_category_id": 1}]},
+     ".hoi_annotation[0]: need subject_id, object_id, hoi_category_id "
+     "(subject_id 0.5 is not a whole number)"),
+    ({"hoi_annotation": [{"subject_id": 0, "object_id": 1.9, "hoi_category_id": 1}]},
+     ".hoi_annotation[0]: need subject_id, object_id, hoi_category_id "
+     "(object_id 1.9 is not a whole number)"),
+    ({"width": 640.9}, ": bad image size (width 640.9 is not a whole number)"),
+    ({"height": 480.5}, ": bad image size (height 480.5 is not a whole number)"),
+], ids=["subject_id", "object_id", "width", "height"])
+def test_convert_rejects_a_fractional_index_or_size(tmp_path, overrides, message):
+    # int() would truncate 0.5 and 1.9 to boxes 0 and 1, and 640.9 to 640.
+    vocab_path = tmp_path / "list.txt"
+    vocab_path.write_text(HOI_LIST)
+    dump = tmp_path / "trainval.json"
+    dump.write_text(json.dumps([_dump_entry(**overrides)]))
+    with pytest.raises(AnnotationFormatError) as err:
+        convert_hicodet_json(dump, vocabulary_from_hico_list(vocab_path))
+    assert str(err.value) == f"{dump}: record 0{message}"
+
+
+def test_convert_reads_whole_numbers_as_before(tmp_path):
+    vocab_path = tmp_path / "list.txt"
+    vocab_path.write_text(HOI_LIST)
+    dump = tmp_path / "trainval.json"
+    entry = _dump_entry(width=640.0, height="480",
+                        hoi_annotation=[{"subject_id": 0.0, "object_id": True, "hoi_category_id": 1}])
+    dump.write_text(json.dumps([entry]))
+    vocab = vocabulary_from_hico_list(vocab_path)
+    (image,) = convert_hicodet_json(dump, vocab).images
+    dump.write_text(json.dumps([_dump_entry()]))
+    assert (image,) == convert_hicodet_json(dump, vocab).images
