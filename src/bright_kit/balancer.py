@@ -71,9 +71,9 @@ class BalanceConfig:
 class BalanceResult:
     """Outcome of one balancing pass.
 
-    ``balanced`` and ``remainder`` partition the input pool's images:
-    ``balanced`` keeps only the balanced classes' instances, ``remainder``
-    every other image untouched.  ``deficits`` maps each class that could not
+    ``balanced`` holds the selected images with their untrimmed instances of
+    the balanced classes, less any image the trim left empty; ``remainder``
+    every unselected image untouched.  ``deficits`` maps each class that could not
     reach the target to its missing count; ``removed_annotations`` counts
     instance annotations deleted by the final trim and ``trimmed_images`` the
     images they came from.
@@ -226,7 +226,7 @@ def _walk(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) -> BalanceResu
         removed_annotations += excess
 
     return BalanceResult(
-        balanced=pool._select(selected_order, keep),
+        balanced=pool._select(selected_order, keep, drop_empty=True),
         deficits={c: target - counts[index[c]] for c in target_ids if counts[index[c]] < target},
         removed_annotations=removed_annotations,
         remainder=pool._select(i for i, chosen in enumerate(selected) if not chosen),

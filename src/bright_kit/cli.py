@@ -58,19 +58,7 @@ _SCORING_NAMES = ("MatchConfig", "evaluate", "load_predictions", "perturb_tp_fli
 
 
 def _bind_scoring() -> None:
-    # OpenBLAS reads OPENBLAS_NUM_THREADS once, as numpy loads it, and starting
-    # its worker pool slows that import and burns CPU on a second core; the
-    # evaluator calls no BLAS routine.  So numpy loads here with one thread
-    # unless the user chose a count, and the environment is put back.  Library
-    # imports of the evaluator are untouched.
-    unset = "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ
-    if unset:
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        from . import evaluator
-    finally:
-        if unset:
-            del os.environ["OPENBLAS_NUM_THREADS"]
+    from . import evaluator
 
     for name in _SCORING_NAMES:
         globals().setdefault(name, getattr(evaluator, name))
@@ -568,9 +556,11 @@ def main(argv=None) -> int:
 
 
 def run() -> NoReturn:
-    """The process entry (``python -m bright_kit``, ``bright-kit``): :func:`main`,
-    then exit with its code.  Freezing the collector first lets the interpreter's
-    shutdown collections skip what the OS reclaims anyway (README, "CLI")."""
+    """The process entry (``python -m bright_kit``, ``bright-kit``): :func:`main`, then
+    exit with its code.  numpy loads with one OpenBLAS thread unless the user chose a
+    count: the evaluator calls no BLAS routine.  Freezing the collector first lets the
+    interpreter's shutdown collections skip what the OS reclaims anyway (README, "CLI")."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         code = main()
     finally:

@@ -29,8 +29,6 @@ import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -258,12 +256,12 @@ def _windows(pred, truth_key, truth_x1, key, threshold: float):
             np.searchsorted(keys, _lex(key, hi), side="right"))
 
 
-def _qualifying_pairs(pred, truth, first, size, threshold) -> Iterator[tuple]:
-    """``(i, t, iou)`` for each pair of prediction ``i`` and one of its
-    ``size[i]`` candidate ground truths ``t`` from ``first[i]`` on whose pair
-    IoU reaches ``threshold``, by ``i`` and then ``t``.  Boxes are laid out as
-    :func:`_by_pair` makes them.  The human IoU is computed for about
-    :data:`_PAIR_CHUNK` pairs at a time, and the object IoU only for the pairs
+def _qualifying_pairs(pred, truth, first, size, rank, threshold) -> Iterator[tuple[int, int]]:
+    """``(i, t)`` for each pair of prediction ``i`` and one of its ``size[i]``
+    candidate ground truths ``t`` from ``first[i]`` on whose pair IoU reaches
+    ``threshold``, by ``i``, then descending IoU, then ``rank[t]``.  Boxes are
+    laid out as :func:`_by_pair` makes them.  Chunks of about :data:`_PAIR_CHUNK`
+    pairs hold whole predictions.  The object IoU is computed only for pairs
     whose human IoU reaches ``threshold``: below it, the pair minimum cannot.
     """
     end = np.cumsum(size)
@@ -279,7 +277,11 @@ def _qualifying_pairs(pred, truth, first, size, threshold) -> Iterator[tuple]:
         i, t = i[keep], t[keep]
         iou = np.minimum(iou[keep], _pair_iou(pred[1][:, i], truth[1][:, t]))
         ok = iou >= threshold
-        yield from zip(i[ok].tolist(), t[ok].tolist(), iou[ok].tolist())
+        i, t, iou = i[ok], t[ok], iou[ok]
+        # By (i, rank), then stably by (i, -IoU): 7x faster here than a lexsort
+        by = np.argsort(_lex(i, rank[t]), kind="stable")
+        by = by[np.argsort(_lex(i[by], -iou[by]), kind="stable")]
+        yield from zip(i[by].tolist(), t[by].tolist())
         lo = hi
 
 
@@ -301,18 +303,12 @@ def _match(preds: PredictionTable, gt: Dataset, threshold: float) -> tuple[np.nd
     rows = rows[np.isin(key[rows], truth_key)]
     pred = _by_pair(preds.boxes[rows])
     start, end = _windows(pred[0], truth_key, truth[0][0], key[rows], threshold)
-    rank = rank.tolist()
-    taken: set[int] = set()
-    pairs = _qualifying_pairs(pred, truth, start, end - start, threshold)
-    for i, candidates in groupby(pairs, key=itemgetter(0)):
-        best_t, best_iou = -1, 0.0
-        for _, t, iou in candidates:
-            # candidates come by x1; ties go to dataset order
-            if (iou > best_iou or iou == best_iou and rank[t] < rank[best_t]) and t not in taken:
-                best_t, best_iou = t, iou
-        if best_t >= 0:
-            taken.add(best_t)
-            claimed[rows[i]] = rank[best_t]
+    pairs = _qualifying_pairs(pred, truth, start, end - start, rank, threshold)
+    row_of, rank_of, taken, last = rows.tolist(), rank.tolist(), set(), -1
+    for i, t in pairs:  # each prediction's first candidate not taken before it
+        if i != last and t not in taken:
+            taken.add(t)
+            claimed[row_of[i]], last = rank_of[t], i
     return order, claimed[order]
 
 

@@ -67,13 +67,14 @@ def vocabulary_from_hico_list(path: str | Path) -> Vocabulary:
 
 
 def _canvas_size(entry: dict, boxes: list[tuple[float, ...]], where: str) -> tuple[int, int]:
-    width = entry.get("width")
-    height = entry.get("height")
-    if width and height:
-        try:
-            return read_int(entry, "width"), read_int(entry, "height")
-        except (TypeError, ValueError, OverflowError) as exc:
+    if entry.get("width") is not None or entry.get("height") is not None:
+        try:  # a given size is read whole: both fields, each a positive integer
+            size = read_int(entry, "width"), read_int(entry, "height")
+            if min(size) < 1:
+                raise ValueError(f"{size[0]}x{size[1]} is not positive")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise AnnotationFormatError(f"{where}: bad image size ({exc})") from exc
+        return size
     # Size absent from the dump: use the tightest canvas covering all boxes.
     if not all(math.isfinite(v) for b in boxes for v in b):
         raise AnnotationFormatError(f"{where}: no image size and a non-finite box")

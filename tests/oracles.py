@@ -110,8 +110,9 @@ def reference_balance(
     """The balancer as first written: image ids in sets, ``image_counts``
     re-walking an image's instances on every ADD and REMOVE, and the trim
     rescanning the whole selection once per over-target class.  A selected
-    image keeps only its untrimmed instances of ``classes``.  Argument checks
-    are left to the implementation under test.
+    image keeps only its untrimmed instances of ``classes``, and one left
+    without any is dropped.  Argument checks are left to the implementation
+    under test.
 
     ``version`` picks the PRNG stream of the ADD and REMOVE walks.  Version 1
     shuffles each stage's whole candidate list (REMOVE: every image of the
@@ -206,7 +207,8 @@ def reference_balance(
             inst for k, inst in enumerate(rec.instances)
             if inst.class_id in target_ids and k not in drop.get(iid, ())
         )
-        balanced_records.append(replace(rec, instances=kept))
+        if kept:
+            balanced_records.append(replace(rec, instances=kept))
 
     balanced = Dataset(balanced_records, pool.vocabulary, pool.vocabulary_ref)
     remainder = Dataset(

@@ -235,12 +235,26 @@ def test_walk_stops_at_its_fixed_point():
     vocab = make_vocab(2)
     pool = make_dataset([[1]] * 6 + [[1, 1, 2]] * 2 + [[2]] * 4, vocab)
     want = reference_balance(pool, vocab, _cfg(2, seed=5, epochs=10))
-    assert len(balance(pool, vocab, _cfg(2, seed=5, epochs=1)).balanced) == 4  # before REMOVE
+    assert len(balance(pool, vocab, _cfg(2, seed=5, epochs=1)).balanced) == 3  # no REMOVE
     for epochs in (10, 2**70):
         got = balance(pool, vocab, _cfg(2, seed=5, epochs=epochs))
         assert (got.balanced, got.remainder, got.deficits, got.removed_annotations) == (
             want.balanced, want.remainder, want.deficits, want.removed_annotations)
         assert len(got.balanced) == 2
+
+
+def test_balanced_split_drops_an_image_the_trim_empties():
+    # One epoch has no REMOVE: four images are selected and the trim takes the
+    # only annotation of one.  That image leaves the split and does not join
+    # the remainder, as in the reference walk.
+    vocab = make_vocab(2)
+    pool = make_dataset([[1]] * 6 + [[1, 1, 2]] * 2 + [[2]] * 4, vocab)
+    got = balance(pool, vocab, _cfg(2, seed=5, epochs=1))
+    want = reference_balance(pool, vocab, _cfg(2, seed=5, epochs=1))
+    assert [len(rec.instances) for rec in got.balanced.images] == [1, 2, 1]
+    assert (got.removed_annotations, got.trimmed_images) == (2, 2)
+    assert len(got.balanced) + len(got.remainder) == len(pool) - 1
+    assert (got.balanced, got.remainder) == (want.balanced, want.remainder)
 
 
 def test_loader_matches_reference_on_random_pools(tmp_path, monkeypatch):

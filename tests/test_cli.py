@@ -436,6 +436,20 @@ def test_augment_command_feeds_balance_fill(workspace):
     assert report["classes"]["2"]["status"] == "target_reached"
 
 
+def test_augment_target_1_is_the_smallest_accepted(workspace):
+    # --target takes any integer of at least 1: 1 itself generates one image a class.
+    tmp, vocab = workspace
+    save_split(make_dataset([[c] for c in vocab.class_ids()], vocab, prefix="ref"),
+               tmp / "refs.json")
+    (tmp / "deficits.json").write_text(json.dumps({"2": 3, "3": 1}))
+    out = tmp / "aug"
+    code = _run("augment", "--deficits", tmp / "deficits.json", "--refs", tmp / "refs.json",
+                "--vocab", tmp / "vocab.json", "--target", 1, "--out-dir", out)
+    assert code == 0
+    augmented = load_dataset(out / "augmented.json", vocab)
+    assert (augmented.count(2), augmented.count(3)) == (1, 1)
+
+
 def test_augment_survives_a_paraphraser_that_drops_the_prefix(workspace, monkeypatch):
     tmp, vocab = workspace
     save_split(make_dataset([[1]], vocab, prefix="ref"), tmp / "refs.json")

@@ -99,6 +99,37 @@ def test_convert_infers_canvas_when_size_missing(tmp_path):
     assert rec.width >= 300 and rec.height >= 250
 
 
+def test_convert_infers_canvas_when_size_is_null(tmp_path):
+    vocab_path = tmp_path / "list.txt"
+    vocab_path.write_text(HOI_LIST)
+    dump = tmp_path / "trainval.json"
+    dump.write_text(json.dumps([_dump_entry(width=None, height=None)]))
+    rec = convert_hicodet_json(dump, vocabulary_from_hico_list(vocab_path)).images[0]
+    assert (rec.width, rec.height) == (300, 250)
+
+
+@pytest.mark.parametrize("width, height, message", [
+    (0, 480, "0x480 is not positive"),
+    (640, -1, "640x-1 is not positive"),
+    (640, None, "int() argument must be"),
+    (None, 480, "int() argument must be"),
+    (640, ..., "'height'"),
+    (..., 480, "'width'"),
+], ids=["zero_width", "negative_height", "null_height", "null_width", "no_height", "no_width"])
+def test_convert_rejects_a_partial_or_non_positive_size(tmp_path, width, height, message):
+    # A size is given when either field is there and not null; it is then read
+    # whole or the record fails, never replaced by the tightest canvas.
+    vocab_path = tmp_path / "list.txt"
+    vocab_path.write_text(HOI_LIST)
+    entry = {k: v for k, v in _dump_entry(width=width, height=height).items() if v is not ...}
+    dump = tmp_path / "trainval.json"
+    dump.write_text(json.dumps([entry]))
+    with pytest.raises(AnnotationFormatError) as err:
+        convert_hicodet_json(dump, vocabulary_from_hico_list(vocab_path))
+    assert str(err.value).startswith(f"{dump}: record 0: bad image size (")
+    assert message in str(err.value)
+
+
 def test_convert_clamps_boxes(tmp_path, caplog):
     vocab_path = tmp_path / "list.txt"
     vocab_path.write_text(HOI_LIST)

@@ -139,17 +139,20 @@ def test_every_lazy_evaluator_name_resolves():
 
 
 # Each thread test runs in a fresh process, since numpy sizes OpenBLAS's pool
-# once, when it first loads.
-THREADS = """
+# once, when it first loads.  The process enters through cli.run, with a main
+# that loads the evaluator as a scoring command does and reports the threads.
+ENTRY = """
 import os, sys
-import bright_kit.cli
-if sys.argv[1] == "numpy-first":
-    import numpy
-before = dict(os.environ)
-bright_kit.cli._bind_scoring()
-assert "numpy" in sys.modules
-print(len(os.listdir("/proc/self/task")), dict(os.environ) == before,
-      os.environ.get("OPENBLAS_NUM_THREADS"))
+import bright_kit.cli as cli
+
+def main():
+    cli._bind_scoring()
+    assert "numpy" in sys.modules
+    print(len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"))
+    return 0
+
+cli.main = main
+cli.run()
 """
 
 
@@ -168,39 +171,94 @@ needs_openblas = pytest.mark.skipif(
     reason="needs /proc/self/task and numpy built with OpenBLAS")
 
 
-def _bind_in_subprocess(mode: str = "", openblas_threads: str | None = None) -> list[str]:
-    """Thread count, environment unchanged, and OPENBLAS_NUM_THREADS after
-    ``_bind_scoring`` in a new process."""
+def _entry_in_subprocess(openblas_threads: str | None = None) -> list[str]:
+    """Thread count and OPENBLAS_NUM_THREADS once a process entered through
+    ``cli.run`` has loaded the evaluator."""
     src = str(Path(bright_kit.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     if openblas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = openblas_threads
-    done = subprocess.run([sys.executable, "-c", THREADS, mode], env=env,
+    done = subprocess.run([sys.executable, "-c", ENTRY], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout.split()
 
 
 @needs_openblas
-def test_scoring_loads_numpy_with_one_thread_and_restores_the_environment():
-    assert _bind_in_subprocess() == ["1", "True", "None"]
+def test_the_entry_loads_numpy_with_one_thread():
+    assert _entry_in_subprocess() == ["1", "1"]
 
 
 @needs_openblas
 @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
                     reason="OpenBLAS starts no worker on one CPU")
-def test_scoring_keeps_a_thread_count_the_user_set():
-    assert _bind_in_subprocess(openblas_threads="2") == ["2", "True", "2"]
+def test_the_entry_keeps_a_thread_count_the_user_set():
+    assert _entry_in_subprocess("2") == ["2", "2"]
 
 
-@needs_openblas
-def test_scoring_after_numpy_was_loaded_leaves_the_environment_alone():
-    assert _bind_in_subprocess("numpy-first")[1:] == ["True", "None"]
+MAIN_ENVIRONMENT = """
+import os, sys
+import bright_kit.cli
+before = dict(os.environ)
+assert bright_kit.cli.main(["evaluate", "--gt", "gt.json", "--preds", "preds.jsonl",
+                            "--vocab", "vocab.json", "--out-dir", sys.argv[1]]) == 0
+assert "numpy" in sys.modules
+assert dict(os.environ) == before
+print("ok")
+"""
+
+
+def test_main_leaves_the_environment_as_it_found_it(tmp_path):
+    # Only the process entry sets OPENBLAS_NUM_THREADS; a caller running a
+    # scoring command in process keeps its environment.
+    _run_script(MAIN_ENVIRONMENT, tmp_path / "evaluate",
+                cwd=Path(__file__).parent / "fixtures" / "golden")
+
+
+ENVIRON = {"os.environ", "environ"}
+ENVIRON_WRITERS = {"setdefault", "update", "pop", "popitem", "clear"}
+
+
+def _environ_writes(tree: ast.AST, where: str) -> list[str]:
+    """``where.<enclosing defs>`` of each statement in ``tree`` that assigns,
+    deletes or otherwise writes a key of ``os.environ``, or calls
+    ``os.putenv``/``os.unsetenv``."""
+    found = []
+
+    def visit(node, where):
+        targets = []
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        if any(isinstance(n, ast.Subscript) and ast.unparse(n.value) in ENVIRON
+               for target in targets for n in ast.walk(target)):
+            found.append(where)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and (
+                ast.unparse(node.func.value) in ENVIRON and node.func.attr in ENVIRON_WRITERS
+                or ast.unparse(node.func) in ("os.putenv", "os.unsetenv")):
+            found.append(where)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, where)
+    return found
+
+
+def test_only_the_process_entry_writes_the_environment():
+    # A library call that sets a variable, even for a moment, is seen by every
+    # thread of its caller; the process entry owns the process's environment.
+    found = []
+    for path in sorted(Path(bright_kit.__file__).parent.glob("*.py")):
+        found += _environ_writes(ast.parse(path.read_text()), path.stem)
+    assert found == ["cli.run"]
 
 
 def test_evaluator_calls_no_blas():
-    # Scoring loads numpy with one OpenBLAS thread (cli._bind_scoring); that
+    # A command process loads numpy with one OpenBLAS thread (cli.run); that
     # costs nothing only while the evaluator calls no BLAS or LAPACK routine.
     tree = ast.parse((Path(bright_kit.__file__).parent / "evaluator.py").read_text())
     blas = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}

@@ -66,6 +66,21 @@ def test_bbox_iou():
     assert a.iou(half) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("other", [BBox(20, 0, 30, 10), BBox(0, 20, 10, 30)], ids=["x", "y"])
+def test_bbox_iou_of_boxes_disjoint_along_one_axis_is_zero(other):
+    # The two boxes overlap along the other axis, so an intersection computed
+    # without the early return would be negative.
+    a = BBox(0, 0, 10, 10)
+    assert a.iou(other) == 0.0
+    assert other.iou(a) == 0.0
+
+
+@pytest.mark.parametrize("size", [(0, 480), (640, 0), (-1, 480)])
+def test_image_record_rejects_one_non_positive_side(size):
+    with pytest.raises(AnnotationFormatError, match="non-positive size"):
+        ImageRecord("a", "a.jpg", *size)
+
+
 # ---------------------------------------------------------------------------
 # Vocabulary
 # ---------------------------------------------------------------------------
