@@ -303,12 +303,12 @@ def _match(preds: PredictionTable, gt: Dataset, threshold: float) -> tuple[np.nd
     rows = rows[np.isin(key[rows], truth_key)]
     pred = _by_pair(preds.boxes[rows])
     start, end = _windows(pred[0], truth_key, truth[0][0], key[rows], threshold)
-    pairs = _qualifying_pairs(pred, truth, start, end - start, rank, threshold)
-    row_of, rank_of, taken, last = rows.tolist(), rank.tolist(), set(), -1
-    for i, t in pairs:  # each prediction's first candidate not taken before it
-        if i != last and t not in taken:
+    won, rank_of, taken, last = array("q", [-1]) * len(rows), rank.tolist(), set(), -1
+    for i, t in _qualifying_pairs(pred, truth, start, end - start, rank, threshold):
+        if i != last and t not in taken:  # each prediction's first candidate not taken
             taken.add(t)
-            claimed[row_of[i]], last = rank_of[t], i
+            won[i], last = rank_of[t], i
+    claimed[rows] = won
     return order, claimed[order]
 
 

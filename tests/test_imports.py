@@ -1,6 +1,7 @@
 """The construction commands (stats, balance, augment, balance --augmented,
 zeroshot) and compare never import numpy, nor requests with mock ports; only
-scoring loads the evaluator, and evaluate leaves numpy.ma unloaded.  balance
+scoring loads the evaluator, and evaluate leaves numpy.ma unloaded and the
+environment as it found it.  balance
 does not import statistics.  Every name the perfbench tracer wraps, and every name the
 package and the CLI re-export from the evaluator, resolves.  No module sums floats
 with a ``sum`` whose rounding depends on the interpreter."""
@@ -89,18 +90,22 @@ def test_compare_does_not_import_numpy(tmp_path):
 
 
 EVALUATE = """
-import sys
+import os, sys
 import bright_kit.cli
+before = dict(os.environ)
 assert bright_kit.cli.main(["evaluate", "--gt", "gt.json", "--preds", "preds.jsonl",
                             "--vocab", "vocab.json", "--out-dir", sys.argv[1]]) == 0
 assert "numpy" in sys.modules
 assert "numpy.ma" not in sys.modules
+assert dict(os.environ) == before, "environment"
 print("ok")
 """
 
 
 def test_evaluate_does_not_import_numpy_ma(tmp_path):
     # numpy.ma costs a process about 10 ms to import; np.percentile loads it.
+    # Only the process entry sets OPENBLAS_NUM_THREADS, so a caller running a
+    # scoring command through main keeps its environment.
     _run_script(EVALUATE, tmp_path / "evaluate", cwd=Path(__file__).parent / "fixtures" / "golden")
 
 
@@ -195,25 +200,6 @@ def test_the_entry_loads_numpy_with_one_thread():
                     reason="OpenBLAS starts no worker on one CPU")
 def test_the_entry_keeps_a_thread_count_the_user_set():
     assert _entry_in_subprocess("2") == ["2", "2"]
-
-
-MAIN_ENVIRONMENT = """
-import os, sys
-import bright_kit.cli
-before = dict(os.environ)
-assert bright_kit.cli.main(["evaluate", "--gt", "gt.json", "--preds", "preds.jsonl",
-                            "--vocab", "vocab.json", "--out-dir", sys.argv[1]]) == 0
-assert "numpy" in sys.modules
-assert dict(os.environ) == before
-print("ok")
-"""
-
-
-def test_main_leaves_the_environment_as_it_found_it(tmp_path):
-    # Only the process entry sets OPENBLAS_NUM_THREADS; a caller running a
-    # scoring command in process keeps its environment.
-    _run_script(MAIN_ENVIRONMENT, tmp_path / "evaluate",
-                cwd=Path(__file__).parent / "fixtures" / "golden")
 
 
 ENVIRON = {"os.environ", "environ"}
