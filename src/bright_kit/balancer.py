@@ -23,10 +23,11 @@ at the target exactly.  Classes whose total supply is below the target end
 up short and are reported as deficits, to be filled with augmented data.
 
 Determinism contract: a single seeded PRNG drives every random choice, and
-the stream order is fixed: epochs outer, classes in the documented
-head/tail order, ADD's unselected or REMOVE's selected images of a class in
-dataset order, drawn one per image taken by forward Fisher-Yates steps
-(Durstenfeld, CACM 1964), then trimming per class in head-to-tail order.
+the stream order is fixed: epochs outer, classes in the head/tail order of
+:func:`~bright_kit.stats.sort_classes` over the pool, ADD's unselected or
+REMOVE's selected images of a class in dataset order, drawn one per image
+taken by forward Fisher-Yates steps (Durstenfeld, CACM 1964), then trimming
+per class in head-to-tail order.
 Identical (pool, classes, config) inputs therefore reproduce identical results
 bit for bit.  :data:`BALANCER_VERSION` names the stream.
 """
@@ -41,6 +42,7 @@ from dataclasses import dataclass
 from .errors import DataError, ResidualDeficitError, UnknownClassError
 # Nothing here calls ``restrict``; perfbench's span table wraps this module's name for it.
 from .model import PROVENANCES, Dataset, Vocabulary, merge, restrict
+from .stats import sort_classes
 
 DEFAULT_EPOCHS = 20
 # The PRNG stream of :func:`balance`; artifacts' config hashes cover it.
@@ -148,8 +150,7 @@ def _walk(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) -> BalanceResu
     # its vocabulary.  Draws depend on list lengths and positions in a list
     # only, so lists of positions reproduce the stream of the same lists of
     # ids.  Head to tail: descending pool count, ties by ascending class_id.
-    ordered = sorted(target_ids, key=lambda c: (-pool.count(c), c))
-    head_to_tail = [index[c] for c in ordered]
+    head_to_tail = [index[c] for c in sort_classes(pool, classes)]
     codes, first = pool._column(pool._cols.cls), pool._first
     with_class: dict[int, list[int]] = {c: [] for c in head_to_tail}
     # Per image, its (class, instance count) pairs over the balanced classes.
@@ -226,7 +227,7 @@ def _walk(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) -> BalanceResu
         removed_annotations += excess
 
     return BalanceResult(
-        balanced=pool._select(selected_order, keep, drop_empty=True),
+        balanced=pool._select(selected_order, keep),
         deficits={c: target - counts[index[c]] for c in target_ids if counts[index[c]] < target},
         removed_annotations=removed_annotations,
         remainder=pool._select(i for i, chosen in enumerate(selected) if not chosen),
@@ -347,4 +348,4 @@ def fill_deficits(
     if residual:
         raise ResidualDeficitError(residual)
 
-    return merge(train, augmented._select(range(len(augmented)), keep, drop_empty=True))
+    return merge(train, augmented._select(range(len(augmented)), keep))

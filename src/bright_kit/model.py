@@ -273,6 +273,14 @@ class _Columns:
         class_id = self.vocabulary.classes[self.cls[k]].class_id
         return HoiInstance(BBox(*box[:4]), BBox(*box[4:]), class_id, PROVENANCES[self.prov[k]])
 
+    def require_unique_ids(self) -> None:
+        """Image ids are unique: raise :class:`DuplicateImageError` on the first one seen twice."""
+        seen: set[str] = set()
+        for image_id in self.image_id:
+            if image_id in seen:
+                raise DuplicateImageError(f"duplicate image_id {image_id!r}")
+            seen.add(image_id)
+
 
 class Dataset:
     """Immutable collection of image records bound to one vocabulary.
@@ -294,11 +302,7 @@ class Dataset:
         vocabulary_ref: str = "",
     ):
         cols = _Columns(vocabulary)
-        seen: set[str] = set()
         for rec in images:
-            if rec.image_id in seen:
-                raise DuplicateImageError(f"duplicate image_id {rec.image_id!r}")
-            seen.add(rec.image_id)
             for inst in rec.instances:
                 if inst.class_id not in vocabulary:
                     raise UnknownClassError(
@@ -306,6 +310,7 @@ class Dataset:
                     )
                 cols.add_instance(inst)
             cols.add_image(rec.image_id, rec.file_name, rec.width, rec.height)
+        cols.require_unique_ids()
         self._bind(cols, vocabulary_ref)
 
     def _bind(self, cols: _Columns, vocabulary_ref: str, rows=None, inst=None, first=None):
@@ -316,15 +321,15 @@ class Dataset:
         self._first = cols.first if first is None else first
         return self
 
-    def _select(self, positions: Iterable[int], keep=None, drop_empty: bool = False) -> "Dataset":
-        """The images at ``positions``, in that order, with the instances whose
-        entry in ``keep`` (indexed like ``_inst``) is true, or all of them;
-        ``drop_empty`` leaves out the images left without instances."""
+    def _select(self, positions: Iterable[int], keep=None) -> "Dataset":
+        """The images at ``positions``, in that order, with all their instances;
+        or, given ``keep`` (indexed like ``_inst``), with the instances whose
+        entry in it is true, leaving out the images that keep none."""
         rows, inst, first = array("q"), array("q"), array("q", [0])
         for p in positions:
             a, b = self._first[p], self._first[p + 1]
             inst.extend(self._inst[a:b] if keep is None else compress(self._inst[a:b], keep[a:b]))
-            if drop_empty and len(inst) == first[-1]:
+            if keep is not None and len(inst) == first[-1]:
                 continue
             rows.append(self._rows[p])
             first.append(len(inst))
@@ -580,12 +585,7 @@ def load_dataset(path: str | Path, vocab: Vocabulary, raw=None) -> Dataset:
             ImageRecord(image_id, file_name, width, height)  # raises the size error
         cols.add_image(image_id, file_name, width, height)
     _require_utf8(path, [*cols.image_id, *cols.file_name, vocabulary_ref])
-
-    seen: set[str] = set()
-    for image_id in cols.image_id:
-        if image_id in seen:
-            raise DuplicateImageError(f"duplicate image_id {image_id!r}")
-        seen.add(image_id)
+    cols.require_unique_ids()
     if slot is not None:
         slot.store([cols.first, cols.cls, cols.box, cols.prov],
                    [cols.image_id, cols.file_name, cols.width, cols.height, vocabulary_ref],
@@ -695,11 +695,6 @@ def merge(a: Dataset, b: Dataset) -> Dataset:
     """Image-disjoint union of two datasets over the same vocabulary."""
     if a.vocabulary != b.vocabulary:
         raise VocabularyMismatchError("cannot merge datasets with different vocabularies")
-    overlap = set(a.image_ids()) & set(b.image_ids())
-    if overlap:
-        raise DuplicateImageError(
-            f"image_ids present in both datasets: {sorted(overlap)[:5]}"
-        )
     cols = _Columns(a.vocabulary)
     for d in (a, b):
         src, base = d._cols, len(cols.cls)
@@ -711,6 +706,7 @@ def merge(a: Dataset, b: Dataset) -> Dataset:
             cols.box.extend(src.box[8 * k : 8 * k + 8])
         for name in ("image_id", "file_name", "width", "height"):
             getattr(cols, name).extend(map(getattr(src, name).__getitem__, d._rows))
+    cols.require_unique_ids()
     return Dataset.__new__(Dataset)._bind(cols, a.vocabulary_ref)
 
 
@@ -718,7 +714,7 @@ def restrict(d: Dataset, class_ids: Iterable[int]) -> Dataset:
     """Keep only instances of ``class_ids`` and the images left with one."""
     codes = {d.vocabulary._index[c.class_id] for c in d.vocabulary.subset(class_ids)}
     keep = [code in codes for code in d._column(d._cols.cls)]
-    return d._select(range(len(d)), keep, drop_empty=True)
+    return d._select(range(len(d)), keep)
 
 
 def subtract(d: Dataset, image_ids: Iterable[str]) -> Dataset:

@@ -16,6 +16,7 @@ from .balancer import BalanceConfig, BalanceResult, _by_key, balance, require_re
 from .errors import DataError, VocabularyMismatchError
 # Nothing here calls ``restrict``; perfbench's span table wraps this module's name for it.
 from .model import Dataset, HoiClass, Vocabulary, restrict
+from .stats import sort_classes
 
 logger = logging.getLogger("bright_kit")
 
@@ -102,7 +103,7 @@ def build_zeroshot_split(candidates: Sequence[HoiClass], pool: Dataset, cfg: Bal
             len(satisfiable), class_budget,
         )
 
-    ranked = sorted(satisfiable, key=lambda c: (-supply[c], c))
+    ranked = sort_classes(pool, pool.vocabulary.subset(satisfiable))
     chosen = sorted(ranked[:class_budget])
     result = balance(pool, pool.vocabulary.subset(chosen), cfg)
     if result.deficits:  # supply >= target for every chosen class rules this out
