@@ -414,6 +414,17 @@ def test_fill_rejects_real_provenance(vocab5):
         fill_deficits(train, {3: 1}, bad)
 
 
+@pytest.mark.parametrize("ids", [["img0001"], ["aug0", "img0002"]], ids=["kept", "dropped"])
+def test_fill_rejects_augmented_ids_already_in_train(vocab5, ids):
+    # The last augmented image repeats a train id.  Kept, it would also fail
+    # the merge, as a duplicate id; dropped (the need is met before it),
+    # nothing else would notice it.
+    train = make_dataset([[3]] * 3, vocab5)  # img0000 to img0002
+    augmented = Dataset([make_image(i, [3], provenance="generated") for i in ids], vocab5)
+    with pytest.raises(DataError, match=f"^augmented image_id '{ids[-1]}' already in train$"):
+        fill_deficits(train, {3: 1}, augmented)
+
+
 def test_fill_rejects_non_deficit_classes(vocab5):
     train = make_dataset([[3]], vocab5)
     with pytest.raises(DataError):

@@ -151,8 +151,14 @@ def test_count_index_matches_full_rescan(vocab5):
 
 def test_duplicate_image_id_rejected(vocab5):
     img = make_image("a", [1])
-    with pytest.raises(DuplicateImageError):
-        Dataset([img, make_image("a", [2])], vocab5)
+    with pytest.raises(DuplicateImageError, match="^duplicate image_id 'a'$"):
+        Dataset([img, make_image("b", [2]), make_image("a", [2])], vocab5)
+
+
+def test_records_report_an_unknown_class_before_a_repeated_id(vocab5):
+    # Ids are checked once the columns are built, as in a file load.
+    with pytest.raises(UnknownClassError, match="image b: unknown class_id 99"):
+        Dataset([make_image("a", [1]), make_image("a", [2]), make_image("b", [99])], vocab5)
 
 
 def test_unknown_class_rejected(vocab5):
@@ -530,9 +536,10 @@ def test_merge_copies_every_record_of_whole_and_selected_datasets(vocab5):
 
 
 def test_merge_rejects_duplicate_ids(vocab5):
-    a = make_dataset([[1]], vocab5)
-    b = make_dataset([[2]], vocab5)
-    with pytest.raises(DuplicateImageError):
+    a = make_dataset([[1], [1], [1]], vocab5)
+    b = make_dataset([[2], [2]], vocab5, prefix="new")
+    b = merge(b, make_dataset([[2], [2], [2]], vocab5))  # new0000, new0001, img0000 to img0002
+    with pytest.raises(DuplicateImageError, match="^duplicate image_id 'img0000'$"):
         merge(a, b)
 
 
