@@ -11,10 +11,11 @@ command succeeded, then prints the summary, so a usage or data error writes noth
 Exit codes: 0 success, 2 usage error, 3 data error, 4 I/O error.  Errors are
 reported as one JSON object on stderr.  A JSON config file (``--config``) can
 pre-set any parameter; explicit flags win, and config values pass the same
-type and choice checks as flags.  Every artifact embeds the toolkit
-version, the seed, and a hash of the algorithmic parameters, and identical
-inputs plus identical seeds reproduce artifacts byte for byte.  The
-``BRIGHT_KIT_LOG`` environment variable sets the log level.
+type and choice checks as flags.  Every JSON artifact but ``deficits.json``,
+split files included, embeds a ``meta`` stamp: the toolkit version, the seed
+and a hash of the algorithmic parameters; ``deficits.json``, the CSVs and
+``attempts.jsonl`` carry none.  Identical inputs plus identical seeds reproduce
+artifacts byte for byte.  ``BRIGHT_KIT_LOG`` sets the log level.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def __getattr__(name):
 
 
 def _make_meta(seed: int, params: dict) -> dict:
-    """Reproducibility stamp embedded in every artifact.
+    """Reproducibility stamp embedded in the JSON artifacts (module docstring).
 
     The hash covers algorithmic parameters only (never paths), so runs into
     different output directories still produce identical artifact bytes.
@@ -318,7 +319,7 @@ def _cmd_augment(p):
             )
 
     return {
-        "augmented.json": Dataset(records, vocab, vocabulary_ref=str(p.vocab)),
+        "augmented.json": Dataset(records, vocab, os.path.relpath(p.vocab, p.out_dir)),
         "attempts.jsonl": attempt_rows,
         "augment_report.json": {"meta": p.meta, "classes": summary},
     }, (

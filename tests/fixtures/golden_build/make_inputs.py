@@ -20,10 +20,10 @@ construction commands (``stats``, ``balance``, ``augment``,
 
 The ``expected/`` files next to the inputs are the CLI's artifacts for these
 inputs, written by the toolkit before the balancer and the split writer were
-rewritten for speed and regenerated once, on their own, when the balancer's
-PRNG stream became version 2.  ``tests/test_golden_build.py`` asserts that the
-CLI still reproduces them byte for byte; they are never regenerated to make
-that test pass.
+rewritten for speed and since regenerated only on their own, for a declared
+change of results (``tests/test_golden_build.py`` lists them).  That test
+asserts that the CLI still reproduces them byte for byte; they are never
+regenerated to make it pass.
 """
 
 import json

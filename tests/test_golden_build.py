@@ -10,17 +10,21 @@ since, each time on their own: for the balancer's version 2 PRNG stream
 and ``zeroshot`` bytes, and when a balanced split began to drop the images
 the trim leaves without instances, which took one image out of ``test.json``
 and the image counts of ``audit.json`` for ``balance`` and ``balance
---augmented``.  Any change to these bytes is a change to the toolkit's
+--augmented``; and when ``augment`` began to write its ``--vocab`` path
+relative to its out-dir, which moved the ``vocabulary_ref`` of
+``augmented.json``.  Any change to these bytes is a change to the toolkit's
 results and must be stated, not regenerated away.
 
-The commands run from inside the fixture directory with relative input
-paths, because ``augment`` stamps its ``--vocab`` argument into
-``augmented.json`` as the ``vocabulary_ref``.  Each step's stdout is pinned
-here too, with its out-dir written as ``<out>``; it stays in this file
-because ``expected/`` is compared as a whole file set.
+The commands read a copy of the fixture inputs by absolute path, with the
+steps' out-dirs two levels below it, so ``augmented.json`` names the
+vocabulary as ``../../universe.json`` whatever the base directory and the
+working directory.  Each step's stdout is pinned here too, with its out-dir
+written as ``<out>``; it stays in this file because ``expected/`` is compared
+as a whole file set.
 """
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +33,7 @@ import bright_kit
 from bright_kit.cli import main
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden_build"
+INPUTS = ("pool.json", "universe.json", "seen.json")
 
 BALANCE = ["balance", "--pool", "pool.json", "--vocab", "universe.json", "--top-k", "10",
            "--l-test", "4", "--l-train", "8", "--epochs", "5", "--seed", "11"]
@@ -59,26 +64,40 @@ STDOUT = {
 }
 
 
-def run_steps(root: Path, capsys) -> None:
-    for step, argv in STEPS:
-        out = root / step
-        assert main(argv(root) + ["--out-dir", str(out)]) == 0, step
-        assert capsys.readouterr().out.replace(str(out), "<out>") == STDOUT[step], step
+def copy_inputs(base: Path) -> Path:
+    """The fixture's inputs copied into ``base``; ``base``."""
+    base.mkdir(parents=True, exist_ok=True)
+    for name in INPUTS:
+        shutil.copyfile(GOLDEN / name, base / name)
+    return base
 
 
-def test_cli_reproduces_golden_construction_artifacts(tmp_path, monkeypatch, capsys, caplog):
+def step_argv(base: Path, root: Path) -> list[tuple[str, list[str]]]:
+    """Each step's name and argv, reading the inputs in ``base`` by absolute
+    path and writing into ``root/<step>``."""
+    return [(step, [str(base / arg) if arg in INPUTS else arg for arg in argv(root)]
+             + ["--out-dir", str(root / step)]) for step, argv in STEPS]
+
+
+def run_steps(base: Path, root: Path, capsys) -> None:
+    for step, argv in step_argv(base, root):
+        assert main(argv) == 0, step
+        assert capsys.readouterr().out.replace(str(root / step), "<out>") == STDOUT[step], step
+
+
+def test_cli_reproduces_golden_construction_artifacts(tmp_path, capsys, caplog):
     # Run twice against one load cache: the warm run loads augmented.json from
     # the entry the cold run stored (the pool needs clamps, so it is never
     # stored), and both write the committed bytes.  Balancing passes are kept
     # all the same: the cold run's balance_fill reuses balance's two passes,
     # and the warm run walks none of its five.
-    monkeypatch.chdir(GOLDEN)
+    base = copy_inputs(tmp_path)
     expected = GOLDEN / "expected"
     for run in ("cold", "warm"):
-        root = tmp_path / run
+        root = base / run
         caplog.clear()
         with caplog.at_level("INFO", logger="bright_kit"):
-            run_steps(root, capsys)
+            run_steps(base, root, capsys)
         hits = [r.getMessage() for r in caplog.records
                 if r.getMessage().startswith("load cache hit")]
         passes = [m for m in hits if m.startswith("load cache hit: balance pass")]
