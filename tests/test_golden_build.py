@@ -110,13 +110,65 @@ def test_cli_reproduces_golden_construction_artifacts(tmp_path, capsys, caplog):
             assert (root / rel).read_bytes() == (expected / rel).read_bytes(), rel
 
 
+SCORING = GOLDEN.parent / "golden"
+SCORING_INPUTS = ("gt.json", "preds.jsonl", "vocab.json")
+# setting -> (base directory under tmp_path, environment it adds)
+SETTINGS = {
+    "shallow": ("a", {"PYTHONHASHSEED": "1"}),
+    "deep": ("b/c/d/e", {"PYTHONHASHSEED": "12345"}),
+    "locale": ("f", {"PYTHONHASHSEED": "1", "LC_ALL": "C", "TZ": "Pacific/Kiritimati"}),
+}
+
+
+def _toolkit_env(**extra) -> dict:
+    """This environment, with the package importable in a child process, plus ``extra``."""
+    src = str(Path(bright_kit.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p), **extra}
+
+
+def test_artifact_bytes_do_not_depend_on_the_environment(tmp_path):
+    # Each setting copies the inputs into its own base directory, at two
+    # depths, and runs every step as a process from there, on a load cache
+    # of its own: the construction steps, `stats` of augmented.json with the
+    # vocabulary it names, and the golden `evaluate`.  All write the same bytes,
+    # the committed ones where there are any.
+    produced = {}
+    for setting, (where, extra) in SETTINGS.items():
+        base = copy_inputs(tmp_path / where)
+        for name in SCORING_INPUTS:
+            shutil.copyfile(SCORING / name, base / name)
+        root = base / "run"
+        steps = step_argv(base, root) + [
+            ("augmented_stats", ["stats", "--pool", str(root / "augment" / "augmented.json"),
+                                 "--out-dir", str(root / "augmented_stats")]),
+            ("evaluate", ["evaluate", *(arg for name, flag in zip(SCORING_INPUTS, (
+                "--gt", "--preds", "--vocab")) for arg in (flag, str(base / name))),
+                          "--out-dir", str(root / "evaluate")])]
+        env = _toolkit_env(XDG_CACHE_HOME=str(tmp_path / f"cache_{setting}"), **extra)
+        for step, argv in steps:
+            done = subprocess.run([sys.executable, "-m", "bright_kit", *argv], cwd=base,
+                                  env=env, capture_output=True, timeout=120)
+            assert done.returncode == 0, (setting, step, done.stderr)
+        produced[setting] = {p.relative_to(root): p.read_bytes()
+                             for p in sorted(root.rglob("*")) if p.is_file()}
+    first = produced["shallow"]
+    for setting, files in produced.items():
+        assert files.keys() == first.keys(), setting
+        for rel, data in files.items():
+            assert data == first[rel], (setting, rel)
+    for rel, data in first.items():
+        if rel.parts[0] == "evaluate":
+            assert data == (SCORING / "expected" / "evaluate_all_point" / rel.name).read_bytes()
+        elif rel.parts[0] in STDOUT:
+            assert data == (GOLDEN / "expected" / rel).read_bytes(), rel
+
+
 def test_balance_memo_covers_the_clamped_golden_pool(tmp_path):
     # The pool's 37 clamped boxes keep its load out of the cache, yet its
     # columns carry the file's key: a second `balance` walks no pass.
     # The clamp warnings still print on every run; the bytes do not move.
-    src = str(Path(bright_kit.__file__).resolve().parents[1])
-    env = {**os.environ, "BRIGHT_KIT_LOG": "INFO", "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env = _toolkit_env(BRIGHT_KIT_LOG="INFO")
     for run, outcome in (("cold", "stored"), ("warm", "hit")):
         out = tmp_path / run
         done = subprocess.run([sys.executable, "-m", "bright_kit", *BALANCE, "--out-dir", str(out)],
