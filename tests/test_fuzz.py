@@ -12,6 +12,16 @@ Whatever the input, the run must exit 0, 2, 3 or 4 without an exception, and
 a nonzero exit must print exactly one JSON error line and leave no out-dir.
 Warnings are not asserted on: ``logging.basicConfig`` binds the stderr of its
 first call, so where they go depends on which test ran first.
+
+A second set of cases writes one input as bytes no tree mutation spells:
+truncated text, random bytes, text that is not UTF-8 (a stray byte or UTF-16),
+and ``1e999``, ``-1e999``, ``NaN``, ``Infinity`` or ``-Infinity`` in one
+numeric field (image sizes, boxes, scores, class and vocabulary ids, deficit
+counts, report values and config values).  Each such case is run three
+times: on an empty load cache, on a warm one that holds the entries of the
+unmutated inputs, and with the cache directory under a regular file, where
+every store fails.  Each run must exit 2, 3 or 4 with the same single JSON
+error line and leave no out-dir.
 """
 
 import json
@@ -106,17 +116,18 @@ def _mutate(rng: random.Random, tree, times: int):
     return tree, done
 
 
-def _write(path: Path, name: str, content) -> None:
+def _write(path: Path, name: str, content, edit=str.encode) -> None:
     """``content`` as the input ``name`` reads: a report directory of one file
-    per model, prediction rows as JSON lines, anything else as one JSON file."""
+    per model, prediction rows as JSON lines, anything else as one JSON file.
+    ``edit`` turns each file's JSON text into the bytes written."""
     if name in ("a", "b"):
         path.mkdir()
         for model, report in (content.items() if isinstance(content, dict) else ()):
-            (path / f"{model}.json").write_text(json.dumps(report))
+            (path / f"{model}.json").write_bytes(edit(json.dumps(report)))
     elif name == "preds" and isinstance(content, list):
-        path.write_text("".join(json.dumps(row) + "\n" for row in content))
+        path.write_bytes(edit("".join(json.dumps(row) + "\n" for row in content)))
     else:
-        path.write_text(json.dumps(content))
+        path.write_bytes(edit(json.dumps(content)))
 
 
 def _flag(key: str) -> str:
@@ -165,4 +176,148 @@ def test_mutated_inputs_exit_cleanly(tmp_path, capsys):
             failures.append(f"{case}: exit {code}, {len(errors)} error lines, out-dir left {left}")
         elif not code and errors:
             failures.append(f"{case}: exit 0 with an error line")
+    assert failures == []
+
+
+# ---------------------------------------------------------------------------
+# Text-level cases, each on a cold, a warm and an unwritable load cache
+# ---------------------------------------------------------------------------
+
+TEXT_CASES = 45  # random ones, after one non-finite case per numeric field
+BAD_TEXT = ["truncated", "garbage", "not utf-8", "utf-16"]
+NONFINITE = ["1e999", "-1e999", "NaN", "Infinity", "-Infinity"]
+_MARK = "@nonfinite@"  # a string json.dumps leaves as it is, swapped for the token
+NOT_UTF8 = [b"\xff", b"\x80", b"\xc3\x28", b"\xe2\x82", b"\xed\xa0\x80"]
+
+
+def _numeric_fields(tree, path=()) -> dict[tuple, list[list]]:
+    """The paths to the numbers (bools excluded) in ``tree``, by field: the
+    path with list indices written as ``*``."""
+    if isinstance(tree, (int, float)) and not isinstance(tree, bool):
+        return {tuple("*" if isinstance(k, int) else k for k in path): [list(path)]}
+    fields: dict[tuple, list[list]] = {}
+    children = tree.items() if isinstance(tree, dict) else enumerate(tree) \
+        if isinstance(tree, list) else ()
+    for key, child in children:
+        for field, paths in _numeric_fields(child, (*path, key)).items():
+            fields.setdefault(field, []).extend(paths)
+    return fields
+
+
+def _tree(name: str, target: str, root: Path):
+    """The content of ``target`` in a case of ``name`` under ``root``: a golden
+    input, or the config file that holds every parameter; plus those parameters."""
+    command, inputs, params = COMMANDS[name]
+    values = {**params, **{key: str(root / key) for key in inputs}}
+    return ({command: values} if target == "config" else inputs[target]), values
+
+
+def _text_specs(rng: random.Random):
+    """``(command name, target, kind, field)`` of every text-level case: first
+    a non-finite number in each numeric field of each input and config, an
+    input shared by several commands under the first, then random ones.  The
+    ``meta`` block of ``augmented.json`` is no field: loads ignore it."""
+    done = set()
+    for name, (_, inputs, _) in COMMANDS.items():
+        for target in (*inputs, "config"):
+            tree = _tree(name, target, Path())[0]
+            for field in _numeric_fields(tree):
+                if field[0] != "meta" and (id(inputs.get(target, name)), field) not in done:
+                    done.add((id(inputs.get(target, name)), field))
+                    yield name, target, "nonfinite", field
+    for _ in range(TEXT_CASES):
+        name = rng.choice(list(COMMANDS))
+        yield name, rng.choice([*COMMANDS[name][1], "config"]), rng.choice(BAD_TEXT), None
+
+
+def _truncated(rng: random.Random, data: bytes) -> bytes:
+    """A prefix of ``data`` that cuts a JSON value open: it ends neither at a
+    line end nor just after a closing brace, where a JSON-lines file may end."""
+    cuts = [n for n in range(1, len(data.rstrip())) if data[n - 1 : n] not in (b"}", b"\n")]
+    return data[: rng.choice(cuts)]
+
+
+def _text_case(rng: random.Random, root: Path, spec) -> tuple[list[str], str]:
+    """Write the case ``spec`` of :func:`_text_specs` under ``root``; its argv
+    and description."""
+    name, target, kind, field = spec
+    command, inputs, _ = COMMANDS[name]
+    tree, values = _tree(name, target, root)
+    done = kind
+    if kind == "nonfinite":
+        token = rng.choice(NONFINITE)
+        tree = _replaced(tree, rng.choice(_numeric_fields(tree)[field]), _MARK)
+        done = f"{field} <- {token}"
+
+    def edit(text: str) -> bytes:
+        if kind == "nonfinite":
+            return text.replace(f'"{_MARK}"', token).encode()
+        if kind == "truncated":
+            return _truncated(rng, text.encode())
+        if kind == "garbage":  # random bytes, or random printable ASCII for the decoder
+            n = rng.randint(8, 256)
+            return rng.randbytes(n) if rng.random() < 0.5 else bytes(
+                rng.randrange(32, 127) for _ in range(n))
+        if kind == "not utf-8":
+            at = rng.randrange(len(text) + 1)
+            return text[:at].encode() + rng.choice(NOT_UTF8) + text[at:].encode()
+        return text.encode("utf-16")
+
+    for key, content in inputs.items():
+        if key == target:
+            _write(root / key, key, tree, edit)
+        else:
+            _write(root / key, key, content)
+    argv = [command, "--out-dir", str(root / "out")]
+    if target == "config":
+        (root / "config.json").write_bytes(edit(json.dumps(tree)))
+        argv += ["--config", str(root / "config.json")]
+    else:
+        argv += [arg for key, value in values.items() for arg in (_flag(key), str(value))]
+    return argv, f"{name}: {target} {done}"
+
+
+def _warm_cache(root: Path, capsys) -> None:
+    """Fill the load cache with every command's run on its unmutated inputs."""
+    for name in COMMANDS:
+        case = root / f"valid_{name}"
+        case.mkdir()
+        for key, content in COMMANDS[name][1].items():
+            _write(case / key, key, content)
+        values = _tree(name, "config", case)[1]
+        argv = [arg for key, value in values.items() for arg in (_flag(key), str(value))]
+        assert main([COMMANDS[name][0], "--out-dir", str(case / "out"), *argv]) == 0, name
+    capsys.readouterr()
+
+
+def test_unreadable_and_nonfinite_inputs_exit_with_one_error_on_every_cache(
+        tmp_path, monkeypatch, capsys):
+    warm, blocked = tmp_path / "warm", tmp_path / "blocked"
+    blocked.write_text("a regular file, so no cache directory can be made under it")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(warm))
+    _warm_cache(tmp_path, capsys)
+    rng = random.Random(20261021)
+    failures = []
+    for i, spec in enumerate(_text_specs(rng)):
+        root = tmp_path / f"case{i}"
+        root.mkdir()
+        argv, case = _text_case(rng, root, spec)
+        outcomes = {}
+        for cache, where in (("cold", tmp_path / f"cold{i}"), ("warm", warm),
+                             ("blocked", blocked)):
+            monkeypatch.setenv("XDG_CACHE_HOME", str(where))
+            try:
+                code = main(argv)
+            except Exception as exc:  # noqa: BLE001 - any escape is the failure reported
+                failures.append(f"{case} ({cache} cache): raised {exc!r}")
+                continue
+            err = capsys.readouterr().err
+            errors = [line for line in err.splitlines() if line.startswith('{"error"')]
+            left = (root / "out").exists()
+            if code not in (2, 3, 4) or len(errors) != 1 or left or "Traceback" in err:
+                failures.append(f"{case} ({cache} cache): exit {code}, "
+                                f"{len(errors)} error lines, out-dir left {left}")
+            outcomes[cache] = (code, errors)
+        if len(set(map(repr, outcomes.values()))) > 1:
+            failures.append(f"{case}: the load cache changed the outcome {outcomes}")
     assert failures == []
