@@ -196,11 +196,10 @@ def _numeric_fields(tree, path=()) -> dict[tuple, list[list]]:
     if isinstance(tree, (int, float)) and not isinstance(tree, bool):
         return {tuple("*" if isinstance(k, int) else k for k in path): [list(path)]}
     fields: dict[tuple, list[list]] = {}
-    children = tree.items() if isinstance(tree, dict) else enumerate(tree) \
-        if isinstance(tree, list) else ()
-    for key, child in children:
-        for field, paths in _numeric_fields(child, (*path, key)).items():
-            fields.setdefault(field, []).extend(paths)
+    if isinstance(tree, (dict, list)):
+        for key, child in tree.items() if isinstance(tree, dict) else enumerate(tree):
+            for field, paths in _numeric_fields(child, (*path, key)).items():
+                fields.setdefault(field, []).extend(paths)
     return fields
 
 
@@ -220,10 +219,10 @@ def _text_specs(rng: random.Random):
     done = set()
     for name, (_, inputs, _) in COMMANDS.items():
         for target in (*inputs, "config"):
-            tree = _tree(name, target, Path())[0]
-            for field in _numeric_fields(tree):
-                if field[0] != "meta" and (id(inputs.get(target, name)), field) not in done:
-                    done.add((id(inputs.get(target, name)), field))
+            owner = name if target == "config" else id(inputs[target])
+            for field in _numeric_fields(_tree(name, target, Path())[0]):
+                if field[0] != "meta" and (owner, field) not in done:
+                    done.add((owner, field))
                     yield name, target, "nonfinite", field
     for _ in range(TEXT_CASES):
         name = rng.choice(list(COMMANDS))
