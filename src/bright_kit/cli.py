@@ -319,7 +319,8 @@ def _cmd_augment(p):
             )
 
     return {
-        "augmented.json": Dataset(records, vocab, os.path.relpath(p.vocab, p.out_dir)),
+        "augmented.json": Dataset(records, vocab, os.path.relpath(
+            os.path.realpath(p.vocab), os.path.realpath(p.out_dir))),
         "attempts.jsonl": attempt_rows,
         "augment_report.json": {"meta": p.meta, "classes": summary},
     }, (

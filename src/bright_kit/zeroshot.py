@@ -89,9 +89,8 @@ def build_zeroshot_split(candidates: Sequence[HoiClass], pool: Dataset, cfg: Bal
 
     target = cfg.target_per_class
     candidate_ids = [c.class_id for c in candidates]
-    supply = {cid: pool.count(cid) for cid in candidate_ids}
-    satisfiable = [cid for cid in candidate_ids if supply[cid] >= target]
-    excluded = {cid: supply[cid] for cid in candidate_ids if supply[cid] < target}
+    satisfiable = [cid for cid in candidate_ids if pool.count(cid) >= target]
+    excluded = {cid: pool.count(cid) for cid in candidate_ids if pool.count(cid) < target}
     for cid, avail in sorted(excluded.items()):
         logger.warning(
             "zero-shot candidate %d has %d instances, needs %d; excluded",

@@ -436,6 +436,25 @@ def test_augment_command_feeds_balance_fill(workspace):
     assert report["classes"]["2"]["status"] == "target_reached"
 
 
+def test_augmented_json_names_its_vocabulary_through_a_symlinked_out_dir(workspace, monkeypatch):
+    # The ref is relative between physical paths, so it resolves from the
+    # file's directory even when the out-dir is a link to another depth, and
+    # stats then needs no --vocab.
+    tmp, vocab = workspace
+    save_split(make_dataset([[c] for c in vocab.class_ids()], vocab, prefix="ref"),
+               tmp / "refs.json")
+    (tmp / "deficits.json").write_text(json.dumps({"2": 1}))
+    (tmp / "far" / "away").mkdir(parents=True)
+    (tmp / "link").symlink_to(tmp / "far" / "away")
+    monkeypatch.chdir(tmp / "far")
+    assert _run("augment", "--deficits", tmp / "deficits.json", "--refs", tmp / "refs.json",
+                "--vocab", tmp / "vocab.json", "--out-dir", tmp / "link" / "aug") == 0
+    augmented = json.loads((tmp / "link" / "aug" / "augmented.json").read_text())
+    assert augmented["vocabulary_ref"] == "../../../vocab.json"
+    assert _run("stats", "--pool", tmp / "link" / "aug" / "augmented.json",
+                "--out-dir", tmp / "stats") == 0
+
+
 def test_augment_target_1_is_the_smallest_accepted(workspace):
     # --target takes any integer of at least 1: 1 itself generates one image a class.
     tmp, vocab = workspace

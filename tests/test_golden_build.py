@@ -142,8 +142,8 @@ def test_artifact_bytes_do_not_depend_on_the_environment(tmp_path):
         steps = step_argv(base, root) + [
             ("augmented_stats", ["stats", "--pool", str(root / "augment" / "augmented.json"),
                                  "--out-dir", str(root / "augmented_stats")]),
-            ("evaluate", ["evaluate", *(arg for name, flag in zip(SCORING_INPUTS, (
-                "--gt", "--preds", "--vocab")) for arg in (flag, str(base / name))),
+            ("evaluate", ["evaluate", "--gt", str(base / "gt.json"),
+                          "--preds", str(base / "preds.jsonl"), "--vocab", str(base / "vocab.json"),
                           "--out-dir", str(root / "evaluate")])]
         env = _toolkit_env(XDG_CACHE_HOME=str(tmp_path / f"cache_{setting}"), **extra)
         for step, argv in steps:
