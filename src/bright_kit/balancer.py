@@ -39,6 +39,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 
+from .cache import cached
 from .errors import DataError, ResidualDeficitError, UnknownClassError
 # Nothing here calls ``restrict``; perfbench's span table wraps this module's name for it.
 from .model import PROVENANCES, Dataset, Vocabulary, merge, restrict
@@ -111,36 +112,32 @@ def balance(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) -> BalanceRe
     ``balanced``; ``remainder`` holds every unselected image untouched.  Never
     raises for insufficient supply; short classes are reported in
     ``deficits``.  A pool read from a file is walked once per selection,
-    classes and ``cfg``: the load cache keeps the result.
+    classes and ``cfg``: the load cache keeps the result.  Stored or not, the
+    result is built from the walk's entry.
     """
     if not classes.is_subset_of(pool.vocabulary):
         raise UnknownClassError("balancing classes are not a subset of the pool vocabulary")
     key = pool._cols.key
     if key is None:  # columns built in memory: no file names them
-        return _walk(pool, classes, cfg)
-    from .cache import Slot  # not at the top: ``--version`` imports none of it
-
-    # The entry's key covers the file's key, the pool's selection of its
-    # columns (a range selects all of them: its length names it) and ``cfg``.
-    selection = (pool._rows, pool._inst, pool._first)
-    sizes = [[len(s)] if isinstance(s, range) else len(s) for s in selection]
-    slot = Slot(f"balance pass (seed {cfg.seed}) over {key[:12]}", "balance",
-                [key, sorted(classes.class_ids()), cfg.target_per_class, cfg.epochs, cfg.seed,
-                 BALANCER_VERSION, sizes],
-                b"".join(array("q", s) for s in selection if not isinstance(s, range)))
-    if slot.entry is None:
-        result = _walk(pool, classes, cfg)
-        slot.store([array("q", s) for d in (result.balanced, result.remainder)
-                    for s in (d._rows, d._inst, d._first)], [
-            list(result.deficits.items()), result.removed_annotations, result.trimmed_images])
-        return result
-    arrays, (deficits, removed, trimmed) = slot.entry
+        arrays, values, _ = _walk(pool, classes, cfg)
+    else:
+        # The entry's key covers the file's key, the pool's selection of its
+        # columns (a range selects all of them: its length names it) and ``cfg``.
+        selection = (pool._rows, pool._inst, pool._first)
+        sizes = [[len(s)] if isinstance(s, range) else len(s) for s in selection]
+        _, arrays, values = cached(
+            f"balance pass (seed {cfg.seed}) over {key[:12]}", "balance",
+            [key, sorted(classes.class_ids()), cfg.target_per_class, cfg.epochs, cfg.seed,
+             BALANCER_VERSION, sizes], lambda _: _walk(pool, classes, cfg),
+            b"".join(array("q", s) for s in selection if not isinstance(s, range)))
+    deficits, removed, trimmed = values
     return BalanceResult(pool._selected(*arrays[:3]), dict(deficits), removed,
                          pool._selected(*arrays[3:]), trimmed)
 
 
-def _walk(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) -> BalanceResult:
-    """The seeded walk of :func:`balance`."""
+def _walk(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) -> tuple[list, list, bool]:
+    """The seeded walk of :func:`balance` as a cache entry: the selections of the balanced
+    split and the remainder; the deficits, removed annotations and trimmed images."""
     target = cfg.target_per_class
     target_ids = set(classes.class_ids())
     index = pool.vocabulary._index
@@ -226,13 +223,11 @@ def _walk(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) -> BalanceResu
         counts[cls] = target
         removed_annotations += excess
 
-    return BalanceResult(
-        balanced=pool._select(selected_order, keep),
-        deficits={c: target - counts[index[c]] for c in target_ids if counts[index[c]] < target},
-        removed_annotations=removed_annotations,
-        remainder=pool._select(i for i, chosen in enumerate(selected) if not chosen),
-        trimmed_images=len(trimmed),
-    )
+    balanced = pool._select(selected_order, keep)
+    remainder = pool._select(i for i, chosen in enumerate(selected) if not chosen)
+    deficits = [[c, target - counts[index[c]]] for c in target_ids if counts[index[c]] < target]
+    return ([s for d in (balanced, remainder) for s in (d._rows, d._inst, d._first)],
+            [deficits, removed_annotations, len(trimmed)], True)
 
 
 def require_real(pool: Dataset) -> None:

@@ -7,7 +7,9 @@ a JSON header (for a load, the vocabulary's class rows) and the input bytes
 (for a load, the file's).  An entry is a header line
 (a version, the sha256 of the rest, the typecode and size of each ``array``
 column), the columns' raw bytes and a JSON array of the other values; no
-pickle.  Any ``OSError`` and any malformed entry is a miss: the cache changes
+pickle.  Callers go through :func:`cached` and build their result from the
+entry it returns, hit or miss.  Any ``OSError`` and any malformed entry is a
+miss, but a hit whose mtime cannot be refreshed is a hit: the cache changes
 no result, message or exit code.  README, "Load cache", has the policy.
 """
 
@@ -20,6 +22,7 @@ import logging
 import os
 import sys
 from array import array
+from contextlib import suppress
 from pathlib import Path
 
 logger = logging.getLogger("bright_kit")
@@ -78,8 +81,7 @@ def _read(key: str):
     does not parse."""
     try:
         path = directory() / key
-        with open(path, "rb") as f:
-            blob = f.read()
+        blob = path.read_bytes()
         end = blob.index(b"\n")
         version, digest, *columns = blob[:end].decode("ascii").split(" ")
         body = memoryview(blob)[end + 1 :]  # slices of it copy nothing
@@ -92,24 +94,29 @@ def _read(key: str):
             arrays.append(column)
             at += int(size)
         values = json.loads(str(body[at:], "utf-8"))
-        os.utime(path)  # a hit counts as a use for eviction
     except (OSError, RuntimeError, ValueError, TypeError):
         return None
+    with suppress(OSError):  # a hit counts as a use for eviction, where the directory allows
+        os.utime(path)
     return arrays, values
 
 
-def _write(path: Path, arrays, values) -> None:
-    """Write an entry under a unique temporary name, then rename it into place."""
+def _store(key: str, arrays, values) -> None:
+    """Write the entry ``key`` under a unique temporary name, rename it into
+    place, then evict down to :data:`MAX_BYTES`."""
+    root = directory()
+    root.mkdir(mode=0o700, parents=True, exist_ok=True)
     body = b"".join([*map(bytes, arrays), json.dumps(values, separators=(",", ":")).encode()])
     sizes = [f"{a.typecode}:{len(a) * a.itemsize}" for a in arrays]
     head = " ".join([_VERSION, hashlib.sha256(body).hexdigest(), *sizes]).encode()
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}")
+    tmp = root / f".{key}.{os.getpid()}.{os.urandom(4).hex()}"
     try:
         with open(tmp, "xb") as f:
             f.write(head + b"\n" + body)
-        os.replace(tmp, path)
+        os.replace(tmp, root / key)
     finally:
         tmp.unlink(missing_ok=True)
+    _evict(root)
 
 
 def _evict(root: Path) -> None:
@@ -138,46 +145,27 @@ def _evict(root: Path) -> None:
         total -= size
 
 
-class Slot:
-    """One result through the cache, named ``name`` in log lines: its input
-    bytes (``data``; by default the bytes of the file ``name``, which a hit
-    only hashes) and, on a hit, the stored ``(arrays, values)`` (``entry``;
-    None on a miss)."""
-
-    def __init__(self, name, kind: str, header, data: bytes | None = None):
-        self.name, self._kind, self._header = name, kind, header
+def cached(name, kind: str, header, compute, data: bytes | None = None):
+    """``(key, arrays, values)``: the entry of one result, named ``name`` in log
+    lines, whose input bytes are ``data`` (by default the file ``name``'s, which
+    a hit only hashes).  A miss reads the file whole and keys the entry by the
+    bytes the result is made from, even if the file changed since it was hashed;
+    ``compute(data)`` returns ``(arrays, values, storable)``, and the entry is
+    stored unless ``storable`` is false (a row of the load took the row rule)."""
+    key = _file_key(name, kind, header) if data is None else _key(data, kind, header)
+    entry, outcome = _read(key), "hit"
+    if entry is None:
         if data is None:
-            self.key = _file_key(name, kind, header)
-        else:
-            self.key = _key(data, kind, header)
-        self.data = data
-        self.entry = _read(self.key)
-        if self.entry is not None:
-            self._log("hit")
-
-    def read(self) -> bytes:
-        """The input bytes, for a miss to decode.  A file is read whole here,
-        and the entry is then keyed by these bytes, the ones the result is
-        made from, even if the file changed since it was hashed."""
-        if self.data is None:
-            with open(self.name, "rb") as f:
-                self.data = f.read()
-            self.key = _key(self.data, self._kind, self._header)
-        return self.data
-
-    def store(self, arrays, values, row_rule: bool = False) -> None:
-        """Store a finished result, unless a row of its load took the row rule;
-        then evict down to :data:`MAX_BYTES`."""
-        if row_rule:
-            return self._log("not stored (a row took the row rule)")
-        try:
-            root = directory()
-            root.mkdir(mode=0o700, parents=True, exist_ok=True)
-            _write(root / self.key, arrays, values)
-        except (OSError, RuntimeError) as exc:
-            return self._log(f"not stored ({exc})")
-        _evict(root)
-        self._log("stored")
-
-    def _log(self, outcome: str) -> None:
-        logger.info("load cache %s: %s [key %s]", outcome, self.name, self.key[:12])
+            with open(name, "rb") as f:
+                data = f.read()
+            key = _key(data, kind, header)
+        *entry, storable = compute(data)
+        outcome = "not stored (a row took the row rule)"
+        if storable:
+            try:
+                _store(key, *entry)
+                outcome = "stored"
+            except (OSError, RuntimeError) as exc:
+                outcome = f"not stored ({exc})"
+    logger.info("load cache %s: %s [key %s]", outcome, name, key[:12])
+    return key, *entry

@@ -361,7 +361,7 @@ def _cmd_perturb(p):
 
 def _load_report_dir(path: str) -> dict[str, float]:
     reports = {}
-    for f in sorted(Path(path).glob("*.json")):
+    for f in sorted(entry for entry in Path(path).iterdir() if entry.name.endswith(".json")):
         raw = read_json(f)
         value = raw.get("mean_ap") if isinstance(raw, dict) else None
         try:  # a finite JSON number; bools, strings and NaN/Infinity are not

@@ -34,6 +34,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
+from .cache import cached
 from .errors import DataError, UnknownClassError
 from .jsonio import read_json_lines
 from .model import BBox, Dataset, Vocabulary, parse_box, read_class_id
@@ -542,21 +543,23 @@ def load_predictions(path: str | Path, vocab: Vocabulary) -> PredictionTable:
     the first error (its type, message and line number) are those of a
     row-by-row read.  The load goes through the load cache
     (:mod:`bright_kit.cache`): once loaded with no row taking the scalar
-    rule, a dump is not decoded again.
+    rule, a dump is not decoded again.  Hit or miss, the table is built from
+    the entry.
     """
-    from .cache import Slot  # not at the top: ``--version`` imports none of it
+    _, columns, image_ids = cached(path, "predictions", vocab,
+                                   lambda data: _decode(path, data, vocab))
+    return PredictionTable(image_ids, *columns)
 
-    slot = Slot(path, "predictions", vocab)
-    if slot.entry is not None:
-        (image, class_id, score, coords), image_ids = slot.entry
-        return PredictionTable(image_ids, image, class_id, score, coords)
+
+def _decode(path, data: bytes, vocab: Vocabulary) -> tuple[list, list, bool]:
+    """The cache entry of the dump ``data``; it may be stored if no row took the scalar rule."""
     image_ids: dict[str, int] = {}
     image, class_id, lineno = array("q"), array("q"), array("q")
     score, coords = array("d"), array("d")
     recheck: dict[int, object] = {}  # row number -> raw row
     add_line, add_coords, add_score = lineno.append, coords.extend, score.append
     add_class, add_image, image_of = class_id.append, image.append, image_ids.setdefault
-    for line, row in read_json_lines(path, slot.read()):
+    for line, row in read_json_lines(path, data):
         n = len(lineno)
         add_line(line)
         try:
@@ -590,11 +593,10 @@ def load_predictions(path: str | Path, vocab: Vocabulary) -> PredictionTable:
     for n in rule_rows:
         where = f"{path}:{lineno[n]}"
         row = recheck[n] if n in recheck else next(
-            r for line, r in read_json_lines(path, slot.read()) if line == lineno[n]
+            r for line, r in read_json_lines(path, data) if line == lineno[n]
         )
         pred = _read_row(row, where, vocab)
         boxes[n] = (pred.human_box.as_list(), pred.object_box.as_list())
         scores[n], classes[n] = pred.score, pred.class_id
         images[n] = image_ids.setdefault(pred.image_id, len(image_ids))
-    slot.store([image, class_id, score, coords], list(image_ids), bool(rule_rows))
-    return PredictionTable(image_ids, images, classes, scores, boxes)
+    return [image, class_id, score, coords], list(image_ids), not rule_rows

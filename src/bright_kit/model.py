@@ -30,6 +30,7 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from .cache import cached
 from .errors import (
     AnnotationFormatError,
     DegenerateBoxError,
@@ -531,22 +532,25 @@ def load_dataset(path: str | Path, vocab: Vocabulary, raw=None) -> Dataset:
     takes the field-by-field rule (``_instance_row``) at its place in the
     file, so warnings and the first error are those of a row-by-row read.
     A file read here goes through the load cache (:mod:`bright_kit.cache`):
-    once loaded with no row taking that rule, it is not decoded again.  Either
-    way its columns carry the file's cache key, for balancing passes over them.
+    once loaded with no row taking that rule, it is not decoded again.  A
+    hit, a decode and ``raw`` all build the Dataset from one entry, whose
+    columns carry the file's cache key, for balancing passes over them.
     """
-    slot = None
     if raw is None:
-        from .cache import Slot  # not at the top: ``--version`` imports none of it
+        key, arrays, values = cached(path, "dataset", vocab,
+                                     lambda data: _decode(read_json(path, data), path, vocab))
+    else:
+        key, (arrays, values, _) = None, _decode(raw, path, vocab)
+    cols = _Columns(vocab, key)
+    cols.first, cols.cls, cols.box, cols.prov = arrays
+    cols.image_id, cols.file_name, cols.width, cols.height, vocabulary_ref = values
+    return Dataset.__new__(Dataset)._bind(cols, vocabulary_ref)
 
-        slot = Slot(path, "dataset", vocab)
-        if slot.entry is not None:
-            cols = _Columns(vocab, slot.key)
-            cols.first, cols.cls, cols.box, cols.prov = slot.entry[0]
-            cols.image_id, cols.file_name, cols.width, cols.height, ref = slot.entry[1]
-            return Dataset.__new__(Dataset)._bind(cols, ref)
-        raw = read_json(path, slot.read())
+
+def _decode(raw, path, vocab: Vocabulary) -> tuple[list, list, bool]:
+    """The cache entry of the decoded file ``raw``; it may be stored if no row took the row rule."""
     images, vocabulary_ref = annotation_header(raw, path)
-    cols = _Columns(vocab, slot and slot.key)
+    cols = _Columns(vocab)
     cls, box, prov = cols.cls, cols.box, cols.prov
     index, prov_code = vocab._index, _PROVENANCE_CODE
     row_rule = False
@@ -586,11 +590,8 @@ def load_dataset(path: str | Path, vocab: Vocabulary, raw=None) -> Dataset:
         cols.add_image(image_id, file_name, width, height)
     _require_utf8(path, [*cols.image_id, *cols.file_name, vocabulary_ref])
     cols.require_unique_ids()
-    if slot is not None:
-        slot.store([cols.first, cols.cls, cols.box, cols.prov],
-                   [cols.image_id, cols.file_name, cols.width, cols.height, vocabulary_ref],
-                   row_rule)
-    return Dataset.__new__(Dataset)._bind(cols, vocabulary_ref)
+    return ([cols.first, cols.cls, cols.box, cols.prov],
+            [cols.image_id, cols.file_name, cols.width, cols.height, vocabulary_ref], not row_rule)
 
 
 # One instance and one image of a split file, at their indentation depth, as

@@ -171,19 +171,60 @@ def test_the_size_cap_evicts_least_recently_used_entries_first(tmp_path, monkeyp
     assert len(_entries()) == 2
 
 
+def _dump(tmp_path, name="preds.jsonl", x1=0):
+    """A one-row prediction dump; a negative ``x1`` needs a clamp."""
+    path = tmp_path / name
+    path.write_text(json.dumps({"image_id": "a", "human_box": [x1, 0, 5, 5],
+                                "object_box": [0, 0, 5, 5], "class_id": 1, "score": 0.5}) + "\n")
+    return path
+
+
 def test_info_log_names_each_cached_load(tmp_path, caplog):
     path, vocab, _ = _pool(tmp_path)
-    clamped = _clamped(path)
+    clamped, preds, preds_clamped = _clamped(path), _dump(tmp_path), _dump(tmp_path, "c.jsonl", -1)
+    cfg = BalanceConfig(1, epochs=2, seed=4)
     with caplog.at_level("INFO", logger="bright_kit"):
-        load_dataset(path, vocab)
-        load_dataset(path, vocab)
+        for _ in range(2):
+            balance(load_dataset(path, vocab), vocab, cfg)
+            load_predictions(preds, vocab)
         load_dataset(clamped, vocab)
-    key = cache._key(path.read_bytes(), "dataset", vocab)[:12]
+        load_predictions(preds_clamped, vocab)
+    key = cache._key(path.read_bytes(), "dataset", vocab)
+    pool = load_dataset(path, vocab)
+    # a pool read whole selects ranges of rows and instances, and its own ``first``
+    pass_key = cache._key(bytes(pool._first), "balance", [
+        key, [1, 2, 3, 4], 1, 2, 4, balancer.BALANCER_VERSION,
+        [[len(pool)], [pool.total_instances], len(pool) + 1]])
+    preds_key = cache._key(preds.read_bytes(), "predictions", vocab)
+    name = f"balance pass (seed 4) over {key[:12]}"
     lines = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
-    assert lines[:2] == [f"load cache stored: {path} [key {key}]",
-                         f"load cache hit: {path} [key {key}]"]
-    assert len(lines) == 3 and lines[2].startswith(
-        f"load cache not stored (a row took the row rule): {clamped} [key ")
+    assert lines[:-2] == [f"load cache stored: {path} [key {key[:12]}]",
+                          f"load cache stored: {name} [key {pass_key[:12]}]",
+                          f"load cache stored: {preds} [key {preds_key[:12]}]",
+                          f"load cache hit: {path} [key {key[:12]}]",
+                          f"load cache hit: {name} [key {pass_key[:12]}]",
+                          f"load cache hit: {preds} [key {preds_key[:12]}]"]
+    rule = "load cache not stored (a row took the row rule)"
+    assert len(lines) == 8 and lines[-2].startswith(f"{rule}: {clamped} [key ")
+    assert lines[-1].startswith(f"{rule}: {preds_clamped} [key ")
+
+
+def test_a_hit_whose_mtime_cannot_be_refreshed_is_still_a_hit(tmp_path, decoded, monkeypatch):
+    # A read-only or shared cache directory refuses os.utime (EPERM, EROFS);
+    # its entries still hold the loads' columns, so no load decodes twice.
+    path, vocab, pool = _pool(tmp_path)
+    preds = _dump(tmp_path)
+    want = load_predictions(preds, vocab)
+    load_dataset(path, vocab)
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(1, "Operation not permitted", str(args[0]))
+
+    monkeypatch.setattr(os, "utime", refuse)
+    for _ in range(2):
+        assert load_dataset(path, vocab) == pool
+        assert load_predictions(preds, vocab) == want
+    assert decoded == [preds, path]
 
 
 def _same(got, want) -> bool:

@@ -963,6 +963,28 @@ def test_compare_rejects_non_numeric_mean_ap(workspace, capsys, report):
     assert not (tmp / "cmp").exists()
 
 
+@pytest.mark.parametrize("a, code, kind", [
+    ("missing", 4, "FileNotFoundError"),
+    ("vocab.json", 4, "NotADirectoryError"),  # a file, not a directory
+    ("no_reports", 3, "DataError"),  # a directory holding no report JSON
+])
+def test_compare_report_dir_errors(workspace, capsys, a, code, kind):
+    # A missing --a exits 4 and names its path, like every command's missing input.
+    tmp, _ = workspace
+    (tmp / "no_reports").mkdir()
+    (tmp / "no_reports" / "notes.txt").write_text("")
+    (tmp / "rb").mkdir()
+    (tmp / "rb" / "m1.json").write_text(json.dumps({"mean_ap": 10.0}))
+    assert _run("compare", "--a", tmp / a, "--b", tmp / "rb", "--out-dir", tmp / "cmp") == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == kind
+    assert error.get("path") == (None if code == 3 else str(tmp / a))
+    assert not (tmp / "cmp").exists()
+
+
 def test_augment_checks_deficits_before_any_port_call(workspace, capsys, monkeypatch):
     tmp, vocab = workspace
     save_split(make_dataset([[c] for c in vocab.class_ids()], vocab, prefix="ref"),
