@@ -125,7 +125,7 @@ def balance(pool: Dataset, classes: Vocabulary, cfg: BalanceConfig) -> BalanceRe
         # columns (a range selects all of them: its length names it) and ``cfg``.
         selection = (pool._rows, pool._inst, pool._first)
         sizes = [[len(s)] if isinstance(s, range) else len(s) for s in selection]
-        _, arrays, values = cached(
+        _, arrays, values, _ = cached(
             f"balance pass (seed {cfg.seed}) over {key[:12]}", "balance",
             [key, sorted(classes.class_ids()), cfg.target_per_class, cfg.epochs, cfg.seed,
              BALANCER_VERSION, sizes], lambda _: _walk(pool, classes, cfg),

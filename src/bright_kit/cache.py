@@ -146,14 +146,15 @@ def _evict(root: Path) -> None:
 
 
 def cached(name, kind: str, header, compute, data: bytes | None = None):
-    """``(key, arrays, values)``: the entry of one result, named ``name`` in log
-    lines, whose input bytes are ``data`` (by default the file ``name``'s, which
-    a hit only hashes).  A miss reads the file whole and keys the entry by the
-    bytes the result is made from, even if the file changed since it was hashed;
-    ``compute(data)`` returns ``(arrays, values, storable)``, and the entry is
-    stored unless ``storable`` is false (a row of the load took the row rule)."""
+    """``(key, arrays, values, storable)``: the entry of one result, named ``name``
+    in log lines, whose input bytes are ``data`` (by default the file ``name``'s,
+    which a hit only hashes).  A miss reads the file whole and keys the entry by
+    the bytes the result is made from, even if the file changed since it was
+    hashed; ``compute(data)`` returns ``(arrays, values, storable)``, and the entry
+    is stored unless ``storable`` is false (a row of the load took the row rule).
+    A hit is storable."""
     key = _file_key(name, kind, header) if data is None else _key(data, kind, header)
-    entry, outcome = _read(key), "hit"
+    entry, outcome, storable = _read(key), "hit", True
     if entry is None:
         if data is None:
             with open(name, "rb") as f:
@@ -168,4 +169,4 @@ def cached(name, kind: str, header, compute, data: bytes | None = None):
             except (OSError, RuntimeError) as exc:
                 outcome = f"not stored ({exc})"
     logger.info("load cache %s: %s [key %s]", outcome, name, key[:12])
-    return key, *entry
+    return key, *entry, storable

@@ -33,7 +33,7 @@ from dataclasses import asdict, astuple, fields
 from pathlib import Path
 from typing import Callable, NamedTuple, NoReturn
 
-from . import __version__
+from . import __version__, cache
 from .augment import GenerationBudget, generate_valid_images, http_ports, mock_ports
 from .balancer import BALANCER_VERSION, DEFAULT_EPOCHS, BalanceConfig, build_splits, fill_deficits
 from .errors import DataError
@@ -42,6 +42,7 @@ from .model import (
     Dataset,
     HoiInstance,
     ImageRecord,
+    Vocabulary,
     _require_utf8,
     annotation_header,
     load_dataset,
@@ -52,10 +53,12 @@ from .stats import ClassDistribution, distribution, ranking_shift, ratio_report,
 from .zeroshot import DEFAULT_CLASS_BUDGET, build_zeroshot_split, enumerate_candidates
 
 
-# The scoring commands' names come from bright_kit.evaluator, which imports
-# numpy.  They are bound into this module on first use, so the construction
-# commands start without numpy while the handlers still look them up here.
-_SCORING_NAMES = ("MatchConfig", "evaluate", "load_predictions", "perturb_tp_flip")
+# The evaluator's names come from bright_kit.evaluator, which imports numpy.
+# They are bound into this module on first use, so the construction commands,
+# and scoring commands whose match is cached, start without numpy.  A match
+# miss looks load_predictions up here, where perfbench's tracer patches it;
+# evaluate and perturb_tp_flip resolve here for the tracer too.
+_SCORING_NAMES = ("evaluate", "load_predictions", "perturb_tp_flip")
 
 
 def _bind_scoring() -> None:
@@ -329,12 +332,36 @@ def _cmd_augment(p):
     )
 
 
+def _matches(p, vocab: Vocabulary, gt: Dataset) -> dict:
+    """Per class with a true positive, its true-positive ranks and scores when the
+    dump ``p.preds`` is matched against ``gt`` at ``p.iou``, from the load cache's
+    match entry (README, "Load cache").  Only a miss imports the evaluator: it
+    loads the dump and matches every class.  The entry is stored only if the
+    dump's own load may be, so a dump that took the row rule warns on every run."""
+    from .scoring import MatchConfig, match_entry, matches_of
+
+    dump = cache._file_key(p.preds, "predictions", vocab)
+
+    def match(_):
+        _bind_scoring()
+        from .evaluator import class_matches
+
+        preds = load_predictions(p.preds, vocab)
+        MatchConfig(iou_threshold=p.iou)  # a bad threshold fails after the dump's errors
+        return match_entry(class_matches(preds, gt, p.iou)), [], preds.key == dump
+
+    split = gt._cols.key
+    name = f"match (IoU {p.iou}) of {p.preds} against {split[:12]}"
+    _, arrays, _, _ = cache.cached(name, "match", [split, dump, p.iou], match, b"")
+    return matches_of(arrays)
+
+
 def _cmd_evaluate(p):
-    _bind_scoring()
+    from .scoring import evaluate_matches
+
     vocab = load_vocabulary(p.vocab)
     gt = load_dataset(p.gt, vocab)
-    preds = load_predictions(p.preds, vocab)
-    report = evaluate(preds, gt, vocab, MatchConfig(iou_threshold=p.iou, ap_method=p.ap_method))
+    report = evaluate_matches(_matches(p, vocab, gt), gt, vocab, p.ap_method)
 
     rows = [["class_id", "verb", "object", "ap"]] + [
         [c, vocab.get(c).verb_name, vocab.get(c).object_name, ap]
@@ -346,12 +373,13 @@ def _cmd_evaluate(p):
 
 
 def _cmd_perturb(p):
-    _bind_scoring()
+    from .scoring import MatchConfig, perturb_matches
+
     vocab = load_vocabulary(p.vocab)
     vocab.get(p.class_id)  # an unknown class fails before the split and dump are loaded
     gt = load_dataset(p.gt, vocab)
-    preds = load_predictions(p.preds, vocab)
-    result = perturb_tp_flip(preds, gt, p.class_id, MatchConfig(iou_threshold=p.iou), flip=p.flip)
+    result = perturb_matches(_matches(p, vocab, gt), p.class_id, gt.count(p.class_id),
+                             MatchConfig().ap_method, p.flip)
 
     return {"perturb.json": {"meta": p.meta, **asdict(result)}}, (
         f"perturb: class {p.class_id} AP {result.original_ap:.4f} -> "

@@ -1,7 +1,9 @@
 """Per-class AP / mAP over detector prediction dumps, plus the analyses that
 expose how fragile those numbers are: class-AP spread statistics and
 single-TP-flip perturbation.  The ranking comparison between two benchmarks
-needs no numpy and lives in :mod:`bright_kit.stats`.
+needs no numpy and lives in :mod:`bright_kit.stats`; everything after the match
+(AP, the statistics and the probe) lives in :mod:`bright_kit.scoring`, whose
+names this module re-exports.
 
 Matching follows the de-facto pair protocol: a prediction is a true positive
 iff an unmatched ground-truth instance of the same class in the same image
@@ -17,20 +19,20 @@ is computed elementwise in float64 with the operations of
 only with the ground truths whose human x1 lies in the window that a human
 IoU at the threshold allows (:func:`_windows`), and the object IoU only for
 pairs whose human IoU reaches the threshold, since no other pair can qualify.
-The AP sums run sequentially in Python, so every result is bit-identical to
-scoring one :class:`Prediction` object at a time and compares exactly against
-a brute-force oracle.
+A match reduces to each class's true-positive ranks and scores
+(:func:`class_matches`), from which :mod:`bright_kit.scoring` computes AP in
+Python, so every result is bit-identical to scoring one :class:`Prediction`
+object at a time and compares exactly against a brute-force oracle.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
@@ -38,10 +40,18 @@ from .cache import cached
 from .errors import DataError, UnknownClassError
 from .jsonio import read_json_lines
 from .model import BBox, Dataset, Vocabulary, parse_box, read_class_id
+from .scoring import (  # noqa: F401  (re-exported)
+    AP_METHODS,
+    EvalReport,
+    MatchConfig,
+    PerturbResult,
+    _check_flip,
+    ap_from_ranks,
+    evaluate_matches,
+    perturb_matches,
+    summarize_class_aps,
+)
 
-logger = logging.getLogger("bright_kit")
-
-AP_METHODS = ("all_point", "eleven_point")
 # Prediction/ground-truth pairs whose IoU is computed at once.  A chunk's numpy
 # temporaries take about 140 bytes a pair, so 1 << 14 pairs stay near 2 MB:
 # at 1 << 16 matching ran slower and, in a fresh process, page-faulted on
@@ -76,11 +86,13 @@ class PredictionTable(Sequence):
     Row ``i`` is image ``image_ids[image[i]]``, class ``class_id[i]``, score
     ``score[i]`` and boxes ``boxes[i] = [human_box, object_box]``, each
     ``[x1, y1, x2, y2]``.  It compares equal to any sequence holding equal
-    predictions in the same order.
+    predictions in the same order.  ``key`` is the load cache key of the dump
+    it was read from when that load's entry may be stored, else None.
     """
 
-    def __init__(self, image_ids: Sequence[str], image, class_id, score, boxes):
-        self.image_ids = tuple(image_ids)
+    def __init__(self, image_ids: Sequence[str], image, class_id, score, boxes,
+                 key: str | None = None):
+        self.image_ids, self.key = tuple(image_ids), key
         self.image = _column(image, np.int64)
         self.class_id = _column(class_id, np.int64)
         self.score = _column(score, np.float64)
@@ -124,49 +136,6 @@ class PredictionTable(Sequence):
         if not isinstance(other, Sequence):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-
-@dataclass(frozen=True)
-class MatchConfig:
-    """Matching rule: min(IoU_human, IoU_object) >= iou_threshold."""
-
-    iou_threshold: float = 0.5
-    ap_method: str = "all_point"
-
-    def __post_init__(self):
-        if not 0.0 < self.iou_threshold < 1.0:
-            raise DataError(f"iou_threshold must be in (0, 1), got {self.iou_threshold}")
-        if self.ap_method not in AP_METHODS:
-            raise DataError(f"ap_method must be one of {AP_METHODS}, got {self.ap_method!r}")
-
-
-def _ap_from_labels(labels: Sequence[bool], npos: int, method: str) -> float:
-    """AP from rank-ordered TP flags against ``npos`` ground-truth instances.
-
-    Recall, precision and the envelope are exact elementwise array operations;
-    the sums run in Python, term by term in rank order, as the reference
-    definition does.
-    """
-    if npos <= 0:
-        raise DataError("AP is undefined without ground-truth instances")
-    tp = np.cumsum(np.asarray(labels, dtype=bool))
-    # int / int rounds once, like Python's true division of the exact counts
-    recalls = tp / npos
-    precisions = tp / np.arange(1, len(tp) + 1)
-
-    if method == "eleven_point":
-        ap = 0.0
-        for t in (i / 10.0 for i in range(11)):
-            ap += float(np.max(precisions, where=recalls >= t, initial=0.0)) / 11.0
-        return ap
-
-    mrec = np.concatenate(([0.0], recalls))
-    mpre = np.maximum.accumulate(np.concatenate(([0.0], precisions))[::-1])[::-1]
-    steps = np.flatnonzero(mrec[1:] != mrec[:-1]) + 1
-    ap = 0.0
-    for term in ((mrec[steps] - mrec[steps - 1]) * mpre[steps]).tolist():
-        ap += term
-    return ap
 
 
 @dataclass
@@ -235,6 +204,15 @@ def _lex(a, b) -> np.ndarray:
     return z
 
 
+def _isin(values: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``np.isin(values, keys)`` for ascending ``keys``, by a binary search:
+    np.isin sorts when the integers spread wide, and its np.unique imports
+    numpy.ma (about 10 ms a process)."""
+    if not len(keys):
+        return np.zeros(len(values), dtype=bool)
+    return keys[np.minimum(np.searchsorted(keys, values), len(keys) - 1)] == values
+
+
 def _windows(pred, truth_key, truth_x1, key, threshold: float):
     """Start and end, among ground truths sorted by key and then by human x1,
     of those the human box ``pred[:, i]`` of key ``key[i]`` can pair with.
@@ -301,7 +279,7 @@ def _match(preds: PredictionTable, gt: Dataset, threshold: float) -> tuple[np.nd
     truth_key, truth, rank = _truth_columns(gt, preds, codes)
     # Each key's predictions in rank order, less those of keys without ground truth
     rows = order[np.argsort(key[order], kind="stable")]
-    rows = rows[np.isin(key[rows], truth_key)]
+    rows = rows[_isin(key[rows], truth_key)]
     pred = _by_pair(preds.boxes[rows])
     start, end = _windows(pred[0], truth_key, truth[0][0], key[rows], threshold)
     won, rank_of, taken, last = array("q", [-1]) * len(rows), rank.tolist(), set(), -1
@@ -325,6 +303,15 @@ def _class_hits(table: PredictionTable, gt: Dataset, threshold: float) -> dict:
             for c, lo, hi in zip(present.tolist(), bounds, bounds[1:])}
 
 
+def class_matches(preds: Sequence[Prediction], gt: Dataset, threshold: float) -> dict:
+    """Per class with a true positive, the ranks of its true positives (positions
+    in the class's rank order) and their scores, from one :func:`_match` of all
+    ``preds``: what :mod:`bright_kit.scoring` computes AP from."""
+    hits = _class_hits(PredictionTable.of(preds), gt, threshold)
+    return {c: (np.flatnonzero(tp).tolist(), scores[tp].tolist())
+            for c, (tp, scores) in hits.items() if tp.any()}
+
+
 def class_ap(
     preds: Sequence[Prediction], gt: Dataset, class_id: int, cfg: MatchConfig
 ) -> ClassApResult:
@@ -339,89 +326,14 @@ def class_ap(
     table = table.select(table.class_id == class_id)
     hits, scores = _class_hits(table, gt, cfg.iou_threshold).get(class_id, _NO_HITS)
     npos = gt.count(class_id)
-    ap = _ap_from_labels(hits, npos, cfg.ap_method) if npos else None
+    ap = ap_from_ranks(np.flatnonzero(hits).tolist(), npos, cfg.ap_method) if npos else None
     return ClassApResult(class_id, ap, npos, hits.tolist(), scores.tolist())
 
 
 def _vocab_ids(vocab: Vocabulary) -> np.ndarray:
-    """The vocabulary's class ids that a prediction column can hold."""
-    return np.array([c for c in vocab.class_ids() if -(2**63) <= c < 2**63], dtype=np.int64)
-
-
-@dataclass
-class EvalReport:
-    """Per-class APs with the aggregate and spread statistics of their distribution."""
-
-    per_class_ap: dict[int, float]
-    mean_ap: float
-    variance: float
-    quartiles: tuple[float, float, float]
-    outliers: list[tuple[int, float]]
-    undefined_classes: list[int] = field(default_factory=list)
-
-    @property
-    def num_evaluated(self) -> int:
-        return len(self.per_class_ap)
-
-    @property
-    def median(self) -> float:
-        return self.quartiles[1]
-
-    def to_dict(self) -> dict:
-        q1, q2, q3 = self.quartiles
-        return {
-            "mean_ap": self.mean_ap,
-            "num_evaluated": self.num_evaluated,
-            "variance": self.variance,
-            "median": self.median,
-            "quartiles": {"q1": q1, "q2": q2, "q3": q3},
-            "outliers": [{"class_id": c, "ap": a} for c, a in self.outliers],
-            "undefined_classes": self.undefined_classes,
-            "per_class_ap": {str(c): a for c, a in sorted(self.per_class_ap.items())},
-        }
-
-
-def _percentile(s: Sequence[float], q: float) -> float:
-    """``np.percentile(s, q)`` of sorted ``s`` by numpy's own arithmetic, bit for bit."""
-    v = (len(s) - 1) * (q / 100)
-    lo = math.floor(v)
-    a, b = s[lo], s[min(lo + 1, len(s) - 1)]
-    t = v - lo if lo < len(s) - 1 else v + 1  # numpy weighs a last value from index -1
-    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
-
-
-def summarize_class_aps(
-    per_class_ap: Mapping[int, float], undefined: Sequence[int] = ()
-) -> EvalReport:
-    """Aggregate a per-class AP vector into an :class:`EvalReport`.
-
-    mAP is the arithmetic mean, summed left to right in class-id order, so no
-    interpreter's ``sum`` moves its bits; variance is the population variance;
-    median/quartiles use inclusive linear interpolation; outliers sit beyond
-    1.5 IQR from the quartile box.
-    """
-    if not per_class_ap:
-        raise DataError("no classes with defined AP to aggregate")
-    aps = [per_class_ap[c] for c in sorted(per_class_ap)]
-    mean_ap = 0.0
-    for ap in aps:
-        mean_ap += ap
-    mean_ap /= len(aps)
-    variance = float(np.var(aps))
-    q1, q2, q3 = (_percentile(sorted(aps), q) for q in (25, 50, 75))
-    iqr = q3 - q1
-    lo, hi = q1 - 1.5 * iqr, q3 + 1.5 * iqr
-    outliers = [
-        (c, a) for c, a in sorted(per_class_ap.items()) if a < lo or a > hi
-    ]
-    return EvalReport(
-        per_class_ap=dict(per_class_ap),
-        mean_ap=mean_ap,
-        variance=variance,
-        quartiles=(q1, q2, q3),
-        outliers=outliers,
-        undefined_classes=list(undefined),
-    )
+    """The vocabulary's class ids that a prediction column can hold, ascending."""
+    return np.sort(np.array([c for c in vocab.class_ids() if -(2**63) <= c < 2**63],
+                            dtype=np.int64))
 
 
 def evaluate(
@@ -436,34 +348,13 @@ def evaluate(
     if gt.total_instances == 0:
         raise DataError("ground-truth dataset has no instances")
     table = PredictionTable.of(preds)
-    unknown = ~np.isin(table.class_id, _vocab_ids(vocab))
+    unknown = ~_isin(table.class_id, _vocab_ids(vocab))
     if unknown.any():
         raise UnknownClassError(
             f"prediction has unknown class_id {table.class_id[unknown.argmax()]}"
         )
-    hits = _class_hits(table, gt, cfg.iou_threshold)
-    per_class: dict[int, float] = {}
-    undefined: list[int] = []
-    for class_id in vocab.class_ids():
-        npos = gt.count(class_id)
-        if npos:
-            labels = hits.get(class_id, _NO_HITS)[0]
-            per_class[class_id] = _ap_from_labels(labels, npos, cfg.ap_method)
-        else:
-            undefined.append(class_id)
-    if undefined:
-        logger.warning("%d classes have no ground truth; AP undefined", len(undefined))
-    return summarize_class_aps(per_class, undefined)
-
-
-@dataclass
-class PerturbResult:
-    class_id: int
-    original_ap: float
-    perturbed_ap: float
-    relative_drop: float
-    flipped_rank: int
-    flipped_score: float
+    matches = class_matches(table, gt, cfg.iou_threshold)
+    return evaluate_matches(matches, gt, vocab, cfg.ap_method)
 
 
 def perturb_tp_flip(
@@ -481,25 +372,10 @@ def perturb_tp_flip(
     correspondence is voided and every other match is kept as-is, so the
     only change to the PR curve is that single TP-to-FP label flip.
     """
-    if flip not in ("top", "lowest"):
-        raise DataError(f"flip must be 'top' or 'lowest', got {flip!r}")
-    res = class_ap(preds, gt, class_id, cfg)
-    if res.ap is None:
-        raise DataError(f"class {class_id} has no ground truth; AP undefined")
-    if True not in res.labels:
-        raise DataError(f"class {class_id} has no matched TP to flip")
-    labels = list(res.labels)  # in rank order
-    rank = labels.index(True) if flip == "top" else len(labels) - 1 - labels[::-1].index(True)
-    labels[rank] = False
-    perturbed = _ap_from_labels(labels, res.npos, cfg.ap_method)
-    return PerturbResult(
-        class_id=class_id,
-        original_ap=res.ap,
-        perturbed_ap=perturbed,
-        relative_drop=(res.ap - perturbed) / res.ap,
-        flipped_rank=rank,
-        flipped_score=res.scores[rank],
-    )
+    _check_flip(flip)
+    table = PredictionTable.of(preds)
+    matches = class_matches(table.select(table.class_id == class_id), gt, cfg.iou_threshold)
+    return perturb_matches(matches, class_id, gt.count(class_id), cfg.ap_method, flip)
 
 
 # ---------------------------------------------------------------------------
@@ -544,11 +420,11 @@ def load_predictions(path: str | Path, vocab: Vocabulary) -> PredictionTable:
     row-by-row read.  The load goes through the load cache
     (:mod:`bright_kit.cache`): once loaded with no row taking the scalar
     rule, a dump is not decoded again.  Hit or miss, the table is built from
-    the entry.
+    the entry, and carries its key when the entry may be stored.
     """
-    _, columns, image_ids = cached(path, "predictions", vocab,
-                                   lambda data: _decode(path, data, vocab))
-    return PredictionTable(image_ids, *columns)
+    key, columns, image_ids, storable = cached(path, "predictions", vocab,
+                                               lambda data: _decode(path, data, vocab))
+    return PredictionTable(image_ids, *columns, key=key if storable else None)
 
 
 def _decode(path, data: bytes, vocab: Vocabulary) -> tuple[list, list, bool]:
@@ -588,7 +464,7 @@ def _decode(path, data: bytes, vocab: Vocabulary) -> tuple[list, list, bool]:
     x1, y1, x2, y2 = np.moveaxis(boxes, -1, 0)
     ok = ((-np.inf < x1) & (x1 < x2) & (x2 < np.inf)
           & (-np.inf < y1) & (y1 < y2) & (y2 < np.inf)).all(axis=1)
-    ok &= (0.0 <= scores) & (scores <= 1.0) & np.isin(classes, _vocab_ids(vocab))
+    ok &= (0.0 <= scores) & (scores <= 1.0) & _isin(classes, _vocab_ids(vocab))
     rule_rows = sorted(recheck.keys() | set(np.flatnonzero(~ok).tolist()))
     for n in rule_rows:
         where = f"{path}:{lineno[n]}"

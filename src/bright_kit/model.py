@@ -537,8 +537,8 @@ def load_dataset(path: str | Path, vocab: Vocabulary, raw=None) -> Dataset:
     columns carry the file's cache key, for balancing passes over them.
     """
     if raw is None:
-        key, arrays, values = cached(path, "dataset", vocab,
-                                     lambda data: _decode(read_json(path, data), path, vocab))
+        key, arrays, values, _ = cached(path, "dataset", vocab,
+                                        lambda data: _decode(read_json(path, data), path, vocab))
     else:
         key, (arrays, values, _) = None, _decode(raw, path, vocab)
     cols = _Columns(vocab, key)

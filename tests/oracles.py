@@ -3,6 +3,8 @@
 The scoring oracles are written from scratch on purpose: their own IoU
 arithmetic, their own greedy matcher, and a point-by-point precision-recall
 enumeration that never shares code with the evaluator under test.
+:func:`label_vector_ap` keeps the evaluator's former AP arithmetic over the
+whole label vector, which the rank-only AP must reproduce bit for bit.
 
 The construction references are the straightforward first versions of code
 that was later rewritten for speed: :func:`reference_balance` (the balancer,
@@ -17,6 +19,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+
+import numpy as np
 
 from bright_kit import (
     BalanceConfig,
@@ -94,6 +98,28 @@ def oracle_ap_from_flags(flags, npos: int) -> float:
         if recalls[k] > prev:
             ap += (recalls[k] - prev) * max(precisions[k:])
             prev = recalls[k]
+    return ap
+
+
+def label_vector_ap(labels, npos: int, method: str) -> float:
+    """AP from rank-ordered TP flags over every prediction, as the evaluator
+    computed it before it scored from true-positive ranks: recall, precision
+    and the envelope as numpy arrays, the sums term by term in rank order.
+    ``scoring.ap_from_ranks`` must equal it bit for bit."""
+    tp = np.cumsum(np.asarray(labels, dtype=bool))
+    recalls = tp / npos
+    precisions = tp / np.arange(1, len(tp) + 1)
+    if method == "eleven_point":
+        ap = 0.0
+        for t in (i / 10.0 for i in range(11)):
+            ap += float(np.max(precisions, where=recalls >= t, initial=0.0)) / 11.0
+        return ap
+    mrec = np.concatenate(([0.0], recalls))
+    mpre = np.maximum.accumulate(np.concatenate(([0.0], precisions))[::-1])[::-1]
+    steps = np.flatnonzero(mrec[1:] != mrec[:-1]) + 1
+    ap = 0.0
+    for term in ((mrec[steps] - mrec[steps - 1]) * mpre[steps]).tolist():
+        ap += term
     return ap
 
 

@@ -29,7 +29,7 @@ from bright_kit import (
     summarize_class_aps,
 )
 
-from bright_kit import evaluator
+from bright_kit import evaluator, scoring
 from bright_kit.cli import main
 from bright_kit.evaluator import _read_row
 from bright_kit.jsonio import read_json_lines, write_json_lines
@@ -571,7 +571,7 @@ def test_mean_ap_bytes_do_not_depend_on_the_builtin_sum(tmp_path, monkeypatch):
     # The golden all-point report's mAP moves by an ulp if the class APs are
     # summed with compensation; a left fold keeps it on any interpreter.
     golden = FIXTURES / "golden"
-    monkeypatch.setattr(evaluator, "sum", _neumaier_sum, raising=False)
+    monkeypatch.setattr(scoring, "sum", _neumaier_sum, raising=False)
     argv = ["evaluate", "--ap-method", "all_point", "--gt", golden / "gt.json",
             "--preds", golden / "preds.jsonl", "--vocab", golden / "vocab.json",
             "--out-dir", tmp_path]

@@ -1,6 +1,7 @@
 """The construction commands (stats, balance, augment, balance --augmented,
 zeroshot) and compare never import numpy, nor requests with mock ports; only
-scoring loads the evaluator, and evaluate leaves numpy.ma unloaded and the
+scoring loads the evaluator (and only on a match cache miss, which
+test_match_cache covers), and evaluate leaves numpy.ma unloaded and the
 environment as it found it.  balance
 does not import statistics.  Every name the perfbench tracer wraps, and every name the
 package and the CLI re-export from the evaluator, resolves.  No module sums floats
@@ -103,10 +104,39 @@ print("ok")
 
 
 def test_evaluate_does_not_import_numpy_ma(tmp_path):
-    # numpy.ma costs a process about 10 ms to import; np.percentile loads it.
-    # Only the process entry sets OPENBLAS_NUM_THREADS, so a caller running a
-    # scoring command through main keeps its environment.
+    # numpy.ma costs a process about 10 ms to import.  np.percentile loads it,
+    # which scoring does not call, and so does np.isin on widely spread
+    # integers, which matching no longer calls (see the next test).  Only the
+    # process entry sets OPENBLAS_NUM_THREADS, so a caller running a scoring
+    # command through main keeps its environment.
     _run_script(EVALUATE, tmp_path / "evaluate", cwd=Path(__file__).parent / "fixtures" / "golden")
+
+
+@pytest.mark.parametrize("stride", [1, 10**6], ids=["dense_ids", "spread_ids"])
+def test_evaluate_does_not_import_numpy_ma_on_widely_spread_integers(tmp_path, stride):
+    # np.isin sorts instead of tabulating when its integers spread over more
+    # than six times their count, and it then loads numpy.ma unless it has
+    # few values to look for.  A match key is a class's code times the
+    # dump's image count plus the image: 40 classes over 1,000 images, with
+    # ground truth of two classes on 20 images at each end, spread the keys
+    # that wide.  Class ids 10**6 apart spread the vocabulary ids the dump's
+    # load checks, too.
+    from bright_kit import (BBox, Dataset, HoiClass, HoiInstance, ImageRecord, Vocabulary,
+                            save_split, save_vocabulary)
+    from bright_kit.jsonio import write_json_lines
+
+    ids = [1 + k * stride for k in range(40)]
+    vocab = Vocabulary(HoiClass(c, k + 1, 1, f"verb{k}", "object") for k, c in enumerate(ids))
+    save_vocabulary(vocab, tmp_path / "vocab.json")
+    box = BBox(10.0, 10.0, 40.0, 40.0)
+    ends = [(k, ids[0]) for k in range(20)] + [(k, ids[-1]) for k in range(980, 1000)]
+    save_split(Dataset([ImageRecord(f"img{k:04d}", f"{k}.jpg", 100, 100,
+                                    (HoiInstance(box, box, c),)) for k, c in ends], vocab),
+               tmp_path / "gt.json")
+    write_json_lines(tmp_path / "preds.jsonl", [
+        {"image_id": f"img{k:04d}", "human_box": box.as_list(), "object_box": box.as_list(),
+         "class_id": ids[k % 40], "score": 0.5} for k in range(1000)])
+    _run_script(EVALUATE, tmp_path / "evaluate", cwd=tmp_path)
 
 
 def test_unknown_attribute_still_raises():
